@@ -10,7 +10,6 @@ sections, so a reloaded design never goes stale. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
@@ -46,9 +45,6 @@ def _parser() -> argparse.ArgumentParser:
                              "in --out")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output directory")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for any randomized extension points "
-                             "(the built-in flow is deterministic)")
 
     p = argparse.ArgumentParser(
         prog="sqchip",
@@ -362,7 +358,7 @@ _COMMANDS = {
 }
 
 
-_GLOBAL_DEFAULTS = {"design": "design.sqd", "out": ".", "seed": 0}
+_GLOBAL_DEFAULTS = {"design": "design.sqd", "out": "."}
 
 
 def main(argv=None) -> int:
@@ -372,7 +368,6 @@ def main(argv=None) -> int:
     for dest, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, dest):
             setattr(args, dest, value)
-    random.seed(args.seed)
     try:
         return _COMMANDS[args.command](args)
     except StageError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import MeanderDoesNotFit
+from .errors import LengthMismatch, MeanderDoesNotFit
 from .geometry import bbox, bbox_union, path_length, rect
 
 # Layer plan. Numbers are GDS layer numbers; roles are what drc and the
@@ -23,16 +23,6 @@ LAYER_JUNCTION = 5     # junction placeholder rectangles
 LAYER_AIRBRIDGE = 10   # air-bridge spans
 LAYER_INDIUM = 11      # indium bump columns
 LAYER_PIN = 20         # bond pads
-
-LAYER_ROLES = {
-    LAYER_QUBIT: "metal-qubit",
-    LAYER_ROUTING: "metal-routing",
-    LAYER_OPPOSITE: "opposite-face-routing",
-    LAYER_JUNCTION: "junction",
-    LAYER_AIRBRIDGE: "airbridge",
-    LAYER_INDIUM: "indium",
-    LAYER_PIN: "pin",
-}
 
 
 @dataclass
@@ -232,7 +222,8 @@ def synthesize_meander(attach: tuple[float, float], top_y: float,
         pts.append((x_at, top_y))
     pts.append((x_at + inward * coupling_length, top_y))
     got = path_length(pts)
-    assert abs(got - length) < 1e-6, (got, length)
+    if not abs(got - length) < 1e-6:
+        raise LengthMismatch(f"meander is {got} um long, wanted {length} um")
     return pts
 
 

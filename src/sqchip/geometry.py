@@ -130,6 +130,46 @@ def path_length(points):
                for a, b in path_segments(points))
 
 
+class BinIndex:
+    """Uniform-bin spatial index over axis-aligned boxes, keyed by layer.
+
+    Space is cut into square cells of side `cell`. A box is filed under
+    (layer, ix, iy) for every cell it touches, so two closed boxes that share
+    a point share a cell. `query` returns the items whose box meets the query
+    box (closed intervals); callers decide each candidate with their exact
+    predicate.
+    """
+
+    def __init__(self, cell: float):
+        if not cell > 0.0:
+            raise ValueError(f"bin size must be positive, got {cell}")
+        self.cell = cell
+        self._bins: dict[tuple, list] = {}
+
+    def _keys(self, layer, box):
+        c = self.cell
+        ix0, ix1 = math.floor(box[0] / c), math.floor(box[2] / c)
+        iy0, iy1 = math.floor(box[1] / c), math.floor(box[3] / c)
+        return [(layer, ix, iy) for ix in range(ix0, ix1 + 1)
+                for iy in range(iy0, iy1 + 1)]
+
+    def add(self, layer, box, item) -> None:
+        """File hashable `item` under `box` = (x0, y0, x1, y1) on `layer`."""
+        entry = (box, item)
+        for key in self._keys(layer, box):
+            self._bins.setdefault(key, []).append(entry)
+
+    def query(self, layer, box) -> set:
+        """Items on `layer` whose box meets `box`."""
+        x0, y0, x1, y1 = box
+        found = set()
+        for key in self._keys(layer, box):
+            for b, item in self._bins.get(key, ()):
+                if b[0] <= x1 and x0 <= b[2] and b[1] <= y1 and y0 <= b[3]:
+                    found.add(item)
+        return found
+
+
 def rect(x0, y0, x1, y1):
     """Axis-aligned rectangle as a counter-clockwise polygon."""
     return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]

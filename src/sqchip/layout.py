@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 from .components import (
     LAYER_QUBIT,
-    LAYER_ROLES,
     PlacedComponent,
     make_resonator,
     make_transmon,
@@ -72,7 +71,6 @@ class ResonatorSpec:
 class ChipLayout:
     name: str
     die: DieBox
-    layers: dict[int, str] = field(default_factory=lambda: dict(LAYER_ROLES))
     components: list[PlacedComponent] = field(default_factory=list)
     paths: list[RoutedPath] = field(default_factory=list)
     pins: list[Pin] = field(default_factory=list)
@@ -122,9 +120,6 @@ class ChipLayout:
             max(self.die.x1, x1 + border),
             max(self.die.y1, y1 + border),
         )
-
-    def qubit_components(self) -> list[PlacedComponent]:
-        return [c for c in self.components if c.kind in ("xmon", "transmon")]
 
     def __eq__(self, other) -> bool:
         """Layouts are equal iff they serialize to identical GDS streams."""

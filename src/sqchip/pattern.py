@@ -261,8 +261,8 @@ def build_nets(layout, topology, lane_pitch: float = 25.0,
     for e in _EDGES:
         plan.edges[e].nets.sort(key=lambda net: net.entry_u)
         us = [net.entry_u for net in plan.edges[e].nets]
-        assert all(b - a > 1.0 for a, b in zip(us, us[1:])), \
-            f"entry collision on {e} edge"
+        if not all(b - a > 1.0 for a, b in zip(us, us[1:])):
+            raise CorridorExhausted(f"entry collision on {e} edge")
     return plan
 
 
@@ -365,7 +365,8 @@ def allocate_pins(layout, topology, lane_pitch: float = 25.0,
             net.pin_u = u
             prev = u
         us = [net.pin_u for net in nets]
-        assert all(b > a for a, b in zip(us, us[1:])), f"pin order on {e}"
+        if not all(b > a for a, b in zip(us, us[1:])):
+            raise CorridorExhausted(f"pins out of order on {e} edge")
         ep.lanes_used = _assign_lanes(nets)
 
     depth = {e: (plan.edges[e].lanes_used + 1) * lam + 150.0 for e in _EDGES}

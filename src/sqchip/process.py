@@ -3,6 +3,13 @@
 Rule sets are named processes. apply_rules is idempotent via a marker on the
 layout (re-filleting already-filleted geometry would not be), and drc returns
 an empty list exactly when the layout satisfies every checked rule.
+
+The pairwise scans (bridge crossings and deck cover, DRC spacing and
+component overlap, the widening check, the indium keep-out) take candidates
+from a geometry.BinIndex and decide each with its exact predicate. They
+visit candidates in all-pairs order (path i < j, then segment of i, then
+of j), so bridge numbering, DRC report order and GDS bytes match a scan
+over all pairs.
 """
 
 from __future__ import annotations
@@ -10,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .components import make_airbridge, make_indium_column
+from .components import LAYER_AIRBRIDGE, make_airbridge, make_indium_column
 from .errors import SpecInfeasible
 from .geometry import (
+    BinIndex,
     bbox,
     path_segments,
     point_segment_distance,
@@ -159,36 +167,71 @@ def _check_widening(layout, widened, rules: ProcessRules) -> None:
     from .errors import UnresolvableOverlap
 
     grown = {id(p) for p in widened}
-    for i, a in enumerate(layout.paths):
-        for b in layout.paths[i + 1:]:
-            if a.layer != b.layer or a.net == b.net:
+    for a, b, pairs in _near_segment_pairs(layout.paths, rules):
+        if id(a) not in grown and id(b) not in grown:
+            continue
+        need = rules.min_spacing + (a.width + b.width) / 2.0
+        for s1, s2 in pairs:
+            d = segment_distance(s1[0], s1[1], s2[0], s2[1])
+            if d >= need:
                 continue
-            if id(a) not in grown and id(b) not in grown:
+            # transversal crossings are legal, they get bridges
+            if segment_crossing_point(s1[0], s1[1], s2[0], s2[1]):
                 continue
-            need = rules.min_spacing + (a.width + b.width) / 2.0
-            for s1 in path_segments(a.points):
-                for s2 in path_segments(b.points):
-                    d = segment_distance(s1[0], s1[1], s2[0], s2[1])
-                    if d >= need:
-                        continue
-                    # transversal crossings are legal, they get bridges
-                    if segment_crossing_point(s1[0], s1[1], s2[0], s2[1]):
-                        continue
-                    if d > 1e-9 or not _endpoint_touch(s1, s2):
-                        raise UnresolvableOverlap(
-                            f"widening {a.net} to {a.width} um leaves "
-                            f"{d:.2f} um to {b.net}, below the "
-                            f"{rules.min_spacing} um spacing rule")
+            if d > 1e-9 or not _endpoint_touch(s1, s2):
+                raise UnresolvableOverlap(
+                    f"widening {a.net} to {a.width} um leaves "
+                    f"{d:.2f} um to {b.net}, below the "
+                    f"{rules.min_spacing} um spacing rule")
 
 
-def _path_crossings(pa, pb) -> list[tuple[float, float]]:
-    pts = []
-    for a1, a2 in path_segments(pa.points):
-        for b1, b2 in path_segments(pb.points):
-            x = segment_crossing_point(a1, a2, b1, b2)
-            if x is not None:
-                pts.append(x)
-    return pts
+# Index queries widen exact-predicate reaches by this much, so rounding in
+# a box edge can only add candidates, never drop one.
+_SLACK = 1e-6
+
+
+def _spacing_reach(rules: ProcessRules, paths) -> float:
+    """Widest centerline gap at which two same-layer nets can still
+    violate spacing."""
+    return rules.min_spacing + max((p.width for p in paths), default=0.0)
+
+
+def _bin_size(rules: ProcessRules, paths) -> float:
+    # the query box of a short segment then touches one to four cells
+    return max(8.0 * _spacing_reach(rules, paths), 1.0)
+
+
+def _box(seg, grow: float = 0.0):
+    (ax, ay), (bx, by) = seg
+    return (min(ax, bx) - grow, min(ay, by) - grow,
+            max(ax, bx) + grow, max(ay, by) + grow)
+
+
+def _near_segment_pairs(paths, rules: ProcessRules, reach: float | None = None):
+    """Segment pairs of different nets on one layer whose boxes come within
+    `reach` (default: the largest spacing requirement), in all-pairs order.
+
+    Yields (a, b, [(s1, s2), ...]) for paths a = paths[i], b = paths[j],
+    i < j, with the pairs sorted by segment index in a, then in b. Pairs are
+    gathered one path at a time, never for the whole layout at once.
+    """
+    if reach is None:
+        reach = _spacing_reach(rules, paths)
+    reach += _SLACK
+    segs = [path_segments(p.points) for p in paths]
+    index = BinIndex(_bin_size(rules, paths))
+    for i, p in enumerate(paths):
+        for k, seg in enumerate(segs[i]):
+            index.add(p.layer, _box(seg), (i, k))
+    for i, a in enumerate(paths):
+        near: dict[int, list[tuple[int, int]]] = {}
+        for k, seg in enumerate(segs[i]):
+            for j, l in index.query(a.layer, _box(seg, reach)):
+                if j > i and paths[j].net != a.net:
+                    near.setdefault(j, []).append((k, l))
+        for j in sorted(near):
+            yield a, paths[j], [(segs[i][k], segs[j][l])
+                                for k, l in sorted(near[j])]
 
 
 def insert_air_bridges(layout, rules: ProcessRules) -> list:
@@ -200,21 +243,21 @@ def insert_air_bridges(layout, rules: ProcessRules) -> list:
     """
     placed = []
     serial = sum(1 for c in layout.components if c.kind == "airbridge")
-    for i, pa in enumerate(layout.paths):
-        for pb in layout.paths[i + 1:]:
-            if pa.layer != pb.layer or pa.net == pb.net:
+    decks = _deck_index(layout, rules)
+    for pa, pb, pairs in _near_segment_pairs(layout.paths, rules, reach=0.0):
+        for s1, s2 in pairs:
+            pt = segment_crossing_point(s1[0], s1[1], s2[0], s2[1])
+            if pt is None or _bridged(decks, pt):
                 continue
-            for (x, y) in _path_crossings(pa, pb):
-                if _bridged(layout, (x, y)):
-                    continue
-                seg = _segment_at(pb.points, (x, y))
-                horiz = abs(seg[1][0] - seg[0][0]) >= abs(seg[1][1] - seg[0][1])
-                comp = make_airbridge(f"ab{serial}", (x, y), rules.bridge_span,
-                                      rules.bridge_width,
-                                      "h" if horiz else "v")
-                layout.add_component(comp, check_overlap=False)
-                placed.append(comp)
-                serial += 1
+            seg = _segment_at(pb.points, pt)
+            horiz = abs(seg[1][0] - seg[0][0]) >= abs(seg[1][1] - seg[0][1])
+            comp = make_airbridge(f"ab{serial}", pt, rules.bridge_span,
+                                  rules.bridge_width,
+                                  "h" if horiz else "v")
+            layout.add_component(comp, check_overlap=False)
+            _add_decks(decks, comp)
+            placed.append(comp)
+            serial += 1
     return placed
 
 
@@ -239,15 +282,16 @@ def place_indium_columns(layout, rules: ProcessRules) -> list:
     y0 = die.y0 + (die.height - (ny - 1) * rules.indium_pitch) / 2.0
     clear = rules.indium_clear + rules.indium_size / 2.0
 
-    boxes = []
+    keepout = BinIndex(_bin_size(rules, layout.paths))
     for comp in layout.components:
         b = comp.bounding_box()
-        boxes.append((b[0] - clear, b[1] - clear, b[2] + clear, b[3] + clear))
+        box = (b[0] - clear, b[1] - clear, b[2] + clear, b[3] + clear)
+        keepout.add(None, box, box)
     for p in layout.paths:
         h = p.width / 2.0 + clear
-        for (ax, ay), (bx, by) in path_segments(p.points):
-            boxes.append((min(ax, bx) - h, min(ay, by) - h,
-                          max(ax, bx) + h, max(ay, by) + h))
+        for seg in path_segments(p.points):
+            box = _box(seg, h)
+            keepout.add(None, box, box)
 
     placed = []
     serial = 0
@@ -255,7 +299,7 @@ def place_indium_columns(layout, rules: ProcessRules) -> list:
         for i in range(nx):
             x = x0 + i * rules.indium_pitch
             y = y0 + j * rules.indium_pitch
-            if any(b[0] <= x <= b[2] and b[1] <= y <= b[3] for b in boxes):
+            if keepout.query(None, (x, y, x, y)):
                 continue
             comp = make_indium_column(f"in{serial}", (x, y), rules.indium_size)
             layout.add_component(comp, check_overlap=False)
@@ -264,16 +308,25 @@ def place_indium_columns(layout, rules: ProcessRules) -> list:
     return placed
 
 
-def _bridged(layout, pt: tuple[float, float]) -> bool:
-    # layer-based so re-imported geometry still counts as bridged
-    from .components import LAYER_AIRBRIDGE
+def _deck_index(layout, rules: ProcessRules) -> BinIndex:
+    decks = BinIndex(_bin_size(rules, layout.paths))
     for comp in layout.components:
-        for poly in comp.footprint.get(LAYER_AIRBRIDGE, ()):
-            x0, y0, x1, y1 = bbox(poly)
-            if x0 - 1e-6 <= pt[0] <= x1 + 1e-6 and \
-                    y0 - 1e-6 <= pt[1] <= y1 + 1e-6:
-                return True
-    return False
+        _add_decks(decks, comp)
+    return decks
+
+
+def _add_decks(decks: BinIndex, comp) -> None:
+    # layer-based so re-imported geometry still counts as bridged
+    for poly in comp.footprint.get(LAYER_AIRBRIDGE, ()):
+        box = bbox(poly)
+        decks.add(LAYER_AIRBRIDGE, box, box)
+
+
+def _bridged(decks: BinIndex, pt: tuple[float, float]) -> bool:
+    x, y = pt
+    near = (x - 2e-6, y - 2e-6, x + 2e-6, y + 2e-6)
+    return any(x0 - 1e-6 <= x <= x1 + 1e-6 and y0 - 1e-6 <= y <= y1 + 1e-6
+               for x0, y0, x1, y1 in decks.query(LAYER_AIRBRIDGE, near))
 
 
 def drc(layout, rules: ProcessRules) -> list[Violation]:
@@ -304,47 +357,28 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
                 f"{rules.pad_size} um",
                 comp.origin, (comp.comp_id, "")))
 
-    # spacing between different nets on one layer, bbox-prefiltered
-    paths = list(layout.paths)
-    infl = rules.min_spacing + max((p.width for p in paths), default=0.0)
-    pb = []
-    for p in paths:
-        xs = [q[0] for q in p.points]
-        ys = [q[1] for q in p.points]
-        h = p.width / 2.0
-        pb.append((min(xs) - h - infl, min(ys) - h - infl,
-                   max(xs) + h + infl, max(ys) + h + infl))
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            a, b = paths[i], paths[j]
-            if a.layer != b.layer or a.net == b.net:
+    # spacing between different nets on one layer
+    decks = _deck_index(layout, rules)
+    for a, b, pairs in _near_segment_pairs(layout.paths, rules):
+        need = rules.min_spacing + (a.width + b.width) / 2.0
+        for s1, s2 in pairs:
+            d = segment_distance(s1[0], s1[1], s2[0], s2[1])
+            if d >= need:
                 continue
-            if pb[i][0] > pb[j][2] or pb[j][0] > pb[i][2] \
-                    or pb[i][1] > pb[j][3] or pb[j][1] > pb[i][3]:
-                continue
-            need = rules.min_spacing + (a.width + b.width) / 2.0
-            for s1 in path_segments(a.points):
-                for s2 in path_segments(b.points):
-                    d = segment_distance(s1[0], s1[1], s2[0], s2[1])
-                    if d >= need:
-                        continue
-                    x = segment_crossing_point(s1[0], s1[1], s2[0], s2[1])
-                    if x is not None:
-                        if not _bridged(layout, x):
-                            out.append(Violation(
-                                "unbridged-crossing",
-                                f"nets {a.net} and {b.net} cross without "
-                                f"an air bridge", x, (a.net, b.net)))
-                    elif d > 1e-9 or not _endpoint_touch(s1, s2):
-                        out.append(Violation(
-                            "spacing",
-                            f"nets {a.net} and {b.net} are "
-                            f"{max(d - (a.width + b.width) / 2.0, 0.0):.2f} um "
-                            f"apart, need {rules.min_spacing} um",
-                            s1[0], (a.net, b.net)))
-                        break
-                else:
-                    continue
+            x = segment_crossing_point(s1[0], s1[1], s2[0], s2[1])
+            if x is not None:
+                if not _bridged(decks, x):
+                    out.append(Violation(
+                        "unbridged-crossing",
+                        f"nets {a.net} and {b.net} cross without "
+                        f"an air bridge", x, (a.net, b.net)))
+            elif d > 1e-9 or not _endpoint_touch(s1, s2):
+                out.append(Violation(
+                    "spacing",
+                    f"nets {a.net} and {b.net} are "
+                    f"{max(d - (a.width + b.width) / 2.0, 0.0):.2f} um "
+                    f"apart, need {rules.min_spacing} um",
+                    s1[0], (a.net, b.net)))
                 break
 
     # everything inside the die
@@ -368,17 +402,23 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
     # is gone after a round trip, so box tests there are meaningless
     comps = [c for c in layout.components
              if c.kind not in ("airbridge", "imported")]
-    for i in range(len(comps)):
-        bi = comps[i].bounding_box()
-        for j in range(i + 1, len(comps)):
-            if not (comps[i].layers() & comps[j].layers()):
+    boxes = BinIndex(_bin_size(rules, layout.paths))
+    for j, c in enumerate(comps):
+        for layer in c.footprint:
+            boxes.add(layer, c.bounding_box(), j)
+    for i, ci in enumerate(comps):
+        bi = ci.bounding_box()
+        near = set()
+        for layer in ci.footprint:
+            near |= boxes.query(layer, bi)
+        for j in sorted(near):
+            if j <= i:
                 continue
             bj = comps[j].bounding_box()
             if bi[0] < bj[2] and bj[0] < bi[2] and bi[1] < bj[3] and bj[1] < bi[3]:
                 out.append(Violation(
-                    "overlap",
-                    f"{comps[i].comp_id} overlaps {comps[j].comp_id}",
-                    comps[i].origin, (comps[i].comp_id, comps[j].comp_id)))
+                    "overlap", f"{ci.comp_id} overlaps {comps[j].comp_id}",
+                    ci.origin, (ci.comp_id, comps[j].comp_id)))
     return out
 
 

@@ -15,7 +15,7 @@ from sqchip.components import (
     stroke_centerline,
     synthesize_meander,
 )
-from sqchip.errors import MeanderDoesNotFit
+from sqchip.errors import LengthMismatch, MeanderDoesNotFit
 from sqchip.geometry import bbox, path_length
 
 
@@ -65,6 +65,15 @@ def test_meander_hits_the_target_length_exactly():
         assert pts[0] == attach
         assert pts[-1][1] == 1200.0
 
+
+
+def test_meander_length_drift_raises_a_typed_error(monkeypatch):
+    import sqchip.components as components
+
+    monkeypatch.setattr(components, "path_length", lambda pts: 0.0)
+    with pytest.raises(LengthMismatch):
+        synthesize_meander((500.0, 0.0), 1200.0, 100.0, 1000.0, 5000.0,
+                           10.0, 200.0)
 
 def test_meander_stays_inside_its_horizontal_zone():
     pts = synthesize_meander((500.0, 0.0), 1200.0, 100.0, 1000.0, 5000.0,

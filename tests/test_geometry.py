@@ -4,6 +4,7 @@ import math
 import random
 
 from sqchip.geometry import (
+    BinIndex,
     bbox,
     bbox_union,
     merge_collinear,
@@ -110,3 +111,25 @@ def test_merge_collinear_drops_interior_points_only():
     bend = [(0, 0), (2, 0), (2, 2)]
     assert merge_collinear(bend) == bend
     assert merge_collinear([(0, 0)]) == [(0, 0)]
+
+
+def test_bin_index_returns_exactly_the_boxes_a_query_meets():
+    # coordinates on a coarse lattice, so boxes often touch, degenerate to
+    # points or lines, and land exactly on bin edges (cell 20)
+    rng = random.Random(11)
+    coord = lambda: 5.0 * rng.randint(-20, 20)
+    boxes = []
+    for _ in range(200):
+        x0, x1 = sorted((coord(), coord()))
+        y0, y1 = sorted((coord(), coord()))
+        boxes.append((rng.choice((1, 2)), (x0, y0, x1, y1)))
+    index = BinIndex(20.0)
+    for n, (layer, box) in enumerate(boxes):
+        index.add(layer, box, n)
+    for _ in range(300):
+        x0, x1 = sorted((coord(), coord()))
+        y0, y1 = sorted((coord(), coord()))
+        layer = rng.choice((1, 2))
+        want = {n for n, (lay, b) in enumerate(boxes) if lay == layer
+                and b[0] <= x1 and x0 <= b[2] and b[1] <= y1 and y0 <= b[3]}
+        assert index.query(layer, (x0, y0, x1, y1)) == want

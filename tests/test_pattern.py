@@ -198,3 +198,29 @@ def test_overfull_escape_channels_are_reported():
         generate_readout_bus(layout, row, 6.535e9, 7.246e9)
     with pytest.raises(CorridorExhausted):
         allocate_pins(layout, topo)
+
+
+def _bused_grid(m: int, n: int):
+    topo = generate_grid(m, n)
+    layout = place_qubits(topo, "xmon", pitch=2000.0)
+    for row in rows_bottom_up(topo):
+        generate_readout_bus(layout, row, 6.535e9, 7.246e9)
+    return topo, layout
+
+
+def test_colliding_channel_entries_raise_a_typed_error():
+    # entries closer than 1 um cannot host separate escape channels; the
+    # check must survive python -O, so it is a raise, not an assert
+    topo, layout = _bused_grid(4, 4)
+    with pytest.raises(CorridorExhausted, match="entry collision"):
+        allocate_pins(layout, topo, lane_pitch=0.5)
+
+
+def test_pins_out_of_rank_order_raise_a_typed_error(monkeypatch):
+    import sqchip.pattern as pattern
+
+    topo, layout = _bused_grid(2, 2)
+    monkeypatch.setattr(pattern, "_clear_of_zones",
+                        lambda u, zones, forward=False: 0.0)
+    with pytest.raises(CorridorExhausted, match="out of order"):
+        allocate_pins(layout, topo)

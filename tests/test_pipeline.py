@@ -6,8 +6,10 @@ keep the loop fast.
 
 from __future__ import annotations
 
+import hashlib
 from types import SimpleNamespace
 
+import process_reference
 import pytest
 
 from sqchip.errors import NonPositiveInput, PitchTooSmall, SpecInfeasible, StageError, UnknownSelector
@@ -105,3 +107,28 @@ def test_summarize_routing_skips_passive_geometry():
     assert summary.nets_routed == 2
     assert summary.total_corners == 5
     assert summary.total_crossings == 1
+
+
+# sha256 prefixes of run_pipeline(...).gds_bytes, pinned in ROADMAP.md
+ROADMAP_PINS = [
+    (dict(rows=2, cols=2), "d241b59329659c2f"),
+    (dict(rows=4, cols=4), "837a3ceb77331f32"),
+    (dict(rows=8, cols=8), "f1e3025a9b75b201"),
+    (dict(rows=2, cols=2, strategy="maze"), "7ee3fbc033cb233c"),
+    (dict(rows=3, cols=3, strategy="maze"), "4fc207a065af842b"),
+    (dict(rows=2, cols=2, flip_chip=True), "d65b462c44993dc6"),
+]
+
+
+def test_gds_digests_match_the_roadmap_pins():
+    for kwargs, pin in ROADMAP_PINS:
+        gds = run_pipeline(**kwargs).gds_bytes
+        assert hashlib.sha256(gds).hexdigest()[:16] == pin, kwargs
+    # maze 4x4 is DRC-dirty; whatever it reports, the indexed DRC must say
+    # exactly what the all-pairs scan says, in the same order
+    result = run_pipeline(rows=4, cols=4, strategy="maze")
+    doc = result.document
+    want = process_reference.drc(doc.layout, doc.process_rules)
+    assert [(v.rule, v.message, v.where, v.subjects)
+            for v in result.drc_report] == \
+        [(v.rule, v.message, v.where, v.subjects) for v in want]

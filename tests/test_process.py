@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import copy
 import math
+import random
 
+import process_reference
 import pytest
 
-from sqchip.components import make_pad, make_xmon
+from sqchip.components import make_airbridge, make_pad, make_xmon
 from sqchip.errors import SpecInfeasible, UnresolvableOverlap
 from sqchip.geometry import path_length
 from sqchip.layout import ChipLayout, DieBox
@@ -13,6 +15,8 @@ from sqchip.process import (
     PROCESS_LIBRARY,
     ProcessRules,
     Violation,
+    _bin_size,
+    _check_widening,
     apply_rules,
     drc,
     fillet_path,
@@ -269,3 +273,113 @@ def test_apply_rules_invalidates_an_imported_stream_cache():
     reshaped = write_gds(imported)
     assert reshaped != original                 # fillet reached the stream
     assert write_library(read_gds(reshaped)) == reshaped
+
+
+# ---- index-backed scans against the all-pairs reference --------------------
+
+def _violations(report):
+    return [(v.rule, v.message, v.where, v.subjects) for v in report]
+
+
+def _random_layout(rng: random.Random, flip: bool = False) -> ChipLayout:
+    """Same-layer clutter: near-spacing lanes, filleted walks, endpoint
+    touches, zero-length segments, and vertices on index bin edges."""
+    lay = _bare_layout(die=2400.0, flip=flip)
+    paths = lay.paths
+    for n in range(rng.randint(3, 6)):
+        w1, w2 = rng.choice((10.0, 6.0)), rng.choice((10.0, 6.0))
+        need = GENERIC.min_spacing + (w1 + w2) / 2.0
+        at = 160.0 * rng.randint(1, 12)
+        lo, hi = sorted(160.0 * rng.randint(0, 14) + rng.choice((0.0, 40.0))
+                        for _ in range(2))
+        gap = need + rng.choice((-1e-6, 0.0, 1e-6))
+        if rng.random() < 0.5:
+            a = [(lo, at), (hi + 1.0, at)]
+            b = [(lo + 20.0, at + gap), (hi, at + gap)]
+        else:
+            a = [(at, lo), (at, hi + 1.0)]
+            b = [(at + gap, lo + 20.0), (at + gap, hi)]
+        paths.append(RoutedPath(f"lane{n}", "control", 2, a, w1))
+        paths.append(RoutedPath(f"lane{n}b", "control", 2, b, w2))
+    for n in range(rng.randint(3, 7)):
+        x, y = 40.0 * rng.randint(2, 55), 40.0 * rng.randint(2, 55)
+        pts = [(x, y)]
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                x = 40.0 * rng.randint(2, 55)
+            else:
+                y = 40.0 * rng.randint(2, 55)
+            pts.append((x, y))
+        if rng.random() < 0.3:
+            pts.insert(1, pts[0])                      # zero-length segment
+        if rng.random() < 0.5:
+            pts = fillet_path(pts, GENERIC.fillet_radius)
+        if rng.random() < 0.3 and paths:
+            pts = [paths[rng.randrange(len(paths))].points[-1]] + pts
+        paths.append(RoutedPath(f"w{rng.randrange(4)}", "control",
+                                rng.choice((2, 2, 3)), pts,
+                                rng.choice((10.0, 6.0))))
+    for n in range(rng.randint(0, 3)):
+        lay.add_component(make_xmon(
+            f"q{n}", (100.0 * rng.randint(3, 21), 100.0 * rng.randint(3, 21))),
+            check_overlap=False)
+    for n in range(rng.randint(0, 2)):
+        lay.add_component(make_pad(
+            f"P{n}", (100.0 * rng.randint(2, 22), 100.0 * rng.randint(2, 22)),
+            rng.choice((80.0, 120.0))), check_overlap=False)
+    if rng.random() < 0.3:
+        lay.add_component(make_airbridge(
+            "ab_pre", (40.0 * rng.randint(2, 55), 40.0 * rng.randint(2, 55)),
+            GENERIC.bridge_span, GENERIC.bridge_width), check_overlap=False)
+    return lay
+
+
+def _assert_scans_match_reference(lay: ChipLayout) -> None:
+    assert _violations(drc(lay, GENERIC)) == \
+        _violations(process_reference.drc(lay, GENERIC))
+    fast, slow = copy.deepcopy(lay), copy.deepcopy(lay)
+    got = insert_air_bridges(fast, GENERIC)
+    want = process_reference.insert_air_bridges(slow, GENERIC)
+    assert [(c.comp_id, c.origin, c.params) for c in got] == \
+        [(c.comp_id, c.origin, c.params) for c in want]
+    assert _violations(drc(fast, GENERIC)) == \
+        _violations(process_reference.drc(slow, GENERIC))
+    if lay.flip_chip:
+        got = place_indium_columns(fast, GENERIC)
+        want = process_reference.place_indium_columns(slow, GENERIC)
+        assert [(c.comp_id, c.origin) for c in got] == \
+            [(c.comp_id, c.origin) for c in want]
+
+
+def _widening_outcome(check, lay, widened):
+    try:
+        check(lay, widened, GENERIC)
+    except UnresolvableOverlap as exc:
+        return str(exc)
+    return None
+
+
+def test_indexed_scans_match_the_all_pairs_reference_on_random_clutter():
+    rng = random.Random(2025)
+    on_edge = spacing = 0
+    for trial in range(40):
+        lay = _random_layout(rng, flip=trial % 4 == 0)
+        cell = _bin_size(GENERIC, lay.paths)
+        on_edge += any(x % cell == 0.0 or y % cell == 0.0
+                       for p in lay.paths for x, y in p.points)
+        spacing += any(v.rule == "spacing" for v in drc(lay, GENERIC))
+        _assert_scans_match_reference(lay)
+        widened = [p for p in lay.paths if rng.random() < 0.3]
+        assert _widening_outcome(_check_widening, lay, widened) == \
+            _widening_outcome(process_reference.check_widening, lay, widened)
+    # the sample really reaches bin edges and the spacing break
+    assert on_edge > 20 and spacing > 20
+
+
+def test_indexed_scans_match_the_all_pairs_reference_on_maze_routes():
+    from test_acceptance import _maze_instance
+
+    for seed in range(9100, 9115):
+        lay = _maze_instance(seed)
+        apply_rules(lay, GENERIC)      # fillets the routes first
+        _assert_scans_match_reference(lay)
