@@ -1,8 +1,10 @@
 """Router scaling benchmark: wall time vs qubit count for both strategies.
 
-Each cell prepares a placed-and-dressed layout once, then times only the
-escape-routing realization (pin allocation through path emission) on fresh
-copies. Medians over repetitions feed a log-log least-squares fit.
+Each cell builds a placed-and-dressed layout once through the pipeline's
+topology, layout and readout stages, then times only the pipeline's own
+route stage work (``pipeline.ROUTE_CORES``: pin allocation through path
+emission) on fresh copies. Medians over repetitions feed a log-log
+least-squares fit.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
+from .document import DesignDocument, dispatch
 from .errors import SqchipError
-from .layout import generate_readout_bus, place_qubits
-from .maze import build_grid, resolve_target, route_all
-from .pattern import allocate_pins, map_pins, route_pattern
-from .topology import generate_grid, rows_bottom_up
+from .pipeline import ROUTE_CORES, PipelineConfig, selected_stages
+
+# Maze cells are 100 um here, twice the pipeline default, which keeps the
+# 16x16 maze cell of the scaling gate affordable.
+MAZE_CELL = 100.0
 
 
 @dataclass(frozen=True)
@@ -41,53 +45,25 @@ class BenchResult:
     failures: list[tuple[str, int, int, str]] = field(default_factory=list)
 
 
-def _prepare(m: int, n: int, pitch: float = 2000.0):
-    topo = generate_grid(m, n)
-    layout = place_qubits(topo, "xmon", pitch)
-    for row in rows_bottom_up(topo):
-        generate_readout_bus(layout, row, 6.535e9, 7.246e9)
-    return topo, layout
-
-
-def _run_pattern(topo, layout) -> tuple[int, int]:
-    allocate_pins(layout, topo)
-    result = route_pattern(layout, topo)
-    return len(result.paths), result.total_crossings
-
-
-def _run_maze(topo, layout, cell: float, clearance: float) -> tuple[int, int]:
-    allocate_pins(layout, topo)
-    targets = map_pins(layout.pins, topo)
-    grid = build_grid(layout, cell=cell, clearance=clearance)
-    standoff = clearance + 2.0 * cell
-    nets = []
-    for pin in sorted(layout.pins, key=lambda p: p.pin_id):
-        _, off = resolve_target(layout, targets[pin.pin_id], standoff)
-        nets.append((pin.pin_id, grid.cell_at(*pin.position),
-                     grid.cell_at(*off)))
-    result = route_all(grid, nets)
-    if result.failures:
-        raise SqchipError(f"{len(result.failures)} nets unroutable")
-    return len(result.paths), result.total_crossings
-
-
-def bench_cell(strategy: str, m: int, n: int, repetitions: int = 3,
-               maze_cell: float = 100.0, maze_clearance: float = 20.0,
+def bench_cell(strategy: str, m: int, n: int, repetitions: int = 3
                ) -> BenchRecord:
     """Median routing time for one (strategy, size) cell."""
-    topo, prepared = _prepare(m, n)
+    cfg = PipelineConfig(rows=m, cols=n, strategy=strategy,
+                         maze_cell=MAZE_CELL)
+    doc = DesignDocument(cfg.name)
+    for stage in selected_stages(cfg, ("topology", "layout", "readout")):
+        doc = dispatch(stage.key, doc, **stage.arguments(cfg))
+    (route,) = selected_stages(cfg, ("route",))
+    core, args = ROUTE_CORES[strategy], route.arguments(cfg)
     times = []
-    nets = crossings = 0
     for _ in range(repetitions):
-        work = copy.deepcopy(prepared)
+        work = copy.deepcopy(doc.layout)
         t0 = time.perf_counter()
-        if strategy == "pattern":
-            nets, crossings = _run_pattern(topo, work)
-        else:
-            nets, crossings = _run_maze(topo, work, maze_cell, maze_clearance)
+        result = core(work, doc.topology, **args)
         times.append(time.perf_counter() - t0)
     return BenchRecord(strategy, m, n, m * n, statistics.median(times),
-                       min(times), max(times), nets, crossings)
+                       min(times), max(times), len(result.paths),
+                       result.total_crossings)
 
 
 def fit_exponent(records: list[BenchRecord]) -> tuple[float, float] | None:
@@ -115,8 +91,7 @@ def fit_exponent(records: list[BenchRecord]) -> tuple[float, float] | None:
 
 def bench_scaling(sizes: list[tuple[int, int]],
                   strategies: tuple[str, ...] = ("pattern", "maze"),
-                  repetitions: int = 3, parallel: bool = False,
-                  maze_cell: float = 100.0) -> BenchResult:
+                  repetitions: int = 3) -> BenchResult:
     """Run the full grid of cells; per-cell failures are recorded, not
     raised."""
     if not sizes:
@@ -124,23 +99,10 @@ def bench_scaling(sizes: list[tuple[int, int]],
     if repetitions < 3:
         raise SqchipError("need at least 3 repetitions for a stable median")
     out = BenchResult()
-    cells = [(s, m, n) for s in strategies for m, n in sizes]
-    if parallel:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor() as pool:
-            futures = {pool.submit(bench_cell, s, m, n, repetitions,
-                                   maze_cell): (s, m, n)
-                       for s, m, n in cells}
-            for fut, (s, m, n) in futures.items():
-                try:
-                    out.records.append(fut.result())
-                except Exception as exc:
-                    out.failures.append((s, m, n, str(exc)))
-    else:
-        for s, m, n in cells:
+    for s in strategies:
+        for m, n in sizes:
             try:
-                out.records.append(bench_cell(s, m, n, repetitions,
-                                              maze_cell))
+                out.records.append(bench_cell(s, m, n, repetitions))
             except Exception as exc:
                 out.failures.append((s, m, n, str(exc)))
     for s in strategies:

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages and operate on a design file
-(--design, canonical .sqd plus a GDS sidecar). Geometry-producing stages
+(--design, canonical .sqd plus a GDS sidecar). Each stage subcommand
+builds one PipelineConfig from its flags and dispatches its slice of the
+pipeline's stage table; its flags are the PipelineConfig fields those
+stages read, so ``pipeline`` reaches every field. Geometry-producing stages
 regenerate placement deterministically from the document's semantic
 sections, so a reloaded design never goes stale. Exit codes: 0 success,
 2 validation error, 3 stage failure.
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -21,19 +25,58 @@ from .errors import MissingSubEntity, SqchipError, StageError
 from .gdsio import export_svg, write_gds
 from .layout import place_qubits
 from .pipeline import (
-    K_BRIDGES,
-    K_CIRCUIT,
-    K_PLACE,
-    K_PROCESS,
-    K_READOUT,
-    K_ROUTE_MAZE,
-    K_ROUTE_PATTERN,
-    K_TOPOLOGY,
+    SELECTORS,
+    STAGES,
     PipelineConfig,
+    config_fields,
     run_pipeline,
+    selected_stages,
     summarize_routing,
 )
 from .process import drc, get_process
+
+# stage subcommand -> its help and the stages of pipeline.STAGES it runs
+_STAGE_COMMANDS = {
+    "topo": ("create a grid topology", ("topology",)),
+    "params": ("solve the equivalent circuit", ("params",)),
+    "layout": ("place qubits and the readout bus", ("layout", "readout")),
+    "route": ("escape-route all nets (regenerates placement)",
+              ("layout", "readout", "route")),
+    "procmap": ("apply process rules and air bridges", ("procmap", "bridges")),
+    "pipeline": ("run every stage end to end", tuple(s.name for s in STAGES)),
+}
+
+# PipelineConfig fields whose flag is not the field name in dashes
+_SPELLINGS = {"qubit_style": "--style", "qubit_frequencies": "--frequencies",
+              "coupling_strength": "--coupling", "maze_cell": "--cell",
+              "maze_clearance": "--clearance"}
+_HELP = {"qubit_frequencies": "comma-separated drive frequency set, Hz",
+         "coupling_strength": "target coupling strength per edge, Hz"}
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(f) for f in text.split(","))
+
+
+def _add_stage_command(sub, common, command: str,
+                       required: bool = False) -> None:
+    """A stage subcommand with one flag per PipelineConfig field its stages
+    read; the design name comes from --design instead."""
+    help_text, stages = _STAGE_COMMANDS[command]
+    q = sub.add_parser(command, help=help_text, parents=[common])
+    read = config_fields(stages) - {"name"}
+    for f in fields(PipelineConfig):
+        if f.name not in read:
+            continue
+        flag = _SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
+        if isinstance(f.default, bool):
+            kind = {"action": "store_true"}
+        else:
+            kind = {"type": _floats if isinstance(f.default, tuple)
+                    else type(f.default),
+                    "choices": SELECTORS.get(f.name)}
+        q.add_argument(flag, dest=f.name, default=f.default,
+                       required=required, help=_HELP.get(f.name), **kind)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -52,49 +95,9 @@ def _parser() -> argparse.ArgumentParser:
         parents=[common])
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("topo", help="create a grid topology",
-                       parents=[common])
-    q.add_argument("--rows", type=int, required=True)
-    q.add_argument("--cols", type=int, required=True)
-
-    q = sub.add_parser("params", help="solve the equivalent circuit",
-                       parents=[common])
-    q.add_argument("--frequencies", default="4.3e9,4.8e9",
-                   help="comma-separated drive frequency set, Hz")
-    q.add_argument("--qubit-capacitance", type=float, default=65e-15)
-    q.add_argument("--coupling", type=float, default=5e6,
-                   help="target coupling strength per edge, Hz")
-
-    def layout_flags(q):
-        q.add_argument("--style", default="xmon",
-                       choices=("xmon", "transmon"))
-        q.add_argument("--pitch", type=float, default=2000.0)
-        q.add_argument("--border", type=float, default=500.0)
-        q.add_argument("--flip-chip", action="store_true")
-        q.add_argument("--readout-start", type=float, default=6.535e9)
-        q.add_argument("--readout-stop", type=float, default=7.246e9)
-        q.add_argument("--trace-width", type=float, default=10.0)
-        q.add_argument("--trace-gap", type=float, default=6.0)
-        q.add_argument("--eps-r", type=float, default=11.45)
-        q.add_argument("--coupling-length", type=float, default=200.0)
-
-    q = sub.add_parser("layout", help="place qubits and the readout bus",
-                       parents=[common])
-    layout_flags(q)
-
-    q = sub.add_parser("route",
-                       help="escape-route all nets (regenerates placement)",
-                       parents=[common])
-    layout_flags(q)
-    q.add_argument("--strategy", default="pattern",
-                   choices=("pattern", "maze"))
-    q.add_argument("--lane-pitch", type=float, default=25.0)
-    q.add_argument("--cell", type=float, default=50.0)
-    q.add_argument("--clearance", type=float, default=20.0)
-    q.add_argument("--corner-penalty", type=float, default=1.0)
-    q.add_argument("--cross-penalty", type=float, default=2.0)
-    q.add_argument("--penalty-mode", default="exact",
-                   choices=("exact", "estimate-only"))
+    _add_stage_command(sub, common, "topo", required=True)
+    for command in ("params", "layout", "route"):
+        _add_stage_command(sub, common, command)
 
     q = sub.add_parser("devmap", help="solve a device-mapping problem",
                        parents=[common])
@@ -109,9 +112,7 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--qubit", default=None,
                    help="retune this qubit's capacitance in the design")
 
-    q = sub.add_parser("procmap", help="apply process rules and air bridges",
-                       parents=[common])
-    q.add_argument("--process", default="generic-10um")
+    _add_stage_command(sub, common, "procmap")
 
     q = sub.add_parser("drc", help="design-rule check the layout",
                        parents=[common])
@@ -121,15 +122,7 @@ def _parser() -> argparse.ArgumentParser:
                        parents=[common])
     q.add_argument("--svg", action="store_true", help="also write a preview")
 
-    q = sub.add_parser("pipeline", help="run every stage end to end",
-                       parents=[common])
-    q.add_argument("--rows", type=int, default=2)
-    q.add_argument("--cols", type=int, default=2)
-    layout_flags(q)
-    q.add_argument("--strategy", default="pattern",
-                   choices=("pattern", "maze"))
-    q.add_argument("--lane-pitch", type=float, default=25.0)
-    q.add_argument("--process", default="generic-10um")
+    _add_stage_command(sub, common, "pipeline")
 
     q = sub.add_parser("bench", help="router scaling benchmark",
                        parents=[common])
@@ -137,7 +130,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="comma-separated MxN grid sizes")
     q.add_argument("--strategies", default="pattern,maze")
     q.add_argument("--repetitions", type=int, default=3)
-    q.add_argument("--parallel", action="store_true")
     q.add_argument("--csv", default="bench.csv")
     return p
 
@@ -165,19 +157,26 @@ def _require_topology(doc: DesignDocument):
         raise MissingSubEntity("design has no topology; run 'topo' first")
 
 
-def _build_layout(doc, args):
-    doc = dispatch(K_PLACE, doc, border=args.border, flip_chip=args.flip_chip,
-                   name=doc.name, pitch=args.pitch, qubit_style=args.style)
-    return dispatch(K_READOUT, doc, coupling_length=args.coupling_length,
-                    eps_r=args.eps_r, f_start=args.readout_start,
-                    f_stop=args.readout_stop, gap=args.trace_gap,
-                    trace_width=args.trace_width)
+def _config(args, name: str) -> PipelineConfig:
+    return PipelineConfig(name=name, **{f.name: getattr(args, f.name)
+                                        for f in fields(PipelineConfig)
+                                        if hasattr(args, f.name)})
+
+
+def _run_stages(args, needs_topology: bool = True):
+    """Run the subcommand's slice of the stage table on the design file;
+    returns the new document and the path it was saved to."""
+    doc = _load_or_new(args)
+    if needs_topology:
+        _require_topology(doc)
+    cfg = _config(args, doc.name)
+    for stage in selected_stages(cfg, _STAGE_COMMANDS[args.command][1]):
+        doc = dispatch(stage.key, doc, **stage.arguments(cfg))
+    return doc, _save(doc, args)
 
 
 def _cmd_topo(args) -> int:
-    doc = _load_or_new(args)
-    doc = dispatch(K_TOPOLOGY, doc, m=args.rows, n=args.cols)
-    path = _save(doc, args)
+    doc, path = _run_stages(args, needs_topology=False)
     print(f"topology {args.rows}x{args.cols} "
           f"({len(doc.topology.qubits)} qubits, {len(doc.topology.edges)} "
           f"couplings) -> {path}")
@@ -185,43 +184,20 @@ def _cmd_topo(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    doc = _load_or_new(args)
-    _require_topology(doc)
-    freqs = tuple(float(f) for f in args.frequencies.split(","))
-    doc = dispatch(K_CIRCUIT, doc, coupling_strength=args.coupling,
-                   frequencies=freqs,
-                   qubit_capacitance=args.qubit_capacitance)
-    path = _save(doc, args)
+    doc, path = _run_stages(args)
     print(f"equivalent circuit for {len(doc.circuit.qubits)} qubits -> {path}")
     return 0
 
 
 def _cmd_layout(args) -> int:
-    doc = _load_or_new(args)
-    _require_topology(doc)
-    doc = _build_layout(doc, args)
-    path = _save(doc, args)
+    doc, path = _run_stages(args)
     print(f"layout with {len(doc.layout.components)} components -> {path}")
     return 0
 
 
 def _cmd_route(args) -> int:
-    doc = _load_or_new(args)
-    _require_topology(doc)
-    doc = _build_layout(doc, args)
-    if args.strategy == "pattern":
-        doc = dispatch(K_ROUTE_PATTERN, doc, lane_pitch=args.lane_pitch,
-                       trace_width=args.trace_width)
-    else:
-        doc = dispatch(K_ROUTE_MAZE, doc, cell=args.cell,
-                       clearance=args.clearance,
-                       corner_penalty=args.corner_penalty,
-                       cross_penalty=args.cross_penalty,
-                       lane_pitch=args.lane_pitch,
-                       penalty_mode=args.penalty_mode,
-                       trace_width=args.trace_width)
+    doc, path = _run_stages(args)
     summary = summarize_routing(doc.layout, args.strategy)
-    path = _save(doc, args)
     print(f"routed {summary.nets_routed} nets, "
           f"{summary.total_corners} corners, "
           f"{summary.total_crossings} crossings -> {path}")
@@ -265,11 +241,8 @@ def _cmd_devmap(args) -> int:
 
 
 def _cmd_procmap(args) -> int:
-    doc = _load_or_new(args)
-    doc = dispatch(K_PROCESS, doc, process=args.process)
-    doc = dispatch(K_BRIDGES, doc)
+    doc, path = _run_stages(args, needs_topology=False)
     bridges = sum(1 for c in doc.layout.components if c.kind == "airbridge")
-    path = _save(doc, args)
     print(f"process {args.process}, {bridges} air bridges -> {path}")
     return 0
 
@@ -309,16 +282,7 @@ def _cmd_gds(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = PipelineConfig(
-        name=_design_path(args).stem, rows=args.rows, cols=args.cols,
-        qubit_style=args.style, pitch=args.pitch, border=args.border,
-        flip_chip=args.flip_chip,
-        readout_start=args.readout_start, readout_stop=args.readout_stop,
-        trace_width=args.trace_width, trace_gap=args.trace_gap,
-        eps_r=args.eps_r, coupling_length=args.coupling_length,
-        strategy=args.strategy, lane_pitch=args.lane_pitch,
-        process=args.process)
-    result = run_pipeline(cfg)
+    result = run_pipeline(_config(args, _design_path(args).stem))
     path = _save(result.document, args)
     print(f"pipeline complete: {len(result.document.topology.qubits)} qubits, "
           f"{result.routing.nets_routed} nets "
@@ -333,8 +297,7 @@ def _cmd_bench(args) -> int:
         m, _, n = chunk.lower().partition("x")
         sizes.append((int(m), int(n)))
     strategies = tuple(s.strip() for s in args.strategies.split(","))
-    result = bench_mod.bench_scaling(sizes, strategies, args.repetitions,
-                                     parallel=args.parallel)
+    result = bench_mod.bench_scaling(sizes, strategies, args.repetitions)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / args.csv

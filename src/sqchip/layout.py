@@ -131,6 +131,9 @@ class ChipLayout:
     __hash__ = None  # mutable during construction
 
 
+QUBIT_STYLES = ("xmon", "transmon")
+
+
 def place_qubits(topology: Topology, qubit_style: str = "xmon",
                  pitch: float = 2000.0, border: float = 500.0,
                  name: str = "chip") -> ChipLayout:

@@ -135,6 +135,9 @@ def count_crossings(grid: GridGraph, cells: list[tuple[int, int]]) -> int:
     return int(sum(1 for c, r in cells if grid.occupied[c, r] > 0))
 
 
+PENALTY_MODES = ("exact", "estimate-only")
+
+
 def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
               k_corner: float = 1.0, k_cross: float = 2.0,
               penalty_mode: str = "exact", mark: bool = True,
@@ -145,7 +148,7 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     cost (optimal for the combined objective); "estimate-only" accumulates
     plain steps and lets the penalties act through the priority only.
     """
-    if penalty_mode not in ("exact", "estimate-only"):
+    if penalty_mode not in PENALTY_MODES:
         raise ValueError(f"unknown penalty mode {penalty_mode!r}")
     for name, (c, r) in (("start", start), ("goal", goal)):
         if not grid.in_bounds(c, r):

@@ -4,13 +4,17 @@ Each stage is a registered request handler (extract-process-inject), so a
 full run leaves one provenance record per stage and any failure carries the
 stage name. Identical configs produce byte-identical outputs; there is no
 wall-clock or randomness anywhere in the flow.
+
+``STAGES`` is the flow's one stage table; ``run_pipeline``, the CLI
+subcommands and the bench all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import EquivalentCircuit, inverse_solve
+from .components import LAYER_OPPOSITE, LAYER_ROUTING
 from .document import (
     DesignDocument,
     ParameterBundle,
@@ -22,8 +26,13 @@ from .document import (
 )
 from .errors import NoPath, NonPositiveInput, SqchipError, StageError, UnknownSelector
 from .gdsio import write_gds
-from .layout import allocate_frequencies, generate_readout_bus, place_qubits
-from .maze import build_grid, resolve_target, route_all
+from .layout import (
+    QUBIT_STYLES,
+    allocate_frequencies,
+    generate_readout_bus,
+    place_qubits,
+)
+from .maze import PENALTY_MODES, build_grid, resolve_target, route_all
 from .pattern import allocate_pins, map_pins, route_pattern
 from .process import (
     apply_rules,
@@ -34,8 +43,6 @@ from .process import (
 )
 from .routing import RoutingResult
 from .topology import generate_grid, rows_bottom_up
-
-STRATEGIES = ("pattern", "maze")
 
 
 @dataclass(frozen=True)
@@ -71,10 +78,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise NonPositiveInput("grid dims must be at least 1x1")
-        if self.strategy not in STRATEGIES:
-            raise UnknownSelector(f"strategy {self.strategy!r}; "
-                                  f"expected one of {STRATEGIES}")
+            raise NonPositiveInput(f"grid dims must be positive integers, "
+                                   f"got {self.rows}x{self.cols}")
+        for name, allowed in SELECTORS.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise UnknownSelector(f"{name} {value!r}; "
+                                      f"expected one of {allowed}")
         get_process(self.process)
 
 
@@ -86,79 +96,60 @@ class PipelineResult:
     routing: RoutingResult
 
 
-# ---- stage handlers --------------------------------------------------------
+# ---- stage work ------------------------------------------------------------
+# Each function takes the document plus one argument per PipelineConfig field
+# it reads, named after that field, and returns the sections it produces.
 
-K_TOPOLOGY = RequestKey("design-entity", "topology.generate-grid", ("m", "n"))
-K_CIRCUIT = RequestKey("function", "circuit.solve",
-                       ("coupling_strength", "frequencies",
-                        "qubit_capacitance"))
-K_PLACE = RequestKey("function", "layout.place-qubits",
-                     ("border", "flip_chip", "name", "pitch", "qubit_style"))
-K_READOUT = RequestKey("function", "layout.readout-bus",
-                       ("coupling_length", "eps_r", "f_start", "f_stop",
-                        "gap", "trace_width"))
-K_ROUTE_PATTERN = RequestKey("function", "route.pattern",
-                             ("lane_pitch", "trace_width"))
-K_ROUTE_MAZE = RequestKey("function", "route.maze",
-                          ("cell", "clearance", "corner_penalty",
-                           "cross_penalty", "lane_pitch", "penalty_mode",
-                           "trace_width"))
-K_PROCESS = RequestKey("function", "process.map", ("process",))
-K_BRIDGES = RequestKey("function", "process.air-bridges", ())
+def _h_topology(doc, rows, cols):
+    return {"topology": generate_grid(rows, cols)}
 
 
-def _h_topology(doc, m, n):
-    return inject(doc, ParameterBundle(doc.version,
-                                       {"topology": generate_grid(m, n)}),
-                  operation="topology.generate-grid")
-
-
-def _h_circuit(doc, coupling_strength, frequencies, qubit_capacitance):
+def _h_circuit(doc, coupling_strength, qubit_capacitance, qubit_frequencies):
     topo = doc.topology
-    targets = allocate_frequencies(topo, list(frequencies))
+    targets = allocate_frequencies(topo, list(qubit_frequencies))
     couplings = {e: coupling_strength for e in sorted(topo.edges)}
     qubits, coupled = inverse_solve(targets, couplings,
                                     C_q=qubit_capacitance,
                                     require_distinct_neighbors=True,
                                     edges=topo.edges)
-    bundle = ParameterBundle(doc.version,
-                             {"circuit": EquivalentCircuit(qubits, coupled)})
-    return inject(doc, bundle, operation="circuit.solve")
+    return {"circuit": EquivalentCircuit(qubits, coupled)}
 
 
 def _h_place(doc, border, flip_chip, name, pitch, qubit_style):
     layout = place_qubits(doc.topology, qubit_style, pitch, border, name)
     layout.flip_chip = flip_chip
-    return inject(doc, ParameterBundle(doc.version, {"layout": layout}),
-                  operation="layout.place-qubits")
+    return {"layout": layout}
 
 
-def _h_readout(doc, coupling_length, eps_r, f_start, f_stop, gap, trace_width):
-    bundle = extract(doc, "layout")
-    layout = bundle.sections["layout"]
+def _h_readout(doc, coupling_length, eps_r, readout_start, readout_stop,
+               trace_gap, trace_width):
+    layout = extract(doc, "layout").sections["layout"]
     for row in rows_bottom_up(doc.topology):
-        generate_readout_bus(layout, row, f_start, f_stop,
-                             w=trace_width, g=gap, eps_r=eps_r,
+        generate_readout_bus(layout, row, readout_start, readout_stop,
+                             w=trace_width, g=trace_gap, eps_r=eps_r,
                              coupling_length=coupling_length)
-    return inject(doc, bundle, operation="layout.readout-bus")
+    return {"layout": layout}
 
 
-def _h_route_pattern(doc, lane_pitch, trace_width):
-    bundle = extract(doc, "layout")
-    layout = bundle.sections["layout"]
-    allocate_pins(layout, doc.topology, lane_pitch=lane_pitch)
-    route_pattern(layout, doc.topology, width=trace_width)
-    return inject(doc, bundle, operation="route.pattern")
+def route_pattern_core(layout, topology, lane_pitch, trace_width
+                       ) -> RoutingResult:
+    """The pattern route stage's work on a placed layout, in place."""
+    allocate_pins(layout, topology, lane_pitch=lane_pitch)
+    return route_pattern(layout, topology, width=trace_width)
 
 
-def _h_route_maze(doc, cell, clearance, corner_penalty, cross_penalty,
-                  lane_pitch, penalty_mode, trace_width):
-    bundle = extract(doc, "layout")
-    layout = bundle.sections["layout"]
-    allocate_pins(layout, doc.topology, lane_pitch=lane_pitch)
-    targets = map_pins(layout.pins, doc.topology)
-    grid = build_grid(layout, cell=cell, clearance=clearance)
-    standoff = clearance + 2.0 * cell
+def route_maze_core(layout, topology, corner_penalty, cross_penalty,
+                    lane_pitch, maze_cell, maze_clearance, penalty_mode,
+                    trace_width) -> RoutingResult:
+    """The maze route stage's work on a placed layout, in place.
+
+    Each net runs on the grid from its pad to a free cell beside its
+    target; the straight tails at both ends are spliced on afterwards.
+    """
+    allocate_pins(layout, topology, lane_pitch=lane_pitch)
+    targets = map_pins(layout.pins, topology)
+    grid = build_grid(layout, cell=maze_cell, clearance=maze_clearance)
+    standoff = maze_clearance + 2.0 * maze_cell
 
     nets = []
     tails = {}
@@ -167,9 +158,10 @@ def _h_route_maze(doc, cell, clearance, corner_penalty, cross_penalty,
         nets.append((pin.pin_id, grid.cell_at(*pin.position),
                      grid.cell_at(*off)))
         tails[pin.pin_id] = (pin.position, pos)
+    layer = LAYER_OPPOSITE if layout.flip_chip else LAYER_ROUTING
     result = route_all(grid, nets, k_corner=corner_penalty,
                        k_cross=cross_penalty, penalty_mode=penalty_mode,
-                       layer=_route_layer(layout), width=trace_width)
+                       layer=layer, width=trace_width)
     if result.failures:
         raise NoPath(f"{len(result.failures)} nets unroutable: "
                      f"{result.failures[:3]}")
@@ -178,74 +170,111 @@ def _h_route_maze(doc, cell, clearance, corner_penalty, cross_penalty,
         p.points = [head] + p.points + [tail]
         p.kind = "transmission" if p.net.startswith("tx_") else "control"
     layout.paths.extend(result.paths)
-    return inject(doc, bundle, operation="route.maze")
+    return result
 
 
-def _route_layer(layout) -> int:
-    from .components import LAYER_OPPOSITE, LAYER_ROUTING
-    return LAYER_OPPOSITE if layout.flip_chip else LAYER_ROUTING
+ROUTE_CORES = {"pattern": route_pattern_core, "maze": route_maze_core}
+
+# PipelineConfig fields that select among named alternatives
+SELECTORS = {"qubit_style": QUBIT_STYLES, "strategy": tuple(ROUTE_CORES),
+             "penalty_mode": PENALTY_MODES}
+
+
+def _h_route(strategy: str):
+    core = ROUTE_CORES[strategy]
+
+    def work(doc, **args):
+        layout = extract(doc, "layout").sections["layout"]
+        core(layout, doc.topology, **args)
+        return {"layout": layout}
+    return work
 
 
 def _h_process(doc, process):
     rules = get_process(process)
-    bundle = extract(doc, "layout")
-    apply_rules(bundle.sections["layout"], rules)
-    bundle.sections["process_rules"] = rules
-    return inject(doc, bundle, operation="process.map")
+    layout = extract(doc, "layout").sections["layout"]
+    apply_rules(layout, rules)
+    return {"layout": layout, "process_rules": rules}
 
 
 def _h_bridges(doc):
-    bundle = extract(doc, "layout")
-    layout = bundle.sections["layout"]
+    layout = extract(doc, "layout").sections["layout"]
     rules = doc.process_rules
     insert_air_bridges(layout, rules)
     if layout.flip_chip:
         place_indium_columns(layout, rules)
-    return inject(doc, bundle, operation="process.air-bridges")
+    return {"layout": layout}
 
 
-for _key, _handler in ((K_TOPOLOGY, _h_topology), (K_CIRCUIT, _h_circuit),
-                       (K_PLACE, _h_place), (K_READOUT, _h_readout),
-                       (K_ROUTE_PATTERN, _h_route_pattern),
-                       (K_ROUTE_MAZE, _h_route_maze),
-                       (K_PROCESS, _h_process), (K_BRIDGES, _h_bridges)):
-    register(_key, _handler)
+# ---- the stage table -------------------------------------------------------
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table. The request key's parameter signature
+    names the PipelineConfig fields ``work`` reads; a stage with a
+    ``strategy`` runs only when the config selects it."""
+    name: str
+    key: RequestKey
+    work: object
+    strategy: str | None = None
+
+    def arguments(self, cfg: PipelineConfig) -> dict:
+        return {f: getattr(cfg, f) for f in self.key.parameter_signature}
+
+    def handler(self, doc, **args):
+        """The registered request handler: inject what ``work`` produces."""
+        sections = self.work(doc, **args)
+        return inject(doc, ParameterBundle(doc.version, sections),
+                      operation=self.key.operation)
+
+
+def _fn(operation: str, *fields: str) -> RequestKey:
+    return RequestKey("function", operation, fields)
+
+
+STAGES = (
+    Stage("topology", RequestKey("design-entity", "topology.generate-grid",
+                                 ("rows", "cols")), _h_topology),
+    Stage("params", _fn("circuit.solve", "coupling_strength",
+                        "qubit_capacitance", "qubit_frequencies"), _h_circuit),
+    Stage("layout", _fn("layout.place-qubits", "border", "flip_chip", "name",
+                        "pitch", "qubit_style"), _h_place),
+    Stage("readout", _fn("layout.readout-bus", "coupling_length", "eps_r",
+                         "readout_start", "readout_stop", "trace_gap",
+                         "trace_width"), _h_readout),
+    Stage("route", _fn("route.pattern", "lane_pitch", "trace_width"),
+          _h_route("pattern"), strategy="pattern"),
+    Stage("route", _fn("route.maze", "corner_penalty", "cross_penalty",
+                       "lane_pitch", "maze_cell", "maze_clearance",
+                       "penalty_mode", "trace_width"),
+          _h_route("maze"), strategy="maze"),
+    Stage("procmap", _fn("process.map", "process"), _h_process),
+    Stage("bridges", _fn("process.air-bridges"), _h_bridges),
+)
+
+for _stage in STAGES:
+    register(_stage.key, _stage.handler)
+
+
+def selected_stages(cfg: PipelineConfig, names=None) -> list[Stage]:
+    """The stages cfg runs, in order; ``names`` keeps only those stages."""
+    return [s for s in STAGES
+            if s.strategy in (None, cfg.strategy)
+            and (names is None or s.name in names)]
+
+
+def config_fields(names) -> set[str]:
+    """The PipelineConfig fields that the named stages read."""
+    read = set()
+    for s in STAGES:
+        if s.name in names:
+            read.update(s.key.parameter_signature)
+            if s.strategy is not None:
+                read.add("strategy")
+    return read
 
 
 # ---- the pipeline ----------------------------------------------------------
-
-def _stage_plan(cfg: PipelineConfig):
-    if cfg.strategy == "pattern":
-        route = (K_ROUTE_PATTERN, {"lane_pitch": cfg.lane_pitch,
-                                   "trace_width": cfg.trace_width})
-    else:
-        route = (K_ROUTE_MAZE, {"cell": cfg.maze_cell,
-                                "clearance": cfg.maze_clearance,
-                                "corner_penalty": cfg.corner_penalty,
-                                "cross_penalty": cfg.cross_penalty,
-                                "lane_pitch": cfg.lane_pitch,
-                                "penalty_mode": cfg.penalty_mode,
-                                "trace_width": cfg.trace_width})
-    return [
-        ("topology", K_TOPOLOGY, {"m": cfg.rows, "n": cfg.cols}),
-        ("params", K_CIRCUIT, {"coupling_strength": cfg.coupling_strength,
-                               "frequencies": cfg.qubit_frequencies,
-                               "qubit_capacitance": cfg.qubit_capacitance}),
-        ("layout", K_PLACE, {"border": cfg.border,
-                             "flip_chip": cfg.flip_chip,
-                             "name": cfg.name, "pitch": cfg.pitch,
-                             "qubit_style": cfg.qubit_style}),
-        ("readout", K_READOUT, {"coupling_length": cfg.coupling_length,
-                                "eps_r": cfg.eps_r,
-                                "f_start": cfg.readout_start,
-                                "f_stop": cfg.readout_stop,
-                                "gap": cfg.trace_gap,
-                                "trace_width": cfg.trace_width}),
-        ("route", *route),
-        ("procmap", K_PROCESS, {"process": cfg.process}),
-        ("bridges", K_BRIDGES, {}),
-    ]
-
 
 def summarize_routing(layout, strategy: str) -> RoutingResult:
     result = RoutingResult(strategy)
@@ -267,13 +296,13 @@ def run_pipeline(config: PipelineConfig | None = None, **overrides
     """
     cfg = config if config is not None else PipelineConfig(**overrides)
     doc = DesignDocument(cfg.name)
-    for stage, key, args in _stage_plan(cfg):
+    for stage in selected_stages(cfg):
         try:
-            doc = dispatch(key, doc, **args)
+            doc = dispatch(stage.key, doc, **stage.arguments(cfg))
         except StageError:
             raise
         except SqchipError as exc:
-            raise StageError(stage, exc) from exc
+            raise StageError(stage.name, exc) from exc
 
     try:
         report = drc(doc.layout, doc.process_rules)

@@ -18,6 +18,7 @@ from sqchip.bench import (
     write_csv,
 )
 from sqchip.errors import SqchipError
+from sqchip.pipeline import run_pipeline
 
 
 def _record(strategy: str, m: int, n: int, t: float) -> BenchRecord:
@@ -58,6 +59,19 @@ def test_bench_cell_times_one_size():
     assert rec.min_s <= rec.median_s <= rec.max_s
     assert rec.nets == 2 * 2 + 2 * 2
     assert rec.crossings == 0
+
+
+@pytest.mark.parametrize("strategy, size, overrides", [
+    ("pattern", 4, {}),
+    ("maze", 3, {"maze_cell": 100.0}),
+])
+def test_bench_cell_routes_what_the_pipeline_routes(strategy, size, overrides):
+    rec = bench_cell(strategy, size, size, repetitions=1)
+    routing = run_pipeline(rows=size, cols=size, strategy=strategy,
+                           **overrides).routing
+    assert (rec.nets, rec.crossings) == \
+        (routing.nets_routed, routing.total_crossings)
+    assert rec.nets > 0
 
 
 def test_bench_scaling_validates_inputs():

@@ -4,12 +4,15 @@ temp directory, plus the exit-code contract (0 ok, 2 validation, 3 stage)."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import re
+from dataclasses import fields
 
 import pytest
 
-from sqchip.cli import main
-from sqchip.document import load_document
+from sqchip.cli import _parser, main
+from sqchip.document import load_document, save_document
+from sqchip.pipeline import PipelineConfig, run_pipeline
 
 
 def _run(tmp_path, *argv: str) -> int:
@@ -158,3 +161,53 @@ def test_procmap_bridges_the_crossings_of_a_reloaded_maze_route(tmp_path,
     # the maze router may trade collinear overlaps for cost (spacing reports
     # are fair game) but every transversal crossing must now carry a bridge
     assert "unbridged-crossing" not in capsys.readouterr().out
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of the staged flow's mask and design file under the default
+# design name; route flags vary per case
+STAGED_PINS = [
+    ((4, 4), (), "1612b0f68e6b88e0", "3be754e91f8d86fa"),
+    ((3, 3), ("--strategy", "maze", "--cell", "60", "--clearance", "25",
+              "--corner-penalty", "1.5", "--cross-penalty", "3"),
+     "aa65d9f03c82d487", "e3d18bfecb2b8358"),
+]
+
+
+@pytest.mark.parametrize("dims, route, gds_pin, sqd_pin", STAGED_PINS)
+def test_staged_flow_bytes_are_pinned(tmp_path, capsys, dims, route, gds_pin,
+                                      sqd_pin):
+    steps = [("topo", "--rows", str(dims[0]), "--cols", str(dims[1])),
+             ("params",), ("layout",), ("route", *route),
+             ("devmap", "--qubit", "q0", "--param", "arm_length",
+              "--target", "3.64e-16", "--evaluator", "stub:pad-capacitance"),
+             ("procmap",), ("drc",), ("gds",)]
+    for step in steps:
+        assert main(["--out", str(tmp_path), *step]) == 0, step
+    capsys.readouterr()
+    assert _digest(tmp_path / "design.gds") == gds_pin
+    assert _digest(tmp_path / "design.sqd") == sqd_pin
+
+
+def test_pipeline_flags_are_the_config_fields_with_their_defaults():
+    args = vars(_parser().parse_args(["pipeline"]))
+    for f in fields(PipelineConfig):
+        if f.name != "name":
+            assert args[f.name] == f.default, f.name
+
+
+def test_pipeline_command_writes_what_run_pipeline_builds(tmp_path, capsys):
+    assert _run(tmp_path, "pipeline", "--strategy", "maze", "--cell", "100",
+                "--frequencies", "4.4e9,4.9e9",
+                "--qubit-capacitance", "70e-15") == 0
+    capsys.readouterr()
+    result = run_pipeline(PipelineConfig(
+        strategy="maze", maze_cell=100.0, qubit_frequencies=(4.4e9, 4.9e9),
+        qubit_capacitance=70e-15))
+    assert (tmp_path / "chip.gds").read_bytes() == result.gds_bytes
+    (tmp_path / "api").mkdir()
+    api = save_document(result.document, tmp_path / "api" / "chip.sqd")
+    assert (tmp_path / "chip.sqd").read_bytes() == api.read_bytes()

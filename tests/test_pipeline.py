@@ -15,6 +15,7 @@ import pytest
 from sqchip.errors import NonPositiveInput, PitchTooSmall, SpecInfeasible, StageError, UnknownSelector
 from sqchip.pattern import total_pins
 from sqchip.topology import generate_grid
+from sqchip import pipeline
 from sqchip.pipeline import PipelineConfig, run_pipeline, summarize_routing
 from sqchip.routing import RoutedPath
 
@@ -85,13 +86,22 @@ def test_flip_chip_run_places_indium_and_routes_opposite():
     assert result.drc_report == []
 
 
-def test_config_rejects_bad_knobs_up_front():
+def test_config_rejects_bad_knobs_up_front(monkeypatch):
     with pytest.raises(NonPositiveInput):
         PipelineConfig(rows=0)
     with pytest.raises(UnknownSelector, match="steiner"):
         PipelineConfig(strategy="steiner")
     with pytest.raises(SpecInfeasible):
         PipelineConfig(process="exotic-2um")
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the config was checked")
+    monkeypatch.setattr(pipeline, "dispatch", no_stage)
+    with pytest.raises(UnknownSelector, match="'foo'.*'xmon', 'transmon'"):
+        run_pipeline(qubit_style="foo")
+    with pytest.raises(UnknownSelector,
+                       match="'bogus'.*'exact', 'estimate-only'"):
+        run_pipeline(strategy="maze", penalty_mode="bogus")
 
 
 def test_summarize_routing_skips_passive_geometry():
