@@ -16,9 +16,9 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-from .document import DesignDocument, dispatch
+from .document import DesignDocument
 from .errors import SqchipError
-from .pipeline import ROUTE_CORES, PipelineConfig, selected_stages
+from .pipeline import ROUTE_CORES, PipelineConfig, run_stages, selected_stages
 
 # Maze cells are 100 um here, twice the pipeline default, which keeps the
 # 16x16 maze cell of the scaling gate affordable.
@@ -50,9 +50,8 @@ def bench_cell(strategy: str, m: int, n: int, repetitions: int = 3
     """Median routing time for one (strategy, size) cell."""
     cfg = PipelineConfig(rows=m, cols=n, strategy=strategy,
                          maze_cell=MAZE_CELL)
-    doc = DesignDocument(cfg.name)
-    for stage in selected_stages(cfg, ("topology", "layout", "readout")):
-        doc = dispatch(stage.key, doc, **stage.arguments(cfg))
+    doc = run_stages(DesignDocument(cfg.name), cfg,
+                     ("topology", "layout", "readout"))
     (route,) = selected_stages(cfg, ("route",))
     core, args = ROUTE_CORES[strategy], route.arguments(cfg)
     times = []

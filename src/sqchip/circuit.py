@@ -27,6 +27,7 @@ from .errors import (
     NonPositiveInput,
     PhaseOutOfRange,
     UnknownLabel,
+    check_selector,
 )
 
 
@@ -101,6 +102,9 @@ def charging_energy(C_q: float) -> float:
     return c.e * c.e / (2.0 * C_q * c.h)
 
 
+FORMULA_MODES = ("standard", "paper-literal")
+
+
 def josephson_energy(f_q: float, E_C: float, mode: str = "standard") -> float:
     """Josephson energy from target frequency and charging energy, in Hz.
 
@@ -109,24 +113,22 @@ def josephson_energy(f_q: float, E_C: float, mode: str = "standard") -> float:
     """
     if f_q <= 0 or E_C <= 0:
         raise NonPositiveInput("f_q and E_C must be positive")
+    check_selector("mode", mode, FORMULA_MODES)
     if mode == "standard":
         return (f_q + E_C) ** 2 / (8.0 * E_C)
-    if mode == "paper-literal":
-        return ((f_q + E_C) / (8.0 * E_C)) ** 2
-    raise ValueError(f"unknown mode {mode!r}")
+    return ((f_q + E_C) / (8.0 * E_C)) ** 2
 
 
 def critical_current(E_J: float, mode: str = "paper-literal") -> float:
     """Junction critical current in amperes; E_J in Hz."""
     if E_J <= 0:
         raise NonPositiveInput("E_J must be positive")
+    check_selector("mode", mode, FORMULA_MODES)
     c = DEFAULT_CONSTANTS
     base = E_J * c.h / c.phi0   # == 2 e E_J
     if mode == "paper-literal":
         return base
-    if mode == "standard":
-        return 2.0 * math.pi * base
-    raise ValueError(f"unknown mode {mode!r}")
+    return 2.0 * math.pi * base
 
 
 def normal_resistance(I_c: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

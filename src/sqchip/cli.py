@@ -2,12 +2,13 @@
 
 Subcommands mirror the pipeline stages and operate on a design file
 (--design, canonical .sqd plus a GDS sidecar). Each stage subcommand
-builds one PipelineConfig from its flags and dispatches its slice of the
-pipeline's stage table; its flags are the PipelineConfig fields those
-stages read, so ``pipeline`` reaches every field. Geometry-producing stages
-regenerate placement deterministically from the document's semantic
-sections, so a reloaded design never goes stale. Exit codes: 0 success,
-2 validation error, 3 stage failure.
+builds one PipelineConfig from its flags and runs its slice of the
+pipeline's stage table through ``pipeline.run_stages``; its flags are the
+PipelineConfig fields those stages read, so ``pipeline`` reaches every
+field. Geometry-producing stages regenerate placement deterministically
+from the document's semantic sections, so a reloaded design never goes
+stale. Exit codes: 0 success, 2 validation error or missing prerequisite,
+3 stage failure (naming the stage).
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import document as doc_mod
 from .devmap import MappingProblem, make_evaluator, map_qubit_capacitance, solve
-from .document import DesignDocument, ParameterBundle, dispatch, inject
+from .document import DesignDocument, ParameterBundle, inject
+# unused here; perfbench's INSTRUMENTED table traces sqchip.cli.dispatch
+from .document import dispatch  # noqa: F401
 from .errors import MissingSubEntity, SqchipError, StageError
 from .gdsio import export_svg, write_gds
 from .layout import place_qubits
@@ -30,20 +33,44 @@ from .pipeline import (
     PipelineConfig,
     config_fields,
     run_pipeline,
-    selected_stages,
+    run_stages,
     summarize_routing,
 )
 from .process import drc, get_process
 
-# stage subcommand -> its help and the stages of pipeline.STAGES it runs
+
+def _route_report(doc, args) -> str:
+    summary = summarize_routing(doc.layout, args.strategy)
+    return (f"routed {summary.nets_routed} nets, {summary.total_corners} "
+            f"corners, {summary.total_crossings} crossings")
+
+
+def _procmap_report(doc, args) -> str:
+    bridges = sum(1 for c in doc.layout.components if c.kind == "airbridge")
+    return f"process {args.process}, {bridges} air bridges"
+
+
+# stage subcommand -> its help, the stages of pipeline.STAGES it runs, the
+# design section those stages need, and its report line; pipeline has its
+# own handler
 _STAGE_COMMANDS = {
-    "topo": ("create a grid topology", ("topology",)),
-    "params": ("solve the equivalent circuit", ("params",)),
-    "layout": ("place qubits and the readout bus", ("layout", "readout")),
+    "topo": ("create a grid topology", ("topology",), None,
+             lambda doc, args: f"topology {args.rows}x{args.cols} "
+                               f"({len(doc.topology.qubits)} qubits, "
+                               f"{len(doc.topology.edges)} couplings)"),
+    "params": ("solve the equivalent circuit", ("params",), "topology",
+               lambda doc, args: f"equivalent circuit for "
+                                 f"{len(doc.circuit.qubits)} qubits"),
+    "layout": ("place qubits and the readout bus", ("layout", "readout"),
+               "topology",
+               lambda doc, args: f"layout with {len(doc.layout.components)} "
+                                 f"components"),
     "route": ("escape-route all nets (regenerates placement)",
-              ("layout", "readout", "route")),
-    "procmap": ("apply process rules and air bridges", ("procmap", "bridges")),
-    "pipeline": ("run every stage end to end", tuple(s.name for s in STAGES)),
+              ("layout", "readout", "route"), "topology", _route_report),
+    "procmap": ("apply process rules and air bridges", ("procmap", "bridges"),
+                "layout", _procmap_report),
+    "pipeline": ("run every stage end to end", tuple(s.name for s in STAGES),
+                 None, None),
 }
 
 # PipelineConfig fields whose flag is not the field name in dashes
@@ -62,7 +89,7 @@ def _add_stage_command(sub, common, command: str,
                        required: bool = False) -> None:
     """A stage subcommand with one flag per PipelineConfig field its stages
     read; the design name comes from --design instead."""
-    help_text, stages = _STAGE_COMMANDS[command]
+    help_text, stages, _, _ = _STAGE_COMMANDS[command]
     q = sub.add_parser(command, help=help_text, parents=[common])
     read = config_fields(stages) - {"name"}
     for f in fields(PipelineConfig):
@@ -152,9 +179,14 @@ def _save(doc: DesignDocument, args) -> Path:
     return doc_mod.save_document(doc, path)
 
 
-def _require_topology(doc: DesignDocument):
-    if doc.topology is None:
-        raise MissingSubEntity("design has no topology; run 'topo' first")
+# design section -> the subcommand that makes it
+_MADE_BY = {"topology": "topo", "layout": "layout"}
+
+
+def _require(doc: DesignDocument, section: str):
+    if getattr(doc, section) is None:
+        raise MissingSubEntity(f"design has no {section}; "
+                               f"run '{_MADE_BY[section]}' first")
 
 
 def _config(args, name: str) -> PipelineConfig:
@@ -163,44 +195,14 @@ def _config(args, name: str) -> PipelineConfig:
                                         if hasattr(args, f.name)})
 
 
-def _run_stages(args, needs_topology: bool = True):
-    """Run the subcommand's slice of the stage table on the design file;
-    returns the new document and the path it was saved to."""
+def _cmd_stages(args) -> int:
+    """Run the subcommand's slice of the stage table on the design file."""
+    _, stages, needs, report = _STAGE_COMMANDS[args.command]
     doc = _load_or_new(args)
-    if needs_topology:
-        _require_topology(doc)
-    cfg = _config(args, doc.name)
-    for stage in selected_stages(cfg, _STAGE_COMMANDS[args.command][1]):
-        doc = dispatch(stage.key, doc, **stage.arguments(cfg))
-    return doc, _save(doc, args)
-
-
-def _cmd_topo(args) -> int:
-    doc, path = _run_stages(args, needs_topology=False)
-    print(f"topology {args.rows}x{args.cols} "
-          f"({len(doc.topology.qubits)} qubits, {len(doc.topology.edges)} "
-          f"couplings) -> {path}")
-    return 0
-
-
-def _cmd_params(args) -> int:
-    doc, path = _run_stages(args)
-    print(f"equivalent circuit for {len(doc.circuit.qubits)} qubits -> {path}")
-    return 0
-
-
-def _cmd_layout(args) -> int:
-    doc, path = _run_stages(args)
-    print(f"layout with {len(doc.layout.components)} components -> {path}")
-    return 0
-
-
-def _cmd_route(args) -> int:
-    doc, path = _run_stages(args)
-    summary = summarize_routing(doc.layout, args.strategy)
-    print(f"routed {summary.nets_routed} nets, "
-          f"{summary.total_corners} corners, "
-          f"{summary.total_crossings} crossings -> {path}")
+    if needs is not None:
+        _require(doc, needs)
+    doc = run_stages(doc, _config(args, doc.name), stages)
+    print(f"{report(doc, args)} -> {_save(doc, args)}")
     return 0
 
 
@@ -208,7 +210,7 @@ def _cmd_devmap(args) -> int:
     evaluator = make_evaluator(args.evaluator)
     if args.qubit is not None:
         doc = _load_or_new(args)
-        _require_topology(doc)
+        _require(doc, "topology")
         layout = doc.layout
         # mapping needs parametric components; a reloaded design only has
         # flattened geometry, so solve against a scratch placement and leave
@@ -240,17 +242,9 @@ def _cmd_devmap(args) -> int:
     return 0
 
 
-def _cmd_procmap(args) -> int:
-    doc, path = _run_stages(args, needs_topology=False)
-    bridges = sum(1 for c in doc.layout.components if c.kind == "airbridge")
-    print(f"process {args.process}, {bridges} air bridges -> {path}")
-    return 0
-
-
 def _cmd_drc(args) -> int:
     doc = _load_or_new(args)
-    if doc.layout is None:
-        raise MissingSubEntity("design has no layout")
+    _require(doc, "layout")
     if args.process is not None:
         rules = get_process(args.process)
     elif doc.process_rules is not None:
@@ -267,8 +261,7 @@ def _cmd_drc(args) -> int:
 
 def _cmd_gds(args) -> int:
     doc = _load_or_new(args)
-    if doc.layout is None:
-        raise MissingSubEntity("design has no layout")
+    _require(doc, "layout")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gds_path = out / f"{doc.name}.gds"
@@ -314,10 +307,9 @@ def _cmd_bench(args) -> int:
 
 
 _COMMANDS = {
-    "topo": _cmd_topo, "params": _cmd_params, "layout": _cmd_layout,
-    "route": _cmd_route, "devmap": _cmd_devmap, "procmap": _cmd_procmap,
-    "drc": _cmd_drc, "gds": _cmd_gds, "pipeline": _cmd_pipeline,
-    "bench": _cmd_bench,
+    **dict.fromkeys(_STAGE_COMMANDS, _cmd_stages),
+    "devmap": _cmd_devmap, "drc": _cmd_drc, "gds": _cmd_gds,
+    "pipeline": _cmd_pipeline, "bench": _cmd_bench,
 }
 
 
@@ -333,12 +325,9 @@ def main(argv=None) -> int:
             setattr(args, dest, value)
     try:
         return _COMMANDS[args.command](args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SqchipError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, StageError) else 2
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .errors import (
     NonPositiveInput,
     TargetNotBracketed,
     UnknownSelector,
+    check_selector,
 )
 
 log = logging.getLogger(__name__)
@@ -39,8 +40,8 @@ class Evaluator:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.monotonicity not in ("increasing", "decreasing", "unknown"):
-            raise UnknownSelector(f"monotonicity {self.monotonicity!r}")
+        check_selector("monotonicity", self.monotonicity,
+                       ("increasing", "decreasing", "unknown"))
 
     def __call__(self, x: float) -> float:
         # deterministic per input, so memoize: repeat probes are free

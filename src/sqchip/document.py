@@ -24,6 +24,7 @@ from .errors import (
     UnknownSelector,
     UnregisteredRequest,
     VersionMismatch,
+    check_selector,
 )
 from .process import ProcessRules
 from .topology import Topology
@@ -139,8 +140,8 @@ def _bundle_digest(bundle: ParameterBundle) -> str:
             from .gdsio import write_gds
             h.update(write_gds(value))
         else:
-            h.update(json.dumps(_section_to_json(name, value),
-                                sort_keys=True).encode())
+            data = None if value is None else _CODECS[name][0](value)
+            h.update(json.dumps(data, sort_keys=True).encode())
     return h.hexdigest()[:16]
 
 
@@ -156,8 +157,7 @@ class RequestKey:
     parameter_signature: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.category not in _CATEGORIES:
-            raise UnknownSelector(f"request category {self.category!r}")
+        check_selector("request category", self.category, _CATEGORIES)
         object.__setattr__(self, "parameter_signature",
                            tuple(sorted(self.parameter_signature)))
 
@@ -230,16 +230,12 @@ def _circuit_from_json(d: dict) -> EquivalentCircuit:
     return EquivalentCircuit(qubits, couplings)
 
 
-def _section_to_json(name: str, value):
-    if value is None:
-        return None
-    if name == "topology":
-        return _topology_to_json(value)
-    if name == "circuit":
-        return _circuit_to_json(value)
-    if name == "process_rules":
-        return asdict(value)
-    raise UnknownSelector(name)
+# section -> (to JSON, from JSON); the layout travels as a GDS sidecar
+_CODECS = {
+    "topology": (_topology_to_json, _topology_from_json),
+    "circuit": (_circuit_to_json, _circuit_from_json),
+    "process_rules": (asdict, lambda d: ProcessRules(**d)),
+}
 
 
 def save(doc: DesignDocument, layout_ref: str | None = None) -> bytes:
@@ -250,17 +246,14 @@ def save(doc: DesignDocument, layout_ref: str | None = None) -> bytes:
     needs a reference.
     """
     payload: dict = {"meta": {"name": doc.name, "version": doc.version}}
-    if doc.topology is not None:
-        payload["topology"] = _topology_to_json(doc.topology)
-    if doc.circuit is not None:
-        payload["circuit"] = _circuit_to_json(doc.circuit)
+    for name, (to_json, _) in _CODECS.items():
+        if getattr(doc, name) is not None:
+            payload[name] = to_json(getattr(doc, name))
     if doc.layout is not None:
         if layout_ref is None:
             raise MissingSubEntity(
                 "document has a layout; pass layout_ref for the GDS sidecar")
         payload["layout_ref"] = str(layout_ref)
-    if doc.process_rules is not None:
-        payload["process_rules"] = asdict(doc.process_rules)
     payload["provenance"] = doc.provenance_log
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
@@ -283,23 +276,16 @@ def load(data: bytes, base_dir: str | Path = ".") -> DesignDocument:
             f"file is {meta['version']!r}, reader is {SCHEMA_VERSION!r}")
 
     doc = DesignDocument(meta["name"], meta["version"])
-    try:
-        if "topology" in payload:
-            doc.topology = _topology_from_json(payload["topology"])
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"malformed topology: {e}", path="topology") from e
-    try:
-        if "circuit" in payload:
-            doc.circuit = _circuit_from_json(payload["circuit"])
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"malformed circuit: {e}", path="circuit") from e
-    try:
-        if "process_rules" in payload:
-            doc.process_rules = ProcessRules(**payload["process_rules"])
-    except TypeError as e:
-        raise ParseError(f"malformed process_rules: {e}",
-                         path="process_rules") from e
+    for name, (_, from_json) in _CODECS.items():
+        if name in payload:
+            try:
+                setattr(doc, name, from_json(payload[name]))
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                raise ParseError(f"malformed {name}: {e}", path=name) from e
     if "layout_ref" in payload:
+        if not isinstance(payload["layout_ref"], str):
+            raise ParseError("layout_ref must be a file name",
+                             path="layout_ref")
         from .gdsio import layout_from_gds
         ref = Path(payload["layout_ref"])
         if not ref.is_absolute():
@@ -309,7 +295,12 @@ def load(data: bytes, base_dir: str | Path = ".") -> DesignDocument:
         except FileNotFoundError as e:
             raise ParseError(f"layout sidecar {ref} not found",
                              path="layout_ref") from e
-    doc.provenance_log = list(payload.get("provenance", []))
+    provenance = payload.get("provenance", [])
+    if not (isinstance(provenance, list)
+            and all(isinstance(r, dict) for r in provenance)):
+        raise ParseError("provenance must be a list of records",
+                         path="provenance")
+    doc.provenance_log = provenance
     validate_references(doc.topology, doc.circuit, doc.layout)
     return doc
 

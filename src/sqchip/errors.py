@@ -15,6 +15,12 @@ class UnknownSelector(SqchipError):
     pass
 
 
+def check_selector(name: str, value, allowed: tuple) -> None:
+    """Raise UnknownSelector naming the allowed values unless value is one."""
+    if value not in allowed:
+        raise UnknownSelector(f"{name} {value!r}; expected one of {allowed}")
+
+
 class MissingSubEntity(SqchipError):
     pass
 

@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveInput,
     PitchTooSmall,
     PlacementOverlap,
+    check_selector,
 )
 from .geometry import bbox_union
 from .routing import Pin, RoutedPath
@@ -131,7 +132,9 @@ class ChipLayout:
     __hash__ = None  # mutable during construction
 
 
-QUBIT_STYLES = ("xmon", "transmon")
+# qubit style -> footprint maker and its half extent in um
+_QUBIT_MAKERS = {"xmon": (make_xmon, 250.0), "transmon": (make_transmon, 220.0)}
+QUBIT_STYLES = tuple(_QUBIT_MAKERS)
 
 
 def place_qubits(topology: Topology, qubit_style: str = "xmon",
@@ -142,12 +145,8 @@ def place_qubits(topology: Topology, qubit_style: str = "xmon",
     Grid coordinates map to physical positions bottom-left first, so
     qubit (0, 0) sits nearest the die origin.
     """
-    if qubit_style == "xmon":
-        maker, half_extent = make_xmon, 250.0
-    elif qubit_style == "transmon":
-        maker, half_extent = make_transmon, 220.0
-    else:
-        raise ValueError(f"unknown qubit style {qubit_style!r}")
+    check_selector("qubit_style", qubit_style, QUBIT_STYLES)
+    maker, half_extent = _QUBIT_MAKERS[qubit_style]
     if pitch <= 2.0 * half_extent:
         raise PitchTooSmall(f"pitch {pitch} um cannot fit {qubit_style} footprints")
 
@@ -179,6 +178,10 @@ def _qubit_sort_key(qid: str):
     return (head, int(tail) if tail else -1)
 
 
+# resonator mode -> n, where the resonator is 1/n of a wavelength long
+_WAVELENGTH_FRACTIONS = {"quarter-wave": 4.0, "half-wave": 2.0}
+
+
 def resonator_length(frequency: float, eps_r: float = 11.45,
                      mode: str = "quarter-wave") -> float:
     """Physical resonator length in um for a target frequency in Hz.
@@ -192,13 +195,8 @@ def resonator_length(frequency: float, eps_r: float = 11.45,
         raise InvalidSubstrate(f"relative permittivity {eps_r} out of range (1, 30)")
     eps_eff = (eps_r + 1.0) / 2.0
     v = SPEED_OF_LIGHT / eps_eff ** 0.5
-    if mode == "quarter-wave":
-        frac = 4.0
-    elif mode == "half-wave":
-        frac = 2.0
-    else:
-        raise ValueError(f"unknown resonator mode {mode!r}")
-    return v / (frac * frequency) * 1e6
+    check_selector("mode", mode, tuple(_WAVELENGTH_FRACTIONS))
+    return v / (_WAVELENGTH_FRACTIONS[mode] * frequency) * 1e6
 
 
 def readout_ladder(n: int, f_start: float, f_stop: float) -> list[float]:

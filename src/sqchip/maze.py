@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlockedEndpoint, DegenerateGrid, NoPath
+from .errors import BlockedEndpoint, DegenerateGrid, NoPath, check_selector
 from .routing import RoutedPath, RoutingResult
 
 # direction encoding: index into _STEPS; -1 means "no direction yet"
@@ -74,6 +74,8 @@ def build_grid(layout, cell: float = 50.0, clearance: float = 20.0,
     """
     from .components import LAYER_QUBIT, LAYER_PIN
 
+    if not cell > 0:
+        raise DegenerateGrid(f"grid cell must be positive, got {cell} um")
     die = layout.die
     cols = max(int(np.ceil(die.width / cell)), 1)
     rows = max(int(np.ceil(die.height / cell)), 1)
@@ -148,8 +150,7 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     cost (optimal for the combined objective); "estimate-only" accumulates
     plain steps and lets the penalties act through the priority only.
     """
-    if penalty_mode not in PENALTY_MODES:
-        raise ValueError(f"unknown penalty mode {penalty_mode!r}")
+    check_selector("penalty_mode", penalty_mode, PENALTY_MODES)
     for name, (c, r) in (("start", start), ("goal", goal)):
         if not grid.in_bounds(c, r):
             raise BlockedEndpoint(f"{name} cell {(c, r)} outside the grid")

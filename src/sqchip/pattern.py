@@ -107,10 +107,6 @@ class PinPlan:
     lane_pitch: float
     edges: dict[str, _EdgePlan] = field(default_factory=dict)
 
-    def all_nets(self) -> list[_Net]:
-        return [net for e in _EDGES if e in self.edges
-                for net in self.edges[e].nets]
-
 
 def _qubit_grid(layout, topology):
     """Grid metadata plus actual qubit port geometry."""

@@ -5,12 +5,13 @@ full run leaves one provenance record per stage and any failure carries the
 stage name. Identical configs produce byte-identical outputs; there is no
 wall-clock or randomness anywhere in the flow.
 
-``STAGES`` is the flow's one stage table; ``run_pipeline``, the CLI
-subcommands and the bench all read it.
+``STAGES`` is the flow's one stage table and ``run_stages`` its one runner;
+``run_pipeline``, the CLI subcommands and the bench all go through them.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 from .circuit import EquivalentCircuit, inverse_solve
@@ -24,7 +25,13 @@ from .document import (
     inject,
     register,
 )
-from .errors import NoPath, NonPositiveInput, SqchipError, StageError, UnknownSelector
+from .errors import (
+    NoPath,
+    NonPositiveInput,
+    SqchipError,
+    StageError,
+    check_selector,
+)
 from .gdsio import write_gds
 from .layout import (
     QUBIT_STYLES,
@@ -81,10 +88,7 @@ class PipelineConfig:
             raise NonPositiveInput(f"grid dims must be positive integers, "
                                    f"got {self.rows}x{self.cols}")
         for name, allowed in SELECTORS.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise UnknownSelector(f"{name} {value!r}; "
-                                      f"expected one of {allowed}")
+            check_selector(name, getattr(self, name), allowed)
         get_process(self.process)
 
 
@@ -276,6 +280,29 @@ def config_fields(names) -> set[str]:
 
 # ---- the pipeline ----------------------------------------------------------
 
+@contextlib.contextmanager
+def _as_stage(name: str):
+    """Re-raise the block's SqchipError as StageError(name, cause)."""
+    try:
+        yield
+    except StageError:
+        raise
+    except SqchipError as exc:
+        raise StageError(name, exc) from exc
+
+
+def run_stages(doc: DesignDocument, cfg: PipelineConfig, names=None
+               ) -> DesignDocument:
+    """Dispatch cfg's stages (only ``names``, when given) on doc, in order.
+
+    The first failure aborts the run as a StageError naming the stage.
+    """
+    for stage in selected_stages(cfg, names):
+        with _as_stage(stage.name):
+            doc = dispatch(stage.key, doc, **stage.arguments(cfg))
+    return doc
+
+
 def summarize_routing(layout, strategy: str) -> RoutingResult:
     result = RoutingResult(strategy)
     for p in layout.paths:
@@ -295,28 +322,17 @@ def run_pipeline(config: PipelineConfig | None = None, **overrides
     report means the layout meets the selected process rules.
     """
     cfg = config if config is not None else PipelineConfig(**overrides)
-    doc = DesignDocument(cfg.name)
-    for stage in selected_stages(cfg):
-        try:
-            doc = dispatch(stage.key, doc, **stage.arguments(cfg))
-        except StageError:
-            raise
-        except SqchipError as exc:
-            raise StageError(stage.name, exc) from exc
+    doc = run_stages(DesignDocument(cfg.name), cfg)
 
-    try:
+    with _as_stage("drc"):
         report = drc(doc.layout, doc.process_rules)
         doc = inject(doc, ParameterBundle(doc.version, {}),
                      operation=f"drc:{len(report)}-violations")
-    except SqchipError as exc:
-        raise StageError("drc", exc) from exc
 
-    try:
+    with _as_stage("gds"):
         gds = write_gds(doc.layout)
         doc = inject(doc, ParameterBundle(doc.version, {}),
                      operation="gds.export")
-    except SqchipError as exc:
-        raise StageError("gds", exc) from exc
 
     return PipelineResult(doc, gds, report,
                           summarize_routing(doc.layout, cfg.strategy))

@@ -27,6 +27,7 @@ from sqchip.errors import (
     NonPositiveInput,
     PhaseOutOfRange,
     UnknownLabel,
+    UnknownSelector,
 )
 
 # constant-folded oracle values, computed by hand from CODATA-2018 exact
@@ -72,7 +73,7 @@ def test_josephson_energy_modes_differ_by_the_eight_ec_factor():
 
 
 def test_josephson_energy_rejects_unknown_mode_and_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownSelector, match="paper-literal"):
         josephson_energy(4.3e9, 0.298e9, mode="squared")
     with pytest.raises(NonPositiveInput):
         josephson_energy(-4.3e9, 0.298e9)
@@ -85,6 +86,8 @@ def test_critical_current_chain_value_and_mode_ratio():
     assert _rel(I_c, IC_LITERAL) < 1e-12
     assert _rel(critical_current(EJ_STD, mode="standard"),
                 2.0 * math.pi * I_c) < 1e-15
+    with pytest.raises(UnknownSelector, match="paper-literal"):
+        critical_current(EJ_STD, mode="squared")
 
 
 def test_normal_resistance_matches_folded_constant():

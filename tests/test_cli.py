@@ -40,6 +40,24 @@ def test_params_before_topo_is_a_validation_error(tmp_path, capsys):
     assert "no topology" in capsys.readouterr().err
 
 
+def test_procmap_before_any_layout_is_a_validation_error(tmp_path, capsys):
+    _run(tmp_path, "topo", "--rows", "1", "--cols", "1")
+    assert _run(tmp_path, "procmap") == 2
+    assert "no layout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, stage", [
+    (("layout", "--pitch", "400"), "layout"),        # xmons need 500 um
+    (("route", "--strategy", "maze", "--cell", "2000"), "route"),
+])
+def test_staged_stage_failure_exits_3_naming_the_stage(tmp_path, capsys,
+                                                       command, stage):
+    _run(tmp_path, "topo", "--rows", "2", "--cols", "2")
+    capsys.readouterr()
+    assert _run(tmp_path, *command) == 3
+    assert f"stage '{stage}' failed" in capsys.readouterr().err
+
+
 def test_drc_without_layout_is_a_validation_error(tmp_path):
     _run(tmp_path, "topo", "--rows", "1", "--cols", "1")
     assert _run(tmp_path, "drc", "--process", "generic-10um") == 2

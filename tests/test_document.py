@@ -281,6 +281,21 @@ def test_load_names_the_malformed_section():
     assert err.value.path == "topology"
 
 
+@pytest.mark.parametrize("section, value", [
+    ("topology", {"qubits": [], "edges": []}),
+    ("circuit", {"qubits": [], "couplings": {}}),
+    ("process_rules", ["generic-10um"]),
+    ("provenance", 5),
+    ("layout_ref", 5),
+])
+def test_load_rejects_a_wrongly_shaped_section_naming_it(section, value):
+    payload = {"meta": {"name": "x", "version": SCHEMA_VERSION},
+               section: value}
+    with pytest.raises(ParseError) as err:
+        load(json.dumps(payload).encode())
+    assert err.value.path == section
+
+
 def test_load_missing_sidecar_is_a_parse_error(tmp_path):
     payload = {"meta": {"name": "x", "version": SCHEMA_VERSION},
                "layout_ref": "gone.gds"}

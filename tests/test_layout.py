@@ -11,6 +11,7 @@ from sqchip.errors import (
     NonPositiveInput,
     PitchTooSmall,
     PlacementOverlap,
+    UnknownSelector,
 )
 from sqchip.layout import (
     ChipLayout,
@@ -61,7 +62,7 @@ def test_resonator_length_rejects_bad_substrate_and_frequency():
         resonator_length(6.5e9, eps_r=1.0)
     with pytest.raises(NonPositiveInput):
         resonator_length(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownSelector, match="half-wave"):
         resonator_length(6.5e9, mode="full-wave")
     with pytest.raises(InvalidSubstrate):
         ResonatorSpec("quarter-wave", 6.5e9, 4621.0, 10.0, 6.0, 31.0, 200.0)
@@ -104,6 +105,11 @@ def test_placement_rejects_pitch_below_the_footprint():
         place_qubits(generate_grid(2, 2), "transmon", pitch=440.0)
     # transmon is narrower, so this pitch is fine
     place_qubits(generate_grid(2, 2), "transmon", pitch=441.0)
+
+
+def test_placement_rejects_unknown_qubit_style_naming_the_styles():
+    with pytest.raises(UnknownSelector, match="'xmon', 'transmon'"):
+        place_qubits(generate_grid(1, 1), "foo")
 
 
 def test_layout_rejects_overlapping_components_on_one_layer():

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from sqchip.components import LAYER_PIN, LAYER_QUBIT
-from sqchip.errors import BlockedEndpoint, DegenerateGrid, NoPath
+from sqchip.errors import (
+    BlockedEndpoint,
+    DegenerateGrid,
+    NoPath,
+    StageError,
+    UnknownSelector,
+)
 from sqchip.layout import place_qubits
 from sqchip.maze import (
     GridGraph,
@@ -20,6 +26,7 @@ from sqchip.maze import (
     route_all,
     route_net,
 )
+from sqchip.pipeline import run_pipeline
 from sqchip.topology import generate_grid
 
 
@@ -116,7 +123,7 @@ def test_route_degenerate_cases():
 
 def test_route_rejects_unknown_penalty_mode():
     grid = GridGraph(3, 3, (0.0, 0.0), 50.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownSelector, match="estimate-only"):
         route_net(grid, (0, 0), (2, 2), penalty_mode="greedy")
 
 
@@ -216,6 +223,16 @@ def test_build_grid_leaves_the_opposite_face_empty_for_flip_chip():
     layout.flip_chip = True
     grid = build_grid(layout, cell=50.0)
     assert not grid.blocked.any()
+
+
+@pytest.mark.parametrize("cell", [0.0, -50.0, float("nan")])
+def test_build_grid_refuses_a_non_positive_cell(cell):
+    layout = place_qubits(generate_grid(1, 1), "xmon", pitch=2000.0)
+    with pytest.raises(DegenerateGrid):
+        build_grid(layout, cell=cell)
+    with pytest.raises(StageError, match="stage 'route'") as err:
+        run_pipeline(strategy="maze", maze_cell=cell)
+    assert isinstance(err.value.cause, DegenerateGrid)
 
 
 def test_build_grid_refuses_the_pin_layer_as_an_obstacle():
