@@ -1,11 +1,13 @@
 """Design document, extract/inject, request dispatch, and .sqd persistence.
 
 The document owns at most one of each sub-entity (topology, equivalent
-circuit, chip layout, process rules). Tools never edit it directly: they
-extract a parameter bundle, work on the copy, and inject the result back,
-which re-validates cross-entity references and appends to the provenance
-log. Persistence is canonical sorted-key JSON; GDS payloads live in a
-sidecar file referenced by path.
+circuit, chip layout, process rules). Changes reach it through ``inject``,
+which re-validates cross-entity references, appends to the provenance log
+and returns a new document. ``extract`` hands an outside tool a deep copy
+to work on. The pipeline's stage work instead edits the run's one layout
+in place before injecting it, so a document passed to a stage must not be
+used again. Persistence is canonical sorted-key JSON; GDS payloads live in
+a sidecar file referenced by path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .circuit import CouplingParams, EquivalentCircuit, QubitElectricalParams
@@ -201,12 +203,42 @@ def _topology_to_json(t: Topology) -> dict:
     }
 
 
+def _pair(value, kind: type, where: str) -> tuple:
+    """value as a 2-tuple of kind, or TypeError naming where."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, kind) and not isinstance(v, bool)
+                    for v in value)):
+        raise TypeError(f"{where} must be a pair of {kind.__name__}, "
+                        f"got {value!r}")
+    return tuple(value)
+
+
 def _topology_from_json(d: dict) -> Topology:
-    return Topology(
-        {q: tuple(pos) for q, pos in d["qubits"].items()},
-        {tuple(e) for e in d["edges"]},
-        tuple(d["grid_dims"]) if d.get("grid_dims") else None,
-    )
+    qubits = {q: _pair(pos, int, f"qubits.{q}")
+              for q, pos in d["qubits"].items()}
+    edges = {_pair(e, str, f"edges[{i}]") for i, e in enumerate(d["edges"])}
+    stray = {q for e in edges for q in e} - set(qubits)
+    if stray:
+        raise ValueError(f"edges name unknown qubits {sorted(stray)}")
+    dims = d.get("grid_dims")
+    return Topology(qubits, edges,
+                    _pair(dims, int, "grid_dims") if dims else None)
+
+
+_LEAF_TYPES = {"float": (int, float), "str": (str,)}
+
+
+def _record(cls, data: dict, where: str = ""):
+    """cls(**data), refusing a value of the wrong type in a float or str
+    field; where prefixes the field name in the message."""
+    for f in fields(cls):
+        value = data.get(f.name)
+        kinds = _LEAF_TYPES.get(f.type)
+        if f.name in data and kinds and (isinstance(value, bool)
+                                         or not isinstance(value, kinds)):
+            raise TypeError(f"{where}{f.name} must be {f.type}, "
+                            f"got {value!r}")
+    return cls(**data)
 
 
 def _circuit_to_json(c: EquivalentCircuit) -> dict:
@@ -218,15 +250,13 @@ def _circuit_to_json(c: EquivalentCircuit) -> dict:
 
 
 def _circuit_from_json(d: dict) -> EquivalentCircuit:
-    qubits = {}
-    for q, p in d["qubits"].items():
-        qubits[q] = QubitElectricalParams(**p)
+    qubits = {q: _record(QubitElectricalParams, p, f"qubits.{q}.")
+              for q, p in d["qubits"].items()}
     couplings = {}
     for key, p in d["couplings"].items():
-        edge = tuple(key.split("|"))
-        p = dict(p)
-        p["edge"] = edge
-        couplings[edge] = CouplingParams(**p)
+        edge = _pair(key.split("|"), str, f"couplings.{key}")
+        couplings[edge] = _record(CouplingParams, {**p, "edge": edge},
+                                  f"couplings.{key}.")
     return EquivalentCircuit(qubits, couplings)
 
 
@@ -234,7 +264,7 @@ def _circuit_from_json(d: dict) -> EquivalentCircuit:
 _CODECS = {
     "topology": (_topology_to_json, _topology_from_json),
     "circuit": (_circuit_to_json, _circuit_from_json),
-    "process_rules": (asdict, lambda d: ProcessRules(**d)),
+    "process_rules": (asdict, lambda d: _record(ProcessRules, d)),
 }
 
 

@@ -1,9 +1,12 @@
 """End-to-end chip generation: staged dispatches over a design document.
 
-Each stage is a registered request handler (extract-process-inject), so a
-full run leaves one provenance record per stage and any failure carries the
-stage name. Identical configs produce byte-identical outputs; there is no
-wall-clock or randomness anywhere in the flow.
+Each stage is a registered request handler that does its work and injects
+the sections it produced, so a full run leaves one provenance record per
+stage and any failure carries the stage name. Stage work edits the run's
+one layout in place rather than a copy: ``run_stages`` consumes the
+document it is given, and the caller keeps only the one it returns.
+Identical configs produce byte-identical outputs; there is no wall-clock
+or randomness anywhere in the flow.
 
 ``STAGES`` is the flow's one stage table and ``run_stages`` its one runner;
 ``run_pipeline``, the CLI subcommands and the bench all go through them.
@@ -21,11 +24,14 @@ from .document import (
     ParameterBundle,
     RequestKey,
     dispatch,
-    extract,
     inject,
     register,
 )
+# unused here; perfbench's INSTRUMENTED table traces sqchip.pipeline.extract
+from .document import extract  # noqa: F401
 from .errors import (
+    DegenerateGrid,
+    MissingSubEntity,
     NoPath,
     NonPositiveInput,
     SqchipError,
@@ -87,6 +93,9 @@ class PipelineConfig:
         if self.rows < 1 or self.cols < 1:
             raise NonPositiveInput(f"grid dims must be positive integers, "
                                    f"got {self.rows}x{self.cols}")
+        if not self.maze_cell > 0:
+            raise DegenerateGrid(f"maze_cell must be positive, "
+                                 f"got {self.maze_cell} um")
         for name, allowed in SELECTORS.items():
             check_selector(name, getattr(self, name), allowed)
         get_process(self.process)
@@ -104,12 +113,21 @@ class PipelineResult:
 # Each function takes the document plus one argument per PipelineConfig field
 # it reads, named after that field, and returns the sections it produces.
 
+def _section(doc, name: str):
+    """The document's section, for stage work to read or, for the layout,
+    to edit in place."""
+    value = getattr(doc, name)
+    if value is None:
+        raise MissingSubEntity(f"document has no {name}")
+    return value
+
+
 def _h_topology(doc, rows, cols):
     return {"topology": generate_grid(rows, cols)}
 
 
 def _h_circuit(doc, coupling_strength, qubit_capacitance, qubit_frequencies):
-    topo = doc.topology
+    topo = _section(doc, "topology")
     targets = allocate_frequencies(topo, list(qubit_frequencies))
     couplings = {e: coupling_strength for e in sorted(topo.edges)}
     qubits, coupled = inverse_solve(targets, couplings,
@@ -120,15 +138,16 @@ def _h_circuit(doc, coupling_strength, qubit_capacitance, qubit_frequencies):
 
 
 def _h_place(doc, border, flip_chip, name, pitch, qubit_style):
-    layout = place_qubits(doc.topology, qubit_style, pitch, border, name)
+    layout = place_qubits(_section(doc, "topology"), qubit_style, pitch,
+                          border, name)
     layout.flip_chip = flip_chip
     return {"layout": layout}
 
 
 def _h_readout(doc, coupling_length, eps_r, readout_start, readout_stop,
                trace_gap, trace_width):
-    layout = extract(doc, "layout").sections["layout"]
-    for row in rows_bottom_up(doc.topology):
+    layout = _section(doc, "layout")
+    for row in rows_bottom_up(_section(doc, "topology")):
         generate_readout_bus(layout, row, readout_start, readout_stop,
                              w=trace_width, g=trace_gap, eps_r=eps_r,
                              coupling_length=coupling_length)
@@ -188,22 +207,22 @@ def _h_route(strategy: str):
     core = ROUTE_CORES[strategy]
 
     def work(doc, **args):
-        layout = extract(doc, "layout").sections["layout"]
-        core(layout, doc.topology, **args)
+        layout = _section(doc, "layout")
+        core(layout, _section(doc, "topology"), **args)
         return {"layout": layout}
     return work
 
 
 def _h_process(doc, process):
     rules = get_process(process)
-    layout = extract(doc, "layout").sections["layout"]
+    layout = _section(doc, "layout")
     apply_rules(layout, rules)
     return {"layout": layout, "process_rules": rules}
 
 
 def _h_bridges(doc):
-    layout = extract(doc, "layout").sections["layout"]
-    rules = doc.process_rules
+    layout = _section(doc, "layout")
+    rules = _section(doc, "process_rules")
     insert_air_bridges(layout, rules)
     if layout.flip_chip:
         place_indium_columns(layout, rules)
@@ -295,7 +314,9 @@ def run_stages(doc: DesignDocument, cfg: PipelineConfig, names=None
                ) -> DesignDocument:
     """Dispatch cfg's stages (only ``names``, when given) on doc, in order.
 
-    The first failure aborts the run as a StageError naming the stage.
+    Stage work edits doc's layout in place, so doc is consumed: keep only
+    the returned document, and discard doc when a stage fails. The first
+    failure aborts the run as a StageError naming the stage.
     """
     for stage in selected_stages(cfg, names):
         with _as_stage(stage.name):

@@ -287,6 +287,12 @@ def test_load_names_the_malformed_section():
     ("process_rules", ["generic-10um"]),
     ("provenance", 5),
     ("layout_ref", 5),
+    ("topology", {"qubits": {"q0": "ab"}, "edges": []}),
+    ("topology", {"qubits": {"q0": [0, 0]}, "edges": [["q0", "q9"]]}),
+    ("circuit", {"qubits": {"q0": {
+        "qubit_id": "q0", "C_q": "65fF", "E_C": 3e8, "E_J": 1.2e10,
+        "I_c": 2.4e-8, "R_n": 1.2e4, "L_j": 1.4e-8, "f_q": 4.3e9}},
+        "couplings": {}}),
 ])
 def test_load_rejects_a_wrongly_shaped_section_naming_it(section, value):
     payload = {"meta": {"name": "x", "version": SCHEMA_VERSION},

@@ -6,13 +6,24 @@ keep the loop fast.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from types import SimpleNamespace
 
 import process_reference
 import pytest
 
-from sqchip.errors import NonPositiveInput, PitchTooSmall, SpecInfeasible, StageError, UnknownSelector
+from sqchip.document import DesignDocument, save
+from sqchip.errors import (
+    DegenerateGrid,
+    MissingSubEntity,
+    NonPositiveInput,
+    PitchTooSmall,
+    SpecInfeasible,
+    StageError,
+    UnknownSelector,
+)
+from sqchip.layout import ChipLayout
 from sqchip.pattern import total_pins
 from sqchip.topology import generate_grid
 from sqchip import pipeline
@@ -102,6 +113,37 @@ def test_config_rejects_bad_knobs_up_front(monkeypatch):
     with pytest.raises(UnknownSelector,
                        match="'bogus'.*'exact', 'estimate-only'"):
         run_pipeline(strategy="maze", penalty_mode="bogus")
+    for cell in (0.0, -50.0, float("nan")):
+        with pytest.raises(DegenerateGrid, match="maze_cell"):
+            run_pipeline(strategy="maze", maze_cell=cell)
+
+
+def test_stages_edit_the_one_layout_without_copying_it(monkeypatch):
+    real = copy.deepcopy
+
+    def no_layout_copy(value, *args, **kwargs):
+        if isinstance(value, ChipLayout):
+            raise AssertionError("a stage deep-copied the layout")
+        return real(value, *args, **kwargs)
+    monkeypatch.setattr("sqchip.document.copy.deepcopy", no_layout_copy)
+    result = run_pipeline(rows=4, cols=4)
+    assert result.drc_report == []
+
+
+@pytest.mark.parametrize("stage, made, missing", [
+    *((s, ("topology", "params"), "layout")
+      for s in ("readout", "route", "procmap", "bridges")),
+    ("params", (), "topology"),
+    ("layout", (), "topology"),
+    ("bridges", ("topology", "layout", "readout", "route"), "process_rules"),
+])
+def test_a_stage_on_a_document_without_its_input_is_refused(stage, made,
+                                                             missing):
+    cfg = PipelineConfig()
+    doc = pipeline.run_stages(DesignDocument(cfg.name), cfg, made)
+    (chosen,) = pipeline.selected_stages(cfg, (stage,))
+    with pytest.raises(MissingSubEntity, match=f"no {missing}"):
+        pipeline.dispatch(chosen.key, doc, **chosen.arguments(cfg))
 
 
 def test_summarize_routing_skips_passive_geometry():
@@ -130,10 +172,25 @@ ROADMAP_PINS = [
 ]
 
 
+# sha256 prefixes of save(run_pipeline(...).document, layout_ref="chip.gds");
+# they cover each stage's provenance digest, a render of the layout it injected
+SQD_PINS = [
+    (dict(rows=4, cols=4), "7b5d72730aa1aa0f"),
+    (dict(rows=3, cols=3, strategy="maze"), "ab3009ecb8083ea9"),
+    (dict(rows=2, cols=2, flip_chip=True), "b2bceb6e969b70b7"),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def test_gds_digests_match_the_roadmap_pins():
     for kwargs, pin in ROADMAP_PINS:
-        gds = run_pipeline(**kwargs).gds_bytes
-        assert hashlib.sha256(gds).hexdigest()[:16] == pin, kwargs
+        assert _sha(run_pipeline(**kwargs).gds_bytes) == pin, kwargs
+    for kwargs, pin in SQD_PINS:
+        doc = run_pipeline(**kwargs).document
+        assert _sha(save(doc, layout_ref="chip.gds")) == pin, kwargs
     # maze 4x4 is DRC-dirty; whatever it reports, the indexed DRC must say
     # exactly what the all-pairs scan says, in the same order
     result = run_pipeline(rows=4, cols=4, strategy="maze")
