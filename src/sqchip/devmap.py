@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .circuit import charging_energy
 from .errors import (
     ComponentNotTunable,
+    EvaluatorFailed,
     MaxIterations,
     NonPositiveInput,
     TargetNotBracketed,
@@ -29,6 +30,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # analytic stand-in for an EM solve: thin-film metal over ground, F per um^2
 CAP_PER_AREA = 1.4e-18
+
+# wall-clock limit for one call of a cmd: evaluator, s
+CMD_TIMEOUT_S = 600
 
 
 @dataclass
@@ -234,9 +238,15 @@ def make_evaluator(spec: str) -> Evaluator:
             raise UnknownSelector("cmd: needs a command path")
 
         def run(x: float) -> float:
-            proc = subprocess.run([path, repr(x)], capture_output=True,
-                                  text=True, check=True, timeout=600)
-            return float(proc.stdout.strip())
+            try:
+                proc = subprocess.run([path, repr(x)], capture_output=True,
+                                      text=True, check=True,
+                                      timeout=CMD_TIMEOUT_S)
+                return float(proc.stdout.strip())
+            except (OSError, ValueError, subprocess.SubprocessError) as exc:
+                raise EvaluatorFailed(
+                    f"evaluator cmd:{path} failed at input {x!r}: {exc}",
+                ) from exc
 
         return Evaluator(f"cmd:{path}", "", "unknown", run)
     raise UnknownSelector(f"evaluator selector {spec!r}; use stub:<name> "

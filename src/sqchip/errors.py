@@ -165,6 +165,10 @@ class ComponentNotTunable(SqchipError):
     pass
 
 
+class EvaluatorFailed(SqchipError):
+    """An external evaluator exited nonzero, timed out or printed no number."""
+
+
 # ---- GDS streams -------------------------------------------------------
 
 class CoordinateOverflow(SqchipError):

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .components import stroke_centerline
-from .errors import BadMagic, CoordinateOverflow, OddLength, TruncatedRecord
+from .errors import (
+    BadMagic,
+    CoordinateOverflow,
+    OddLength,
+    TruncatedRecord,
+    check_selector,
+)
 
 # record type bytes (rectype, datatype)
 HEADER = 0x0002
@@ -119,9 +125,12 @@ def _xy(points) -> bytes:
 
 # ---- parsed model --------------------------------------------------------
 
+ELEMENT_KINDS = ("boundary", "path", "sref")
+
+
 @dataclass
 class GdsElement:
-    kind: str                          # boundary | path | sref | other
+    kind: str                          # one of ELEMENT_KINDS
     layer: int = 0
     datatype: int = 0
     xy: list[tuple[float, float]] = field(default_factory=list)  # um
@@ -261,6 +270,7 @@ def read_gds(src) -> GdsLibrary:
 # ---- writing -------------------------------------------------------------
 
 def _render_element(el: GdsElement) -> bytes:
+    check_selector("element kind", el.kind, ELEMENT_KINDS)
     out = []
     if el.kind == "boundary":
         pts = list(el.xy)
@@ -277,12 +287,10 @@ def _render_element(el: GdsElement) -> bytes:
         out.append(_record(PATHTYPE, struct.pack(">h", el.pathtype)))
         out.append(_record(WIDTH, struct.pack(">i", _to_db(el.width))))
         out.append(_record(XY, _xy(el.xy)))
-    elif el.kind == "sref":
+    else:
         out.append(_record(SREF))
         out.append(_record(SNAME, _ascii(el.sname)))
         out.append(_record(XY, _xy(el.xy)))
-    else:
-        raise ValueError(f"cannot render element kind {el.kind!r}")
     out.append(_record(ENDEL))
     return b"".join(out)
 
@@ -340,10 +348,23 @@ def build_library(layout) -> GdsLibrary:
     return lib
 
 
+def _geometry(layout) -> tuple:
+    """What build_library reads of a layout, as a value to compare.
+
+    Path points are copied. Footprints are not: like the bounding-box
+    cache, this relies on footprints changing only through set_footprint.
+    """
+    return (layout.name,
+            [(c.comp_id, c.kind, dict(c.footprint)) for c in layout.components],
+            [(p.layer, p.width, list(p.points)) for p in layout.paths])
+
+
 def write_gds(layout, path=None) -> bytes:
-    # imported layouts re-emit their source stream verbatim so that
-    # read -> write is byte-stable; edits clear the attached library
-    lib = getattr(layout, "source_library", None) or build_library(layout)
+    # an imported layout re-emits its source stream verbatim, which makes
+    # read -> write byte-stable, while it holds the geometry it was read as
+    lib = getattr(layout, "source_library", None)
+    if lib is None or layout.source_geometry != _geometry(layout):
+        lib = build_library(layout)
     data = write_library(lib)
     if path is not None:
         Path(path).write_bytes(data)
@@ -381,6 +402,7 @@ def layout_from_gds(src):
                     list(el.xy), el.width))
     layout.expand_die_to_content(0.0)
     layout.source_library = lib
+    layout.source_geometry = _geometry(layout)
     return layout
 
 

@@ -79,7 +79,10 @@ class ChipLayout:
     applied_rules: str | None = None
     flip_chip: bool = False
     pin_plan: object | None = None     # escape-routing plan, not persisted
-    source_library: object | None = None   # set on GDS import; edits clear it
+    # set on GDS import; write_gds re-emits the library while the layout
+    # still holds the geometry it was imported as
+    source_library: object | None = None
+    source_geometry: tuple | None = None
 
     def component_by_id(self, comp_id: str) -> PlacedComponent:
         for c in self.components:
@@ -99,7 +102,6 @@ class ChipLayout:
                     raise PlacementOverlap(
                         f"{comp.comp_id} overlaps {other.comp_id} on a shared layer")
         self.components.append(comp)
-        self.source_library = None
 
     def content_bbox(self) -> tuple[float, float, float, float]:
         boxes = [c.bounding_box() for c in self.components]

@@ -10,11 +10,16 @@ biases the expansion order, which reproduces the cheaper greedy behavior.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import BlockedEndpoint, DegenerateGrid, NoPath, check_selector
+from .errors import (
+    BlockedEndpoint,
+    DegenerateGrid,
+    NoPath,
+    SpecInfeasible,
+    check_selector,
+)
 from .routing import RoutedPath, RoutingResult
 
 # direction encoding: index into _STEPS; -1 means "no direction yet"
@@ -27,16 +32,16 @@ class GridGraph:
     rows: int
     origin: tuple[float, float]       # um of cell (0, 0) lower-left corner
     cell: float                       # um per cell
-    blocked: np.ndarray = field(default=None)   # bool (cols, rows)
-    occupied: np.ndarray = field(default=None)  # int net count per cell
+    blocked: list[bool] = field(default=None)   # cell (c, r) at r * cols + c
+    occupied: list[int] = field(default=None)   # net count, same index
 
     def __post_init__(self):
         if self.cols < 1 or self.rows < 1:
             raise DegenerateGrid(f"grid {self.cols}x{self.rows} has no cells")
         if self.blocked is None:
-            self.blocked = np.zeros((self.cols, self.rows), dtype=bool)
+            self.blocked = [False] * (self.cols * self.rows)
         if self.occupied is None:
-            self.occupied = np.zeros((self.cols, self.rows), dtype=np.int32)
+            self.occupied = [0] * (self.cols * self.rows)
 
     def in_bounds(self, c: int, r: int) -> bool:
         return 0 <= c < self.cols and 0 <= r < self.rows
@@ -57,11 +62,12 @@ class GridGraph:
         c1 = min(int((x1 - self.origin[0]) // self.cell), self.cols - 1)
         r1 = min(int((y1 - self.origin[1]) // self.cell), self.rows - 1)
         if c1 >= c0 and r1 >= r0:
-            self.blocked[c0:c1 + 1, r0:r1 + 1] = True
+            for i in range(r0 * self.cols, r1 * self.cols + 1, self.cols):
+                self.blocked[i + c0:i + c1 + 1] = [True] * (c1 - c0 + 1)
 
     def mark_path(self, cells: list[tuple[int, int]]) -> None:
         for c, r in cells:
-            self.occupied[c, r] += 1
+            self.occupied[r * self.cols + c] += 1
 
 
 def build_grid(layout, cell: float = 50.0, clearance: float = 20.0,
@@ -77,13 +83,13 @@ def build_grid(layout, cell: float = 50.0, clearance: float = 20.0,
     if not cell > 0:
         raise DegenerateGrid(f"grid cell must be positive, got {cell} um")
     die = layout.die
-    cols = max(int(np.ceil(die.width / cell)), 1)
-    rows = max(int(np.ceil(die.height / cell)), 1)
+    cols = max(math.ceil(die.width / cell), 1)
+    rows = max(math.ceil(die.height / cell), 1)
     grid = GridGraph(cols, rows, (die.x0, die.y0), cell)
     if block_layers is None:
         block_layers = () if layout.flip_chip else (LAYER_QUBIT,)
     if LAYER_PIN in block_layers:
-        raise ValueError("pin layer is never a routing obstacle")
+        raise SpecInfeasible("pin layer is never a routing obstacle")
     for comp in layout.components:
         if comp.kind == "pad":
             continue    # pads are net terminals
@@ -134,7 +140,7 @@ def count_corners(cells: list[tuple[int, int]]) -> int:
 
 def count_crossings(grid: GridGraph, cells: list[tuple[int, int]]) -> int:
     """Occupied cells this path passes through (endpoints included)."""
-    return int(sum(1 for c, r in cells if grid.occupied[c, r] > 0))
+    return sum(1 for c, r in cells if grid.occupied[r * grid.cols + c] > 0)
 
 
 PENALTY_MODES = ("exact", "estimate-only")
@@ -154,7 +160,7 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     for name, (c, r) in (("start", start), ("goal", goal)):
         if not grid.in_bounds(c, r):
             raise BlockedEndpoint(f"{name} cell {(c, r)} outside the grid")
-        if grid.blocked[c, r]:
+        if grid.blocked[r * grid.cols + c]:
             raise BlockedEndpoint(f"{name} cell {(c, r)} is blocked")
     if start == goal:
         if mark:
@@ -184,13 +190,14 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
             nc, nr = cell[0] + sx, cell[1] + sy
             if not (0 <= nc < cols and 0 <= nr < grid.rows):
                 continue
-            if blocked[nc, nr]:
+            ni = nr * cols + nc
+            if blocked[ni]:
                 continue
             step = 1.0
             if exact:
                 if d >= 0 and nd != d:
                     step += k_corner
-                if occupied[nc, nr] > 0:
+                if occupied[ni] > 0:
                     step += k_cross
             ng = g + step
             nstate = (nc, nr, nd)
@@ -201,11 +208,11 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
                 if exact:
                     nf = ng + nh
                 else:
-                    pen = k_cross if occupied[nc, nr] > 0 else 0.0
+                    pen = k_cross if occupied[ni] > 0 else 0.0
                     if d >= 0 and nd != d:
                         pen += k_corner
                     nf = ng + nh + pen
-                heapq.heappush(open_q, (nf, nh, nr * cols + nc, nd, (nc, nr), ng))
+                heapq.heappush(open_q, (nf, nh, ni, nd, (nc, nr), ng))
     if goal_state is None:
         raise NoPath(f"no route from {start} to {goal}")
 
@@ -254,7 +261,6 @@ def route_all(grid: GridGraph, nets: list[tuple[str, tuple[int, int], tuple[int,
         result.paths.append(path)
         result.total_corners += corners
         result.total_crossings += crossings_before
-    result.occupancy = grid.occupied.copy()
     return result
 
 

@@ -137,7 +137,6 @@ def apply_rules(layout, rules: ProcessRules):
     if layout.applied_rules is not None:
         raise SpecInfeasible(
             f"layout already mapped to {layout.applied_rules!r}")
-    layout.source_library = None   # geometry changes below; drop any import cache
     widened = []
     for p in layout.paths:
         if p.kind == "feedline":

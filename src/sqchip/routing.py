@@ -47,7 +47,6 @@ class RoutingResult:
     failures: list[tuple[str, str]] = field(default_factory=list)  # (net, reason)
     total_corners: int = 0
     total_crossings: int = 0
-    occupancy: object | None = None   # numpy array snapshot (maze only)
 
     @property
     def nets_routed(self) -> int:

@@ -148,7 +148,8 @@ def _bfs_steps(grid: GridGraph, start, goal) -> int | None:
             if nxt == goal:
                 return d + 1
             if (0 <= nxt[0] < grid.cols and 0 <= nxt[1] < grid.rows
-                    and not grid.blocked[nxt] and nxt not in seen):
+                    and not grid.blocked[nxt[1] * grid.cols + nxt[0]]
+                    and nxt not in seen):
                 seen.add(nxt)
                 q.append((nxt, d + 1))
     return None
@@ -161,8 +162,8 @@ def test_maze_router_with_zero_penalties_matches_breadth_first_search():
         grid = GridGraph(10, 10, origin=(0.0, 0.0), cell=50.0)
         cells = [(c, r) for c in range(10) for r in range(10)]
         for c, r in rng.sample(cells, 20):
-            grid.blocked[c, r] = True
-        free = [cr for cr in cells if not grid.blocked[cr]]
+            grid.blocked[r * 10 + c] = True
+        free = [(c, r) for c, r in cells if not grid.blocked[r * 10 + c]]
         start, goal = rng.sample(free, 2)
         expect = _bfs_steps(grid, start, goal)
         try:
@@ -184,7 +185,7 @@ def test_corner_and_crossing_counters_match_independent_recounts():
         marked = set()
         for _ in range(rng.randrange(0, 60)):
             cell = (rng.randrange(16), rng.randrange(16))
-            grid.occupied[cell] += 1
+            grid.occupied[cell[1] * 16 + cell[0]] += 1
             marked.add(cell)
         walk = [(rng.randrange(16), rng.randrange(16))]
         for _ in range(rng.randrange(1, 40)):
@@ -366,9 +367,10 @@ def _maze_instance(seed: int):
     rng = random.Random(seed)
     grid = GridGraph(12, 12, origin=(0.0, 0.0), cell=50.0)
     for _ in range(14):
-        grid.blocked[rng.randrange(12), rng.randrange(12)] = True
+        c, r = rng.randrange(12), rng.randrange(12)
+        grid.blocked[r * 12 + c] = True
     free = [(c, r) for c in range(12) for r in range(12)
-            if not grid.blocked[c, r]]
+            if not grid.blocked[r * 12 + c]]
     rng.shuffle(free)
     nets = [(f"n{i}", free[2 * i], free[2 * i + 1]) for i in range(8)]
     # a rare walled-in endpoint just drops that net from the instance

@@ -110,6 +110,13 @@ def test_devmap_standalone_requires_bounds(tmp_path):
                 "--evaluator", "stub:linear:2:0") == 2
 
 
+def test_devmap_with_a_failing_evaluator_exits_2(tmp_path, capsys):
+    code = _run(tmp_path, "devmap", "--evaluator", "cmd:/bin/false",
+                "--param", "x", "--target", "1", "--lo", "0", "--hi", "2")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: evaluator cmd:/bin/false")
+
+
 def test_devmap_retunes_a_qubit_in_the_design(tmp_path, capsys):
     _run(tmp_path, "topo", "--rows", "1", "--cols", "2")
     code = _run(tmp_path, "devmap", "--qubit", "q0", "--param", "arm_length",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import stat
+import subprocess
 
 import pytest
 
@@ -19,6 +20,7 @@ from sqchip.devmap import (
 )
 from sqchip.errors import (
     ComponentNotTunable,
+    EvaluatorFailed,
     MaxIterations,
     NonPositiveInput,
     TargetNotBracketed,
@@ -169,6 +171,31 @@ def test_command_evaluator_round_trips_through_a_script(tmp_path):
                              max_iterations=60)
     result = solve(problem, ev)
     assert abs(result.metric - 10.0) <= 1e-3 * 10.0
+
+
+def test_command_evaluator_failing_with_a_nonzero_exit_is_typed():
+    ev = make_evaluator("cmd:/bin/false")
+    with pytest.raises(EvaluatorFailed, match=r"cmd:/bin/false .* input 1\.5"
+                       ) as err:
+        ev(1.5)
+    assert isinstance(err.value.__cause__, subprocess.CalledProcessError)
+
+
+def test_command_evaluator_with_a_missing_command_is_typed(tmp_path):
+    ev = make_evaluator(f"cmd:{tmp_path / 'absent'}")
+    with pytest.raises(EvaluatorFailed) as err:
+        ev(1.0)
+    assert isinstance(err.value.__cause__, FileNotFoundError)
+
+
+def test_command_evaluator_printing_no_number_is_typed(tmp_path):
+    script = tmp_path / "metric.sh"
+    script.write_text("#!/bin/sh\necho abc\n")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    ev = make_evaluator(f"cmd:{script}")
+    with pytest.raises(EvaluatorFailed, match="abc") as err:
+        ev(2.0)
+    assert isinstance(err.value.__cause__, ValueError)
 
 
 def test_map_qubit_capacitance_updates_the_component_record():

@@ -8,7 +8,13 @@ import struct
 
 import pytest
 
-from sqchip.errors import BadMagic, CoordinateOverflow, OddLength, TruncatedRecord
+from sqchip.errors import (
+    BadMagic,
+    CoordinateOverflow,
+    OddLength,
+    TruncatedRecord,
+    UnknownSelector,
+)
 from sqchip.gdsio import (
     ENDLIB,
     GdsElement,
@@ -16,6 +22,7 @@ from sqchip.gdsio import (
     GdsStructure,
     UNITS,
     XY,
+    build_library,
     excess64_decode,
     excess64_encode,
     export_svg,
@@ -25,7 +32,9 @@ from sqchip.gdsio import (
     write_gds,
     write_library,
 )
+from sqchip.geometry import rect
 from sqchip.layout import place_qubits
+from sqchip.routing import RoutedPath
 from sqchip.topology import generate_grid
 
 # hand-packed reference reals: sign/exponent byte then 56-bit base-16 mantissa
@@ -173,6 +182,48 @@ def test_coordinates_beyond_the_grid_refuse_to_write():
     ]))
     with pytest.raises(CoordinateOverflow):
         write_library(lib)
+
+
+def test_write_library_refuses_an_unknown_element_kind():
+    lib = GdsLibrary("odd")
+    lib.structures.append(GdsStructure("S", [GdsElement("text")]))
+    with pytest.raises(UnknownSelector, match="boundary.*path.*sref"):
+        write_library(lib)
+
+
+def _append_path(layout):
+    layout.paths.append(RoutedPath("extra", "signal", 2,
+                                   [(0.0, 0.0), (0.0, 300.0)], 10.0))
+
+
+def _reassign_points(layout):
+    p = layout.paths[0]
+    p.points = [(x, y + 100.0) for x, y in p.points]
+
+
+def _extend_points_in_place(layout):
+    layout.paths[0].points.append((900.0, 300.0))
+
+
+def _set_footprint(layout):
+    comp = layout.components[0]
+    layer = next(iter(comp.footprint))
+    comp.set_footprint(layer, [rect(0.0, 0.0, 40.0, 40.0)])
+
+
+@pytest.mark.parametrize("edit", [_append_path, _reassign_points,
+                                  _extend_points_in_place, _set_footprint])
+def test_an_edited_import_writes_its_edits(edit):
+    layout = place_qubits(generate_grid(1, 2))
+    layout.paths.append(RoutedPath("feed", "signal", 2,
+                                   [(-900.0, 300.0), (300.0, 300.0)], 10.0))
+    source = write_gds(layout)
+    back = layout_from_gds(source)
+    assert write_gds(back) == source        # unedited: verbatim
+    edit(back)
+    edited = write_gds(back)
+    assert edited != source
+    assert edited == write_library(build_library(back))
 
 
 def test_layout_import_splits_polygons_into_components():

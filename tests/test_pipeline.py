@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import process_reference
@@ -26,6 +30,7 @@ from sqchip.errors import (
 from sqchip.layout import ChipLayout
 from sqchip.pattern import total_pins
 from sqchip.topology import generate_grid
+import sqchip
 from sqchip import pipeline
 from sqchip.pipeline import PipelineConfig, run_pipeline, summarize_routing
 from sqchip.routing import RoutedPath
@@ -199,3 +204,19 @@ def test_gds_digests_match_the_roadmap_pins():
     assert [(v.rule, v.message, v.where, v.subjects)
             for v in result.drc_report] == \
         [(v.rule, v.message, v.where, v.subjects) for v in want]
+
+
+def test_sqchip_runs_without_numpy():
+    # a None entry in sys.modules makes any import of numpy fail
+    script = (
+        "import hashlib, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from sqchip import run_pipeline\n"
+        "gds = run_pipeline(rows=3, cols=3, strategy='maze').gds_bytes\n"
+        "print(hashlib.sha256(gds).hexdigest()[:16])\n")
+    src = str(Path(sqchip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "4fc207a065af842b"   # the ROADMAP pin
