@@ -186,8 +186,16 @@ def _iter_records(data: bytes):
         pos += length
 
 
+# payload bytes of the fixed-size element records the reader decodes
+_PAYLOAD_SIZE = {LAYER: 2, DATATYPE: 2, PATHTYPE: 2, WIDTH: 4}
+
+
 def read_gds(src) -> GdsLibrary:
-    """Parse a stream (bytes) or a file path into a GdsLibrary."""
+    """Parse a stream (bytes) or a file path into a GdsLibrary.
+
+    A malformed stream raises BadMagic, TruncatedRecord or OddLength; the
+    last two carry the offending record's offset.
+    """
     if isinstance(src, (str, Path)):
         data = Path(src).read_bytes()
     else:
@@ -244,9 +252,18 @@ def read_gds(src) -> GdsLibrary:
                 el = GdsElement("sref")
             elif rectype == ENDEL:
                 if el is not None:
+                    if not el.xy:
+                        raise TruncatedRecord(
+                            f"{el.kind} element ending at offset {pos} "
+                            f"has no XY", pos)
                     cur.elements.append(el)
                 el = None
             elif el is not None:
+                size = _PAYLOAD_SIZE.get(rectype, len(payload))
+                if len(payload) != size:
+                    raise TruncatedRecord(
+                        f"record {rectype:#06x} at offset {pos} has "
+                        f"{len(payload)} payload bytes, expects {size}", pos)
                 if rectype == LAYER:
                     el.layer = struct.unpack(">h", payload)[0]
                 elif rectype == DATATYPE:
@@ -258,6 +275,10 @@ def read_gds(src) -> GdsLibrary:
                 elif rectype == SNAME:
                     el.sname = payload.rstrip(b"\x00").decode("ascii", "replace")
                 elif rectype == XY:
+                    if len(payload) % 8:
+                        raise OddLength(
+                            f"XY record at offset {pos} has {len(payload)} "
+                            f"payload bytes, not whole (x, y) pairs", pos)
                     vals = struct.unpack(f">{len(payload) // 4}i", payload)
                     el.xy = [(vals[i] * scale, vals[i + 1] * scale)
                              for i in range(0, len(vals), 2)]

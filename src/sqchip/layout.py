@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveInput,
     PitchTooSmall,
     PlacementOverlap,
+    SpecInfeasible,
     check_selector,
 )
 from .geometry import bbox_union
@@ -230,7 +231,7 @@ def generate_readout_bus(layout: ChipLayout, row_qubits: list[str],
     ports = [c.ports["north"] for c in comps]
     xs = [p.position[0] for p in ports]
     if xs != sorted(xs):
-        raise ValueError("row_qubits must be ordered left to right")
+        raise SpecInfeasible("row_qubits must be ordered left to right")
     if len(xs) > 1:
         pitch = min(b - a for a, b in zip(xs, xs[1:]))
     else:

@@ -1,10 +1,10 @@
 """Grid maze router: sequential A* with corner and crossing penalties.
 
 Search states are (cell, incoming direction) pairs so the corner cost is part
-of the optimization, not a post-hoc tiebreak. With the default penalty mode
-the returned path minimizes steps + k_corner * corners + k_cross * crossings
-exactly; "estimate-only" keeps penalties out of the accumulated cost and only
-biases the expansion order, which reproduces the cheaper greedy behavior.
+of the optimization, not a post-hoc tiebreak. There is one cost model: every
+penalty goes into the accumulated cost, so the returned path minimizes
+steps + k_corner * corners + k_cross * crossings exactly. ``route_net`` is a
+pure search; ``route_all`` is the only writer of ``GridGraph.occupied``.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    BlockedEndpoint,
-    DegenerateGrid,
-    NoPath,
-    SpecInfeasible,
-    check_selector,
-)
+from .errors import BlockedEndpoint, DegenerateGrid, NoPath
 from .routing import RoutedPath, RoutingResult
 
 # direction encoding: index into _STEPS; -1 means "no direction yet"
@@ -70,15 +64,15 @@ class GridGraph:
             self.occupied[r * self.cols + c] += 1
 
 
-def build_grid(layout, cell: float = 50.0, clearance: float = 20.0,
-               block_layers: tuple[int, ...] | None = None) -> GridGraph:
+def build_grid(layout, cell: float = 50.0, clearance: float = 20.0) -> GridGraph:
     """Rasterize a layout into a routing grid.
 
-    Component bounding boxes on blocking layers become unroutable cells,
-    inflated by `clearance`. A flip-chip layout routes on the opposite face,
-    so nothing on the qubit face blocks it.
+    On a single-face chip, qubit-layer metal (component bounding boxes and
+    path segments, inflated by `clearance`) becomes unroutable cells; pads
+    stay open as net terminals. A flip-chip layout routes on the opposite
+    face, so nothing on the qubit face blocks it.
     """
-    from .components import LAYER_QUBIT, LAYER_PIN
+    from .components import LAYER_QUBIT
 
     if not cell > 0:
         raise DegenerateGrid(f"grid cell must be positive, got {cell} um")
@@ -86,25 +80,20 @@ def build_grid(layout, cell: float = 50.0, clearance: float = 20.0,
     cols = max(math.ceil(die.width / cell), 1)
     rows = max(math.ceil(die.height / cell), 1)
     grid = GridGraph(cols, rows, (die.x0, die.y0), cell)
-    if block_layers is None:
-        block_layers = () if layout.flip_chip else (LAYER_QUBIT,)
-    if LAYER_PIN in block_layers:
-        raise SpecInfeasible("pin layer is never a routing obstacle")
+    if layout.flip_chip:
+        return grid
     for comp in layout.components:
-        if comp.kind == "pad":
-            continue    # pads are net terminals
-        if not (set(block_layers) & comp.layers()):
+        if comp.kind == "pad" or LAYER_QUBIT not in comp.layers():
             continue
         x0, y0, x1, y1 = comp.bounding_box()
         grid.block_box(x0 - clearance, y0 - clearance, x1 + clearance, y1 + clearance)
-    if LAYER_QUBIT in block_layers:
-        for p in layout.paths:
-            if p.layer != LAYER_QUBIT:
-                continue
-            h = p.width / 2.0 + clearance
-            for (ax, ay), (bx, by) in zip(p.points, p.points[1:]):
-                grid.block_box(min(ax, bx) - h, min(ay, by) - h,
-                               max(ax, bx) + h, max(ay, by) + h)
+    for p in layout.paths:
+        if p.layer != LAYER_QUBIT:
+            continue
+        h = p.width / 2.0 + clearance
+        for (ax, ay), (bx, by) in zip(p.points, p.points[1:]):
+            grid.block_box(min(ax, bx) - h, min(ay, by) - h,
+                           max(ax, bx) + h, max(ay, by) + h)
     return grid
 
 
@@ -143,31 +132,23 @@ def count_crossings(grid: GridGraph, cells: list[tuple[int, int]]) -> int:
     return sum(1 for c, r in cells if grid.occupied[r * grid.cols + c] > 0)
 
 
-PENALTY_MODES = ("exact", "estimate-only")
-
-
 def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
               k_corner: float = 1.0, k_cross: float = 2.0,
-              penalty_mode: str = "exact", mark: bool = True,
               ) -> list[tuple[int, int]]:
     """A* from start cell to goal cell; returns the cell sequence.
 
-    penalty_mode "exact" folds corner/crossing penalties into the accumulated
-    cost (optimal for the combined objective); "estimate-only" accumulates
-    plain steps and lets the penalties act through the priority only.
+    Each step costs 1, plus k_corner when it turns and k_cross when it enters
+    an occupied cell, so the path is optimal for that combined objective.
+    The grid is only read: marking the path is the caller's job.
     """
-    check_selector("penalty_mode", penalty_mode, PENALTY_MODES)
     for name, (c, r) in (("start", start), ("goal", goal)):
         if not grid.in_bounds(c, r):
             raise BlockedEndpoint(f"{name} cell {(c, r)} outside the grid")
         if grid.blocked[r * grid.cols + c]:
             raise BlockedEndpoint(f"{name} cell {(c, r)} is blocked")
     if start == goal:
-        if mark:
-            grid.mark_path([start])
         return [start]
 
-    exact = penalty_mode == "exact"
     blocked = grid.blocked
     occupied = grid.occupied
     cols = grid.cols
@@ -194,25 +175,17 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
             if blocked[ni]:
                 continue
             step = 1.0
-            if exact:
-                if d >= 0 and nd != d:
-                    step += k_corner
-                if occupied[ni] > 0:
-                    step += k_cross
+            if d >= 0 and nd != d:
+                step += k_corner
+            if occupied[ni] > 0:
+                step += k_cross
             ng = g + step
             nstate = (nc, nr, nd)
             if ng < best.get(nstate, float("inf")) - 1e-12:
                 best[nstate] = ng
                 came[nstate] = state
                 nh = heuristic((nc, nr), goal, nd, k_corner)
-                if exact:
-                    nf = ng + nh
-                else:
-                    pen = k_cross if occupied[ni] > 0 else 0.0
-                    if d >= 0 and nd != d:
-                        pen += k_corner
-                    nf = ng + nh + pen
-                heapq.heappush(open_q, (nf, nh, ni, nd, (nc, nr), ng))
+                heapq.heappush(open_q, (ng + nh, nh, ni, nd, (nc, nr), ng))
     if goal_state is None:
         raise NoPath(f"no route from {start} to {goal}")
 
@@ -224,8 +197,6 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
             break
         s = came[s]
     cells.reverse()
-    if mark:
-        grid.mark_path(cells)
     return cells
 
 
@@ -237,16 +208,15 @@ def cells_to_points(grid: GridGraph, cells: list[tuple[int, int]],
 
 
 def route_all(grid: GridGraph, nets: list[tuple[str, tuple[int, int], tuple[int, int]]],
-              k_corner: float = 1.0, k_cross: float = 2.0,
-              penalty_mode: str = "exact", layer: int = 2,
+              k_corner: float = 1.0, k_cross: float = 2.0, layer: int = 2,
               width: float = 10.0) -> RoutingResult:
     """Route nets sequentially in the given order; earlier nets become
-    obstacles-with-a-price for later ones."""
+    obstacles-with-a-price for later ones. Each routed net's cells are
+    marked on ``grid.occupied`` after its crossings are counted."""
     result = RoutingResult("maze")
     for net_id, start, goal in nets:
         try:
-            cells = route_net(grid, start, goal, k_corner, k_cross,
-                              penalty_mode, mark=False)
+            cells = route_net(grid, start, goal, k_corner, k_cross)
             crossings_before = count_crossings(grid, cells)
             grid.mark_path(cells)
         except (NoPath, BlockedEndpoint) as exc:

@@ -459,15 +459,12 @@ def map_pins(pins: list[Pin], topology: Topology) -> dict[str, str]:
     return out
 
 
-def route_pattern(layout, topology: Topology | None = None,
-                  width: float = 10.0) -> RoutingResult:
-    """Emit the planned staircase paths. Zero crossings by construction."""
+def route_pattern(layout, width: float = 10.0) -> RoutingResult:
+    """Emit the staircase paths of the pin plan that ``allocate_pins``
+    cached on layout; run it first. Zero crossings by construction."""
     plan = getattr(layout, "pin_plan", None)
     if plan is None:
-        if topology is None:
-            raise SpecInfeasible("no pin plan cached and no topology given")
-        allocate_pins(layout, topology)
-        plan = layout.pin_plan
+        raise SpecInfeasible("layout has no pin plan; run allocate_pins first")
     layer = LAYER_OPPOSITE if layout.flip_chip else LAYER_ROUTING
     result = RoutingResult("pattern")
     lam = plan.lane_pitch

@@ -45,7 +45,7 @@ from .layout import (
     generate_readout_bus,
     place_qubits,
 )
-from .maze import PENALTY_MODES, build_grid, resolve_target, route_all
+from .maze import build_grid, resolve_target, route_all
 from .pattern import allocate_pins, map_pins, route_pattern
 from .process import (
     apply_rules,
@@ -85,7 +85,6 @@ class PipelineConfig:
     maze_clearance: float = 20.0
     corner_penalty: float = 1.0
     cross_penalty: float = 2.0
-    penalty_mode: str = "exact"
     # process
     process: str = "generic-10um"
 
@@ -158,16 +157,17 @@ def route_pattern_core(layout, topology, lane_pitch, trace_width
                        ) -> RoutingResult:
     """The pattern route stage's work on a placed layout, in place."""
     allocate_pins(layout, topology, lane_pitch=lane_pitch)
-    return route_pattern(layout, topology, width=trace_width)
+    return route_pattern(layout, width=trace_width)
 
 
 def route_maze_core(layout, topology, corner_penalty, cross_penalty,
-                    lane_pitch, maze_cell, maze_clearance, penalty_mode,
-                    trace_width) -> RoutingResult:
+                    lane_pitch, maze_cell, maze_clearance, trace_width
+                    ) -> RoutingResult:
     """The maze route stage's work on a placed layout, in place.
 
     Each net runs on the grid from its pad to a free cell beside its
-    target; the straight tails at both ends are spliced on afterwards.
+    target; the straight tails at both ends are spliced on afterwards, and
+    each net takes the role its pin was allocated with.
     """
     allocate_pins(layout, topology, lane_pitch=lane_pitch)
     targets = map_pins(layout.pins, topology)
@@ -180,18 +180,16 @@ def route_maze_core(layout, topology, corner_penalty, cross_penalty,
         pos, off = resolve_target(layout, targets[pin.pin_id], standoff)
         nets.append((pin.pin_id, grid.cell_at(*pin.position),
                      grid.cell_at(*off)))
-        tails[pin.pin_id] = (pin.position, pos)
+        tails[pin.pin_id] = (pin.position, pos, pin.role)
     layer = LAYER_OPPOSITE if layout.flip_chip else LAYER_ROUTING
     result = route_all(grid, nets, k_corner=corner_penalty,
-                       k_cross=cross_penalty, penalty_mode=penalty_mode,
-                       layer=layer, width=trace_width)
+                       k_cross=cross_penalty, layer=layer, width=trace_width)
     if result.failures:
         raise NoPath(f"{len(result.failures)} nets unroutable: "
                      f"{result.failures[:3]}")
     for p in result.paths:
-        head, tail = tails[p.net]
+        head, tail, p.kind = tails[p.net]
         p.points = [head] + p.points + [tail]
-        p.kind = "transmission" if p.net.startswith("tx_") else "control"
     layout.paths.extend(result.paths)
     return result
 
@@ -199,8 +197,7 @@ def route_maze_core(layout, topology, corner_penalty, cross_penalty,
 ROUTE_CORES = {"pattern": route_pattern_core, "maze": route_maze_core}
 
 # PipelineConfig fields that select among named alternatives
-SELECTORS = {"qubit_style": QUBIT_STYLES, "strategy": tuple(ROUTE_CORES),
-             "penalty_mode": PENALTY_MODES}
+SELECTORS = {"qubit_style": QUBIT_STYLES, "strategy": tuple(ROUTE_CORES)}
 
 
 def _h_route(strategy: str):
@@ -269,7 +266,7 @@ STAGES = (
           _h_route("pattern"), strategy="pattern"),
     Stage("route", _fn("route.maze", "corner_penalty", "cross_penalty",
                        "lane_pitch", "maze_cell", "maze_clearance",
-                       "penalty_mode", "trace_width"),
+                       "trace_width"),
           _h_route("maze"), strategy="maze"),
     Stage("procmap", _fn("process.map", "process"), _h_process),
     Stage("bridges", _fn("process.air-bridges"), _h_bridges),

@@ -63,7 +63,7 @@ def _route_grid(m: int, n: int, lane_pitch: float | None = None,
     if pad_size is not None:
         kw["pad_size"] = pad_size
     allocate_pins(layout, topo, **kw)
-    return topo, route_pattern(layout, topo)
+    return topo, route_pattern(layout)
 
 
 def _assert_node_disjoint(paths) -> None:
@@ -167,8 +167,7 @@ def test_maze_router_with_zero_penalties_matches_breadth_first_search():
         start, goal = rng.sample(free, 2)
         expect = _bfs_steps(grid, start, goal)
         try:
-            path = route_net(grid, start, goal, k_corner=0.0, k_cross=0.0,
-                             mark=False)
+            path = route_net(grid, start, goal, k_corner=0.0, k_cross=0.0)
             got = len(path) - 1
         except NoPath:
             got = None

@@ -12,6 +12,7 @@ from sqchip.errors import (
     BadMagic,
     CoordinateOverflow,
     OddLength,
+    SqchipError,
     TruncatedRecord,
     UnknownSelector,
 )
@@ -34,6 +35,7 @@ from sqchip.gdsio import (
 )
 from sqchip.geometry import rect
 from sqchip.layout import place_qubits
+from sqchip.pipeline import run_pipeline
 from sqchip.routing import RoutedPath
 from sqchip.topology import generate_grid
 
@@ -172,6 +174,69 @@ def test_reader_rejects_bad_framing():
     with pytest.raises(TruncatedRecord) as err:
         read_gds(header + struct.pack(">HH", 400, 0x0102) + b"\x00" * 8)
     assert err.value.offset == 6
+
+
+def _one_element_stream(*element_records: bytes) -> tuple[bytes, int]:
+    """A library with one structure holding one element built from the given
+    records; returns the stream and the offset of the element's first record."""
+    head = (struct.pack(">HHh", 6, 0x0002, 600)
+            + struct.pack(">HH12h", 28, 0x0102, *([0] * 12))
+            + struct.pack(">HH", 8, 0x0206) + b"lib\x00"
+            + struct.pack(">HH", 20, UNITS) + REAL_1E_3 + REAL_1E_9
+            + struct.pack(">HH12h", 28, 0x0502, *([0] * 12))
+            + struct.pack(">HH", 6, 0x0606) + b"S\x00")
+    body = b"".join(element_records)
+    tail = struct.pack(">HH", 4, 0x0700) + struct.pack(">HH", 4, ENDLIB)
+    return head + body + tail, len(head)
+
+
+def _rec(rectype: int, payload: bytes = b"") -> bytes:
+    return struct.pack(">HH", 4 + len(payload), rectype) + payload
+
+
+def test_reader_refuses_malformed_element_payloads_at_their_offset():
+    boundary, layer = _rec(0x0800), _rec(0x0D02, struct.pack(">h", 1))
+    xy = _rec(XY, struct.pack(">6i", 0, 0, 10, 0, 0, 0))
+    endel = _rec(0x1100)
+    data, at = _one_element_stream(boundary, layer, xy, endel)
+    assert read_gds(data).structures[0].elements[0].layer == 1
+
+    # a LAYER, DATATYPE, PATHTYPE or WIDTH payload of the wrong size
+    for rectype, payload in ((0x0D02, b""), (0x0E02, b"\x00" * 4),
+                             (0x2102, b"\x00" * 6), (0x0F03, b"\x00" * 2)):
+        bad, at = _one_element_stream(boundary, _rec(rectype, payload), xy,
+                                      endel)
+        with pytest.raises(TruncatedRecord) as err:
+            read_gds(bad)
+        assert err.value.offset == at + len(boundary)
+    # an XY payload holding an odd number of ints
+    bad, at = _one_element_stream(boundary, layer,
+                                  _rec(XY, struct.pack(">3i", 0, 0, 10)), endel)
+    with pytest.raises(OddLength) as err:
+        read_gds(bad)
+    assert err.value.offset == at + len(boundary) + len(layer)
+    # an element with no coordinates at all
+    for no_xy in ((), (_rec(XY),)):
+        bad, at = _one_element_stream(boundary, layer, *no_xy, endel)
+        with pytest.raises(TruncatedRecord, match="boundary.*no XY"):
+            layout_from_gds(bad)
+
+
+def test_mutated_streams_fail_only_with_typed_errors():
+    data = run_pipeline(rows=2, cols=2).gds_bytes
+    rng = random.Random(0)
+    leaks = []
+    for _ in range(300):
+        buf = bytearray(data)
+        for _ in range(3):
+            buf[rng.randrange(len(buf))] = rng.randrange(256)
+        try:
+            layout_from_gds(bytes(buf))
+        except SqchipError:
+            pass
+        except Exception as exc:
+            leaks.append(repr(exc))
+    assert leaks == []
 
 
 def test_coordinates_beyond_the_grid_refuse_to_write():

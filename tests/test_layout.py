@@ -11,6 +11,7 @@ from sqchip.errors import (
     NonPositiveInput,
     PitchTooSmall,
     PlacementOverlap,
+    SpecInfeasible,
     UnknownSelector,
 )
 from sqchip.layout import (
@@ -171,7 +172,11 @@ def test_readout_bus_rejects_rows_without_meander_room():
     with pytest.raises(PitchTooSmall):
         generate_readout_bus(layout, ["q0", "q1"], 6.535e9, 7.246e9,
                              cell_clear=1700.0)
-    with pytest.raises(ValueError):
+
+
+def test_readout_bus_refuses_an_unordered_row_with_a_typed_error():
+    layout = place_qubits(generate_grid(1, 2), "xmon", pitch=2000.0)
+    with pytest.raises(SpecInfeasible, match="ordered left to right"):
         generate_readout_bus(layout, ["q1", "q0"], 6.535e9, 7.246e9)
 
 

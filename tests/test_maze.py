@@ -5,14 +5,7 @@ from collections import deque
 
 import pytest
 
-from sqchip.components import LAYER_PIN, LAYER_QUBIT
-from sqchip.errors import (
-    BlockedEndpoint,
-    DegenerateGrid,
-    NoPath,
-    SpecInfeasible,
-    UnknownSelector,
-)
+from sqchip.errors import BlockedEndpoint, DegenerateGrid, NoPath
 from sqchip.layout import place_qubits
 from sqchip.maze import (
     GridGraph,
@@ -89,11 +82,9 @@ def test_route_cost_matches_breadth_first_search_on_random_mazes():
         want = _bfs_distance(grid, start, goal)
         if want is None:
             with pytest.raises(NoPath):
-                route_net(grid, start, goal, k_corner=0.0, k_cross=0.0,
-                          mark=False)
+                route_net(grid, start, goal, k_corner=0.0, k_cross=0.0)
         else:
-            cells = route_net(grid, start, goal, k_corner=0.0, k_cross=0.0,
-                              mark=False)
+            cells = route_net(grid, start, goal, k_corner=0.0, k_cross=0.0)
             assert len(cells) - 1 == want
 
 
@@ -119,13 +110,17 @@ def test_route_degenerate_cases():
         GridGraph(0, 5, (0.0, 0.0), 50.0)
     grid = GridGraph(3, 3, (0.0, 0.0), 50.0)
     assert route_net(grid, (1, 1), (1, 1)) == [(1, 1)]
-    assert grid.occupied[1 * 3 + 1] == 1
+    assert not any(grid.occupied)
 
 
-def test_route_rejects_unknown_penalty_mode():
-    grid = GridGraph(3, 3, (0.0, 0.0), 50.0)
-    with pytest.raises(UnknownSelector, match="estimate-only"):
-        route_net(grid, (0, 0), (2, 2), penalty_mode="greedy")
+def test_route_net_only_reads_the_grid():
+    grid = GridGraph(9, 9, (0.0, 0.0), 50.0)
+    grid.blocked[4 * 9 + 4] = True
+    blocked = list(grid.blocked)
+    cells = route_net(grid, (0, 0), (8, 8))
+    assert len(cells) == 17
+    assert grid.occupied == [0] * 81
+    assert grid.blocked == blocked
 
 
 def test_staircase_of_alternating_steps_has_one_corner_per_switch():
@@ -154,10 +149,8 @@ def test_costly_crossings_push_the_route_around_an_occupied_wall():
         grid.mark_path([(4, r) for r in range(8)])   # occupied column, gap on top
         return grid
 
-    cheap = route_net(build(), (0, 4), (8, 4), k_corner=0.0, k_cross=0.0,
-                      mark=False)
-    dear = route_net(build(), (0, 4), (8, 4), k_corner=0.0, k_cross=100.0,
-                     mark=False)
+    cheap = route_net(build(), (0, 4), (8, 4), k_corner=0.0, k_cross=0.0)
+    dear = route_net(build(), (0, 4), (8, 4), k_corner=0.0, k_cross=100.0)
     g = build()
     assert count_crossings(g, cheap) == 1
     assert count_crossings(g, dear) == 0
@@ -170,7 +163,7 @@ def test_crossings_never_increase_with_the_crossing_weight():
         for col in (2, 4, 6):
             grid.mark_path([(col, r) for r in range(8)])
         cells = route_net(grid, (0, 4), (8, 4), k_corner=0.0,
-                          k_cross=k_cross, mark=False)
+                          k_cross=k_cross)
         grid2 = GridGraph(9, 9, (0.0, 0.0), 50.0)
         for col in (2, 4, 6):
             grid2.mark_path([(col, r) for r in range(8)])
@@ -178,13 +171,6 @@ def test_crossings_never_increase_with_the_crossing_weight():
 
     counts = [routed_crossings(k) for k in (0.0, 0.5, 2.0, 10.0, 1000.0)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-
-def test_estimate_only_mode_still_finds_shortest_paths_on_open_grids():
-    grid = GridGraph(12, 12, (0.0, 0.0), 50.0)
-    cells = route_net(grid, (1, 1), (10, 8), penalty_mode="estimate-only",
-                      mark=False)
-    assert len(cells) - 1 == 9 + 7
 
 
 def test_route_all_routes_in_order_and_records_failures():
@@ -234,14 +220,6 @@ def test_build_grid_refuses_a_non_positive_cell(cell):
     # the pipeline refuses the cell before any stage runs
     with pytest.raises(DegenerateGrid, match="maze_cell"):
         run_pipeline(strategy="maze", maze_cell=cell)
-
-
-def test_build_grid_refuses_the_pin_layer_as_an_obstacle():
-    layout = place_qubits(generate_grid(1, 1), "xmon", pitch=2000.0)
-    with pytest.raises(SpecInfeasible, match="pin layer"):
-        build_grid(layout, block_layers=(LAYER_PIN,))
-    grid = build_grid(layout, block_layers=(LAYER_QUBIT,))
-    assert any(grid.blocked)
 
 
 def test_resolve_target_finds_feedline_ends_and_qubit_ports():

@@ -185,9 +185,11 @@ def test_pattern_without_a_plan_needs_the_topology():
     layout = place_qubits(topo, "xmon", pitch=2000.0)
     for row in rows_bottom_up(topo):
         generate_readout_bus(layout, row, 6.535e9, 7.246e9)
-    with pytest.raises(SpecInfeasible):
+    with pytest.raises(SpecInfeasible, match="allocate_pins"):
         route_pattern(layout)
-    result = route_pattern(layout, topo)
+    assert layout.paths == [p for p in layout.paths if p.kind == "feedline"]
+    allocate_pins(layout, topo)
+    result = route_pattern(layout)
     assert result.nets_routed == total_pins(topo)
 
 

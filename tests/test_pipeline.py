@@ -11,6 +11,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -88,8 +89,16 @@ def test_maze_pipeline_glues_tails_and_stays_clean():
     for net, path in routed.items():
         assert path.cells is not None
         assert path.points[0] == pins[net].position
-        expected = "transmission" if net.startswith("tx_") else "control"
-        assert path.kind == expected
+        assert path.kind == pins[net].role
+
+
+def test_maze_and_pattern_runs_report_the_same_net_roles():
+    roles = {}
+    for strategy in ("pattern", "maze"):
+        result = run_pipeline(rows=3, cols=3, strategy=strategy)
+        roles[strategy] = Counter(p.kind for p in result.routing.paths)
+    assert roles["maze"] == roles["pattern"] == {"control": 9,
+                                                 "transmission": 6}
 
 
 def test_flip_chip_run_places_indium_and_routes_opposite():
@@ -115,9 +124,6 @@ def test_config_rejects_bad_knobs_up_front(monkeypatch):
     monkeypatch.setattr(pipeline, "dispatch", no_stage)
     with pytest.raises(UnknownSelector, match="'foo'.*'xmon', 'transmon'"):
         run_pipeline(qubit_style="foo")
-    with pytest.raises(UnknownSelector,
-                       match="'bogus'.*'exact', 'estimate-only'"):
-        run_pipeline(strategy="maze", penalty_mode="bogus")
     for cell in (0.0, -50.0, float("nan")):
         with pytest.raises(DegenerateGrid, match="maze_cell"):
             run_pipeline(strategy="maze", maze_cell=cell)
