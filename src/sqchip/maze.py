@@ -1,10 +1,15 @@
 """Grid maze router: sequential A* with corner and crossing penalties.
 
 Search states are (cell, incoming direction) pairs so the corner cost is part
-of the optimization, not a post-hoc tiebreak. There is one cost model: every
-penalty goes into the accumulated cost, so the returned path minimizes
-steps + k_corner * corners + k_cross * crossings exactly. ``route_net`` is a
-pure search; ``route_all`` is the only writer of ``GridGraph.occupied``.
+of the optimization, not a post-hoc tiebreak. Each state is packed into one
+int, ``(r * cols + c) * 5 + (d + 1)``, and ``best``/``came`` are dicts keyed
+by it; the packing orders states exactly as (cell index, direction) tuples
+would, so heap ties break the same way and the routed cells do not depend
+on the encoding. There is one cost model: every penalty goes into the
+accumulated cost, so the returned path minimizes
+steps + k_corner * corners + k_cross * crossings exactly, and both penalties
+must be finite and non-negative. ``route_net`` is a pure search;
+``route_all`` is the only writer of ``GridGraph.occupied``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .errors import BlockedEndpoint, DegenerateGrid, NoPath
+from .errors import BlockedEndpoint, DegenerateGrid, NoPath, NonPositiveInput
 from .routing import RoutedPath, RoutingResult
 
 # direction encoding: index into _STEPS; -1 means "no direction yet"
@@ -100,7 +105,8 @@ def build_grid(layout, cell: float = 50.0, clearance: float = 20.0) -> GridGraph
 def heuristic(cell: tuple[int, int], goal: tuple[int, int],
               direction: int, k_corner: float) -> float:
     """Admissible remaining-cost bound: Manhattan distance plus a corner
-    lower bound (one forced turn when the goal is off-axis or behind)."""
+    lower bound (one forced turn when the goal is off-axis or behind).
+    ``route_net`` inlines this expression; the two must stay in step."""
     dx = goal[0] - cell[0]
     dy = goal[1] - cell[1]
     h = abs(dx) + abs(dy)
@@ -115,6 +121,14 @@ def heuristic(cell: tuple[int, int], goal: tuple[int, int],
         if (dx != 0 and sy != 0) or (dy != 0 and sx != 0) or along < 0:
             corners = 1
     return h + k_corner * corners
+
+
+def check_penalty(name: str, value: float) -> None:
+    """Raise NonPositiveInput unless a routing penalty is finite and
+    non-negative: a negative one makes cost cycles that A* never leaves."""
+    if not 0.0 <= value < math.inf:
+        raise NonPositiveInput(f"{name} must be finite and non-negative, "
+                               f"got {value}")
 
 
 def count_corners(cells: list[tuple[int, int]]) -> int:
@@ -139,8 +153,19 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
 
     Each step costs 1, plus k_corner when it turns and k_cross when it enters
     an occupied cell, so the path is optimal for that combined objective.
-    The grid is only read: marking the path is the caller's job.
+    Both penalties must pass ``check_penalty``. The grid is only read:
+    marking the path is the caller's job.
+
+    A search state (cell (c, r), incoming direction d) is the one int
+    ``(r * cols + c) * 5 + (d + 1)``, with d = -1 before the first step.
+    It grows strictly with (row-major cell index, d), so heap entries
+    ``(f, h, state, g)`` pop in the same order, ties included, as entries
+    keyed by (f, h, cell index, d), and the search returns the same cells.
+    The heuristic is ``heuristic()`` inlined, with the same float
+    expression, so every f is bit-identical too.
     """
+    check_penalty("k_corner", k_corner)
+    check_penalty("k_cross", k_cross)
     for name, (c, r) in (("start", start), ("goal", goal)):
         if not grid.in_bounds(c, r):
             raise BlockedEndpoint(f"{name} cell {(c, r)} outside the grid")
@@ -151,50 +176,61 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
 
     blocked = grid.blocked
     occupied = grid.occupied
-    cols = grid.cols
-    best: dict[tuple[int, int, int], float] = {}
-    came: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    cols, rows = grid.cols, grid.rows
+    gc, gr = goal
+    # step cost, indexed by "enters an occupied cell"; summed in the order
+    # 1 + k_corner + k_cross so every g is bit-identical to adding in steps
+    straight = (1.0, 1.0 + k_cross)
+    turning = (1.0 + k_corner, 1.0 + k_corner + k_cross)
+    # per direction: (d + 1, dc, dr, cell index offset)
+    moves = [(nd + 1, sx, sy, sy * cols + sx)
+             for nd, (sx, sy) in enumerate(_STEPS)]
+    s = (start[1] * cols + start[0]) * 5
     h0 = heuristic(start, goal, -1, k_corner)
-    # heap entries: (f, h, cell row-major index, dir, cell, g)
-    open_q = [(h0, h0, start[1] * cols + start[0], -1, start, 0.0)]
-    best[(start[0], start[1], -1)] = 0.0
-    goal_state = None
+    best = {s: 0.0}
+    came = {s: -1}
+    open_q = [(h0, h0, s, 0.0)]
+    heappop, heappush, best_get = heapq.heappop, heapq.heappush, best.get
+    inf = math.inf
     while open_q:
-        f, h, _, d, cell, g = heapq.heappop(open_q)
-        state = (cell[0], cell[1], d)
-        if g > best.get(state, float("inf")):
+        _, _, s, g = heappop(open_q)
+        if g > best[s]:
             continue
-        if cell == goal:
-            goal_state = state
+        i, d1 = divmod(s, 5)
+        r, c = divmod(i, cols)
+        if c == gc and r == gr:
             break
-        for nd, (sx, sy) in enumerate(_STEPS):
-            nc, nr = cell[0] + sx, cell[1] + sy
-            if not (0 <= nc < cols and 0 <= nr < grid.rows):
+        for nd1, sx, sy, di in moves:
+            nc = c + sx
+            nr = r + sy
+            if not (0 <= nc < cols and 0 <= nr < rows):
                 continue
-            ni = nr * cols + nc
+            ni = i + di
             if blocked[ni]:
                 continue
-            step = 1.0
-            if d >= 0 and nd != d:
-                step += k_corner
-            if occupied[ni] > 0:
-                step += k_cross
-            ng = g + step
-            nstate = (nc, nr, nd)
-            if ng < best.get(nstate, float("inf")) - 1e-12:
-                best[nstate] = ng
-                came[nstate] = state
-                nh = heuristic((nc, nr), goal, nd, k_corner)
-                heapq.heappush(open_q, (ng + nh, nh, ni, nd, (nc, nr), ng))
-    if goal_state is None:
+            cost = turning if d1 and nd1 != d1 else straight
+            ng = g + cost[occupied[ni] > 0]
+            ns = ni * 5 + nd1
+            if ng < best_get(ns, inf) - 1e-12:
+                best[ns] = ng
+                came[ns] = s
+                dx = gc - nc
+                dy = gr - nr
+                if dx == 0 and dy == 0:
+                    nh = 0.0
+                elif dx * sy != dy * sx or dx * sx + dy * sy < 0:
+                    # off-axis or behind: one forced turn
+                    nh = abs(dx) + abs(dy) + k_corner
+                else:
+                    nh = abs(dx) + abs(dy) + 0.0    # a float, as heuristic()
+                heappush(open_q, (ng + nh, nh, ns, ng))
+    else:
         raise NoPath(f"no route from {start} to {goal}")
 
     cells = []
-    s = goal_state
-    while True:
-        cells.append((s[0], s[1]))
-        if s[:2] == start and s[2] == -1 and s not in came:
-            break
+    while s >= 0:
+        r, c = divmod(s // 5, cols)
+        cells.append((c, r))
         s = came[s]
     cells.reverse()
     return cells

@@ -45,7 +45,7 @@ from .layout import (
     generate_readout_bus,
     place_qubits,
 )
-from .maze import build_grid, resolve_target, route_all
+from .maze import build_grid, check_penalty, resolve_target, route_all
 from .pattern import allocate_pins, map_pins, route_pattern
 from .process import (
     apply_rules,
@@ -95,6 +95,8 @@ class PipelineConfig:
         if not self.maze_cell > 0:
             raise DegenerateGrid(f"maze_cell must be positive, "
                                  f"got {self.maze_cell} um")
+        check_penalty("corner_penalty", self.corner_penalty)
+        check_penalty("cross_penalty", self.cross_penalty)
         for name, allowed in SELECTORS.items():
             check_selector(name, getattr(self, name), allowed)
         get_process(self.process)

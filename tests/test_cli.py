@@ -142,6 +142,21 @@ def test_pipeline_stage_failure_exits_3(tmp_path, capsys):
     assert "stage 'layout'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--cross-penalty", "--corner-penalty"])
+def test_pipeline_refuses_a_negative_penalty_up_front(tmp_path, capsys,
+                                                     monkeypatch, flag):
+    # a negative penalty would send the maze router round a cost cycle
+    # forever, so no stage may start
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the config was checked")
+    monkeypatch.setattr("sqchip.pipeline.dispatch", no_stage)
+    assert _run(tmp_path, "pipeline", "--strategy", "maze", flag, "-5") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "chip.sqd").exists()
+
+
 def test_bench_command_writes_csv(tmp_path, capsys):
     code = _run(tmp_path, "bench", "--sizes", "2x2,3x3,4x4",
                 "--strategies", "pattern", "--repetitions", "3")

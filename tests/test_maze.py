@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from types import SimpleNamespace
 
+import maze_reference
 import pytest
 
-from sqchip.errors import BlockedEndpoint, DegenerateGrid, NoPath
+from sqchip import maze
+from sqchip.errors import BlockedEndpoint, DegenerateGrid, NoPath, NonPositiveInput
 from sqchip.layout import place_qubits
 from sqchip.maze import (
     GridGraph,
@@ -86,6 +89,59 @@ def test_route_cost_matches_breadth_first_search_on_random_mazes():
         else:
             cells = route_net(grid, start, goal, k_corner=0.0, k_cross=0.0)
             assert len(cells) - 1 == want
+
+
+def _reference_outcome(route, grid, start, goal, k_corner, k_cross):
+    try:
+        return route(grid, start, goal, k_corner, k_cross)
+    except (NoPath, BlockedEndpoint) as exc:
+        return type(exc)
+
+
+def test_route_net_returns_the_reference_cells_on_random_grids():
+    # the int-state search must pop states in the tuple-state order, ties
+    # included, so it returns the very same cells, not just as cheap ones
+    rng = random.Random(0)
+    weights = (0.0, 0.5, 1.0, 2.0, 100.0)
+    outcomes = set()
+    for _ in range(300):
+        cols, rows = rng.randint(1, 12), rng.randint(1, 12)
+        grid = GridGraph(cols, rows, (0.0, 0.0), 50.0)
+        p_block, p_busy = rng.random() * 0.4, rng.random() * 0.6
+        for i in range(cols * rows):
+            grid.blocked[i] = rng.random() < p_block
+            grid.occupied[i] = rng.randint(1, 3) if rng.random() < p_busy else 0
+        # now and then an endpoint one cell outside the grid
+        start = (rng.randint(0, cols), rng.randrange(rows))
+        goal = (rng.randrange(cols), rng.randint(-1, rows - 1))
+        k_corner, k_cross = rng.choice(weights), rng.choice(weights)
+        want = _reference_outcome(maze_reference.route_net, grid, start, goal,
+                                  k_corner, k_cross)
+        got = _reference_outcome(route_net, grid, start, goal,
+                                 k_corner, k_cross)
+        assert got == want, (cols, rows, start, goal, k_corner, k_cross)
+        outcomes.add(want if isinstance(want, type) else list)
+    # every kind of outcome was exercised
+    assert outcomes == {list, NoPath, BlockedEndpoint}
+
+
+@pytest.mark.parametrize("bad", [-5.0, -1e-9, float("inf"), float("nan")])
+def test_route_net_refuses_a_negative_or_non_finite_penalty(bad, monkeypatch):
+    # a negative crossing price next to a marked row is a negative-cost
+    # cycle; the router must refuse it before searching, not loop forever
+    grid = GridGraph(6, 6, (0.0, 0.0), 50.0)
+    grid.mark_path([(c, 3) for c in range(6)])
+
+    def no_search(*args):
+        raise AssertionError("route_net searched before checking penalties")
+    monkeypatch.setattr(maze, "heapq",
+                        SimpleNamespace(heappush=no_search, heappop=no_search))
+    with pytest.raises(NonPositiveInput, match="k_cross"):
+        route_net(grid, (0, 0), (5, 5), k_corner=1.0, k_cross=bad)
+    with pytest.raises(NonPositiveInput, match="k_corner"):
+        route_net(grid, (0, 0), (5, 5), k_corner=bad, k_cross=2.0)
+    monkeypatch.undo()
+    assert route_net(grid, (0, 0), (5, 5), k_corner=0.0, k_cross=0.0)
 
 
 def test_route_rejects_blocked_or_outside_endpoints():

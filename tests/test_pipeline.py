@@ -127,6 +127,11 @@ def test_config_rejects_bad_knobs_up_front(monkeypatch):
     for cell in (0.0, -50.0, float("nan")):
         with pytest.raises(DegenerateGrid, match="maze_cell"):
             run_pipeline(strategy="maze", maze_cell=cell)
+    for name in ("corner_penalty", "cross_penalty"):
+        for bad in (-5.0, -1e-9, float("inf"), float("nan")):
+            with pytest.raises(NonPositiveInput, match=name):
+                run_pipeline(rows=2, cols=2, strategy="maze", **{name: bad})
+    assert PipelineConfig(corner_penalty=0.0, cross_penalty=0.0)
 
 
 def test_stages_edit_the_one_layout_without_copying_it(monkeypatch):
@@ -179,6 +184,9 @@ ROADMAP_PINS = [
     (dict(rows=8, cols=8), "f1e3025a9b75b201"),
     (dict(rows=2, cols=2, strategy="maze"), "7ee3fbc033cb233c"),
     (dict(rows=3, cols=3, strategy="maze"), "4fc207a065af842b"),
+    (dict(rows=4, cols=4, strategy="maze"), "6b814d96e16c5a1f"),
+    (dict(rows=5, cols=5, strategy="maze"), "55725edd10799e8b"),
+    (dict(rows=6, cols=6, strategy="maze"), "d18ab1dcf732fad2"),
     (dict(rows=2, cols=2, flip_chip=True), "d65b462c44993dc6"),
 ]
 
