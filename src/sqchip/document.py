@@ -284,6 +284,10 @@ def save(doc: DesignDocument, layout_ref: str | None = None) -> bytes:
             raise MissingSubEntity(
                 "document has a layout; pass layout_ref for the GDS sidecar")
         payload["layout_ref"] = str(layout_ref)
+        # the GDS sidecar has no field for the stack, so a flip-chip layout
+        # says so here; single-face files keep their bytes
+        if doc.layout.flip_chip:
+            payload["flip_chip"] = True
     payload["provenance"] = doc.provenance_log
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
@@ -325,6 +329,11 @@ def load(data: bytes, base_dir: str | Path = ".") -> DesignDocument:
         except FileNotFoundError as e:
             raise ParseError(f"layout sidecar {ref} not found",
                              path="layout_ref") from e
+    if "flip_chip" in payload:
+        if not isinstance(payload["flip_chip"], bool) or doc.layout is None:
+            raise ParseError("flip_chip must be true or false, next to a "
+                             "layout_ref", path="flip_chip")
+        doc.layout.flip_chip = payload["flip_chip"]
     provenance = payload.get("provenance", [])
     if not (isinstance(provenance, list)
             and all(isinstance(r, dict) for r in provenance)):

@@ -15,7 +15,8 @@ or randomness anywhere in the flow.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .circuit import EquivalentCircuit, inverse_solve
 from .components import LAYER_OPPOSITE, LAYER_ROUTING
@@ -92,11 +93,20 @@ class PipelineConfig:
         if self.rows < 1 or self.cols < 1:
             raise NonPositiveInput(f"grid dims must be positive integers, "
                                    f"got {self.rows}x{self.cols}")
-        if not self.maze_cell > 0:
-            raise DegenerateGrid(f"maze_cell must be positive, "
+        if not 0 < self.maze_cell < math.inf:
+            raise DegenerateGrid(f"maze_cell must be positive and finite, "
                                  f"got {self.maze_cell} um")
         check_penalty("corner_penalty", self.corner_penalty)
         check_penalty("cross_penalty", self.cross_penalty)
+        # a nan or inf would otherwise surface mid-run as a raw ValueError
+        # from the GDS writer, or pass through the solvers unnoticed
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise NonPositiveInput(f"{f.name} must be finite, "
+                                       f"got {getattr(self, f.name)}")
+        if not all(math.isfinite(q) for q in self.qubit_frequencies):
+            raise NonPositiveInput(f"qubit_frequencies must be finite, "
+                                   f"got {self.qubit_frequencies}")
         for name, allowed in SELECTORS.items():
             check_selector(name, getattr(self, name), allowed)
         get_process(self.process)

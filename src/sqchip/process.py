@@ -6,10 +6,12 @@ an empty list exactly when the layout satisfies every checked rule.
 
 The pairwise scans (bridge crossings and deck cover, DRC spacing and
 component overlap, the widening check, the indium keep-out) take candidates
-from a geometry.BinIndex and decide each with its exact predicate. They
-visit candidates in all-pairs order (path i < j, then segment of i, then
-of j), so bridge numbering, DRC report order and GDS bytes match a scan
-over all pairs.
+from a geometry.BinIndex and decide each with its exact predicate. The
+segment scan files each path as runs of consecutive segments that fit one
+bin, so a fillet arc is one index entry, and box-tests segment pairs only
+inside two runs that meet. All scans visit candidates in all-pairs order
+(path i < j, then segment of i, then of j), so bridge numbering, DRC report
+order and GDS bytes match a scan over all pairs.
 """
 
 from __future__ import annotations
@@ -206,6 +208,29 @@ def _box(seg, grow: float = 0.0):
             max(ax, bx) + grow, max(ay, by) + grow)
 
 
+def _runs(points, cell: float):
+    """Split a path into runs: maximal stretches of consecutive segments
+    whose union box is at most `cell` on a side (a segment longer than that
+    is a run of its own). Returns (lo, hi, box) per run, covering segments
+    lo..hi-1, that is points lo..hi."""
+    runs = []
+    lo, last = 0, len(points) - 1
+    while lo < last:
+        x0, y0 = x1, y1 = points[lo]
+        hi = lo
+        while hi < last:
+            x, y = points[hi + 1]
+            ux0, uy0 = min(x0, x), min(y0, y)
+            ux1, uy1 = max(x1, x), max(y1, y)
+            if hi > lo and (ux1 - ux0 > cell or uy1 - uy0 > cell):
+                break
+            x0, y0, x1, y1 = ux0, uy0, ux1, uy1
+            hi += 1
+        runs.append((lo, hi, (x0, y0, x1, y1)))
+        lo = hi
+    return runs
+
+
 def _near_segment_pairs(paths, rules: ProcessRules, reach: float | None = None):
     """Segment pairs of different nets on one layer whose boxes come within
     `reach` (default: the largest spacing requirement), in all-pairs order.
@@ -213,23 +238,41 @@ def _near_segment_pairs(paths, rules: ProcessRules, reach: float | None = None):
     Yields (a, b, [(s1, s2), ...]) for paths a = paths[i], b = paths[j],
     i < j, with the pairs sorted by segment index in a, then in b. Pairs are
     gathered one path at a time, never for the whole layout at once.
+
+    The index holds runs of segments (see _runs), not single segments: a
+    fillet arc is one entry instead of sixteen. A run's box contains each of
+    its segments' boxes, so a run query loses no candidate; the segment
+    pairs of two runs that meet are then box-tested one by one.
     """
     if reach is None:
         reach = _spacing_reach(rules, paths)
     reach += _SLACK
-    segs = [path_segments(p.points) for p in paths]
-    index = BinIndex(_bin_size(rules, paths))
+    cell = _bin_size(rules, paths)
+    runs = [_runs(p.points, cell) for p in paths]
+    index = BinIndex(cell)
     for i, p in enumerate(paths):
-        for k, seg in enumerate(segs[i]):
-            index.add(p.layer, _box(seg), (i, k))
+        for r, (_, _, box) in enumerate(runs[i]):
+            index.add(p.layer, box, (i, r))
     for i, a in enumerate(paths):
         near: dict[int, list[tuple[int, int]]] = {}
-        for k, seg in enumerate(segs[i]):
-            for j, l in index.query(a.layer, _box(seg, reach)):
-                if j > i and paths[j].net != a.net:
-                    near.setdefault(j, []).append((k, l))
+        for lo, hi, (x0, y0, x1, y1) in runs[i]:
+            grown = (x0 - reach, y0 - reach, x1 + reach, y1 + reach)
+            for j, r in index.query(a.layer, grown):
+                if j <= i or paths[j].net == a.net:
+                    continue
+                jlo, jhi, _ = runs[j][r]
+                theirs = [(l, _box(seg)) for l, seg in enumerate(
+                    path_segments(paths[j].points[jlo:jhi + 1]), jlo)]
+                for k, seg in enumerate(
+                        path_segments(a.points[lo:hi + 1]), lo):
+                    qx0, qy0, qx1, qy1 = _box(seg, reach)
+                    for l, b in theirs:
+                        if b[0] <= qx1 and qx0 <= b[2] and b[1] <= qy1 \
+                                and qy0 <= b[3]:
+                            near.setdefault(j, []).append((k, l))
         for j in sorted(near):
-            yield a, paths[j], [(segs[i][k], segs[j][l])
+            pa, pb = a.points, paths[j].points
+            yield a, paths[j], [((pa[k], pa[k + 1]), (pb[l], pb[l + 1]))
                                 for k, l in sorted(near[j])]
 
 

@@ -15,7 +15,7 @@ from sqchip.geometry import (
     segment_crossing_point,
     segment_distance,
 )
-from sqchip.process import Violation, _endpoint_touch, _segment_at
+from sqchip.process import _SLACK, Violation, _endpoint_touch, _segment_at
 
 
 def bridged(layout, pt) -> bool:
@@ -26,6 +26,33 @@ def bridged(layout, pt) -> bool:
                     y0 - 1e-6 <= pt[1] <= y1 + 1e-6:
                 return True
     return False
+
+
+def near_segment_pairs(paths, rules, reach=None) -> list:
+    """Every segment pair of two different-net paths on one layer whose
+    boxes come within reach (plus the index slack), as (a, b, pairs) for
+    paths a before b, pairs in segment order of a, then of b."""
+    if reach is None:
+        reach = rules.min_spacing + max((p.width for p in paths), default=0.0)
+    reach += _SLACK
+    out = []
+    for i, a in enumerate(paths):
+        for b in paths[i + 1:]:
+            if a.layer != b.layer or a.net == b.net:
+                continue
+            pairs = []
+            for s1 in path_segments(a.points):
+                (ax, ay), (bx, by) = s1
+                for s2 in path_segments(b.points):
+                    (cx, cy), (dx, dy) = s2
+                    if min(cx, dx) <= max(ax, bx) + reach \
+                            and min(ax, bx) - reach <= max(cx, dx) \
+                            and min(cy, dy) <= max(ay, by) + reach \
+                            and min(ay, by) - reach <= max(cy, dy):
+                        pairs.append((s1, s2))
+            if pairs:
+                out.append((a, b, pairs))
+    return out
 
 
 def path_crossings(pa, pb) -> list[tuple[float, float]]:

@@ -11,6 +11,7 @@ from dataclasses import fields
 import pytest
 
 from sqchip.cli import _parser, main
+from sqchip.components import LAYER_INDIUM
 from sqchip.document import load_document, save_document
 from sqchip.pipeline import PipelineConfig, run_pipeline
 
@@ -92,6 +93,16 @@ def test_procmap_refreshes_the_sidecar(tmp_path, capsys):
     assert doc.process_rules.name == "generic-10um"
 
 
+def test_staged_flip_chip_procmap_places_indium_after_the_reload(tmp_path):
+    _run(tmp_path, "topo", "--rows", "2", "--cols", "2")
+    assert _run(tmp_path, "route", "--flip-chip") == 0
+    assert load_document(tmp_path / "chip.sqd").layout.flip_chip
+    assert _run(tmp_path, "procmap") == 0
+    doc = load_document(tmp_path / "chip.sqd")
+    assert sum(LAYER_INDIUM in c.footprint
+               for c in doc.layout.components) > 0
+
+
 def test_route_maze_strategy(tmp_path, capsys):
     _run(tmp_path, "topo", "--rows", "2", "--cols", "2")
     assert _run(tmp_path, "route", "--strategy", "maze") == 0
@@ -142,19 +153,31 @@ def test_pipeline_stage_failure_exits_3(tmp_path, capsys):
     assert "stage 'layout'" in capsys.readouterr().err
 
 
+def _assert_refused_up_front(tmp_path, capsys, monkeypatch, field, *argv):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the config was checked")
+    monkeypatch.setattr("sqchip.pipeline.dispatch", no_stage)
+    assert _run(tmp_path, "pipeline", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "chip.sqd").exists()
+
+
 @pytest.mark.parametrize("flag", ["--cross-penalty", "--corner-penalty"])
 def test_pipeline_refuses_a_negative_penalty_up_front(tmp_path, capsys,
                                                      monkeypatch, flag):
     # a negative penalty would send the maze router round a cost cycle
     # forever, so no stage may start
-    def no_stage(*args, **kwargs):
-        raise AssertionError("a stage ran before the config was checked")
-    monkeypatch.setattr("sqchip.pipeline.dispatch", no_stage)
-    assert _run(tmp_path, "pipeline", "--strategy", "maze", flag, "-5") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "chip.sqd").exists()
+    _assert_refused_up_front(tmp_path, capsys, monkeypatch,
+                             flag[2:].replace("-", "_"),
+                             "--strategy", "maze", flag, "-5")
+
+
+def test_pipeline_refuses_a_non_finite_pitch_up_front(tmp_path, capsys,
+                                                      monkeypatch):
+    _assert_refused_up_front(tmp_path, capsys, monkeypatch, "pitch",
+                             "--pitch", "nan")
 
 
 def test_bench_command_writes_csv(tmp_path, capsys):

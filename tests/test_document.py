@@ -293,6 +293,9 @@ def test_load_names_the_malformed_section():
         "qubit_id": "q0", "C_q": "65fF", "E_C": 3e8, "E_J": 1.2e10,
         "I_c": 2.4e-8, "R_n": 1.2e4, "L_j": 1.4e-8, "f_q": 4.3e9}},
         "couplings": {}}),
+    ("flip_chip", "yes"),
+    ("flip_chip", 1),
+    ("flip_chip", True),             # no layout_ref to apply it to
 ])
 def test_load_rejects_a_wrongly_shaped_section_naming_it(section, value):
     payload = {"meta": {"name": "x", "version": SCHEMA_VERSION},
@@ -326,3 +329,19 @@ def test_save_document_pairs_file_with_relocatable_sidecar(tmp_path):
     assert back.layout is not None
     # re-emitting the imported layout reproduces the sidecar byte for byte
     assert write_gds(back.layout) == sidecar.read_bytes()
+
+
+def test_flip_chip_survives_the_sidecar_round_trip(tmp_path):
+    topo = generate_grid(2, 2)
+    single = save_document(DesignDocument("s", topology=topo,
+                                          layout=place_qubits(topo)),
+                           tmp_path / "single.sqd")
+    assert "flip_chip" not in json.loads(single.read_bytes())
+    assert load_document(single).layout.flip_chip is False
+
+    layout = place_qubits(topo)
+    layout.flip_chip = True
+    flip = save_document(DesignDocument("f", topology=topo, layout=layout),
+                         tmp_path / "flip.sqd")
+    assert json.loads(flip.read_bytes())["flip_chip"] is True
+    assert load_document(flip).layout.flip_chip is True

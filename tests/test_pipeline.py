@@ -7,6 +7,7 @@ keep the loop fast.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -134,6 +135,24 @@ def test_config_rejects_bad_knobs_up_front(monkeypatch):
     assert PipelineConfig(corner_penalty=0.0, cross_penalty=0.0)
 
 
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)
+                if f.type == "float"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", FLOAT_FIELDS + ["qubit_frequencies"])
+def test_config_refuses_a_non_finite_value_naming_the_field(monkeypatch, name,
+                                                             bad):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the config was checked")
+    monkeypatch.setattr(pipeline, "dispatch", no_stage)
+    value = (4.3e9, bad) if name == "qubit_frequencies" else bad
+    # maze_cell keeps its own error type, the one a zero cell raises
+    error = DegenerateGrid if name == "maze_cell" else NonPositiveInput
+    with pytest.raises(error, match=name):
+        run_pipeline(rows=2, cols=2, **{name: value})
+
+
 def test_stages_edit_the_one_layout_without_copying_it(monkeypatch):
     real = copy.deepcopy
 
@@ -196,7 +215,7 @@ ROADMAP_PINS = [
 SQD_PINS = [
     (dict(rows=4, cols=4), "7b5d72730aa1aa0f"),
     (dict(rows=3, cols=3, strategy="maze"), "ab3009ecb8083ea9"),
-    (dict(rows=2, cols=2, flip_chip=True), "b2bceb6e969b70b7"),
+    (dict(rows=2, cols=2, flip_chip=True), "f3a0088d3bd1d4ed"),
 ]
 
 

@@ -16,6 +16,7 @@ from sqchip.process import (
     ProcessRules,
     Violation,
     _bin_size,
+    _near_segment_pairs,
     _check_widening,
     apply_rules,
     drc,
@@ -383,3 +384,68 @@ def test_indexed_scans_match_the_all_pairs_reference_on_maze_routes():
         lay = _maze_instance(seed)
         apply_rules(lay, GENERIC)      # fillets the routes first
         _assert_scans_match_reference(lay)
+
+
+def _scan_clutter(rng: random.Random) -> list[RoutedPath]:
+    """Walks with corners at arbitrary float coordinates, so fillet arcs
+    straddle bin edges, plus legs longer than a bin, zero-length segments,
+    diagonal legs and repeated net names."""
+    paths = []
+    for n in range(rng.randint(5, 8)):
+        x, y = rng.uniform(0.0, 900.0), rng.uniform(0.0, 900.0)
+        pts = [(x, y)]
+        for _ in range(rng.randint(1, 4)):
+            # short legs, or legs longer than the (at most) 160 um bin
+            step = rng.choice((rng.uniform(20.0, 80.0),
+                               rng.uniform(160.0, 480.0)))
+            step *= rng.choice((-1.0, 1.0))
+            move = rng.random()
+            if move < 0.45:
+                x += step
+            elif move < 0.9:
+                y += step
+            else:
+                x, y = x + step, y + step
+            pts.append((x, y))
+        if rng.random() < 0.3:
+            at = rng.randrange(len(pts))
+            pts.insert(at, pts[at])                    # zero-length segment
+        if rng.random() < 0.7:
+            pts = fillet_path(pts, GENERIC.fillet_radius)
+        paths.append(RoutedPath(f"n{rng.randrange(4)}", "control",
+                                rng.choice((2, 2, 3)), pts,
+                                rng.choice((10.0, 6.0))))
+    return paths
+
+
+def _scan_ids(scan, paths):
+    at = {id(p): n for n, p in enumerate(paths)}
+    return [(at[id(a)], at[id(b)], pairs) for a, b, pairs in scan]
+
+
+def test_near_segment_pairs_equal_the_all_pairs_oracle_in_order():
+    rng = random.Random(9)
+    seen = dict.fromkeys(("straddling arc", "long", "zero-length",
+                          "same-net", "pairs"), 0)
+    for _ in range(40):
+        paths = _scan_clutter(rng)
+        cell = _bin_size(GENERIC, paths)
+        for reach in (0.0, None, 1.5 * cell):
+            got = _scan_ids(_near_segment_pairs(paths, GENERIC, reach), paths)
+            want = _scan_ids(process_reference.near_segment_pairs(
+                paths, GENERIC, reach), paths)
+            assert got == want
+            seen["pairs"] += sum(len(pairs) for _, _, pairs in want)
+        for p in paths:
+            for (ax, ay), (bx, by) in zip(p.points, p.points[1:]):
+                span = max(abs(bx - ax), abs(by - ay))
+                seen["zero-length"] += span == 0.0
+                seen["long"] += span > cell
+                seen["straddling arc"] += 0.0 < span < GENERIC.fillet_radius \
+                    and (math.floor(ax / cell) != math.floor(bx / cell)
+                         or math.floor(ay / cell) != math.floor(by / cell))
+        seen["same-net"] += any(a.net == b.net and a.layer == b.layer
+                                for i, a in enumerate(paths)
+                                for b in paths[i + 1:])
+    # the sample really holds every shape the run index must get right
+    assert all(n > 5 for n in seen.values()), seen
