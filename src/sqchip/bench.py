@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .document import DesignDocument
-from .errors import SqchipError
+from .errors import SqchipError, check_selector
 from .pipeline import ROUTE_CORES, PipelineConfig, run_stages, selected_stages
 
 # Maze cells are 100 um here, twice the pipeline default, which keeps the
@@ -97,6 +97,8 @@ def bench_scaling(sizes: list[tuple[int, int]],
         raise SqchipError("no sizes to benchmark")
     if repetitions < 3:
         raise SqchipError("need at least 3 repetitions for a stable median")
+    for s in strategies:
+        check_selector("strategy", s, tuple(ROUTE_CORES))
     out = BenchResult()
     for s in strategies:
         for m, n in sizes:

@@ -24,7 +24,12 @@ from .devmap import MappingProblem, make_evaluator, map_qubit_capacitance, solve
 from .document import DesignDocument, ParameterBundle, inject
 # unused here; perfbench's INSTRUMENTED table traces sqchip.cli.dispatch
 from .document import dispatch  # noqa: F401
-from .errors import MissingSubEntity, SqchipError, StageError
+from .errors import (
+    InvalidDimension,
+    MissingSubEntity,
+    SqchipError,
+    StageError,
+)
 from .gdsio import export_svg, write_gds
 from .layout import place_qubits
 from .pipeline import (
@@ -207,6 +212,10 @@ def _cmd_stages(args) -> int:
 
 
 def _cmd_devmap(args) -> int:
+    lone = (args.lo is None) != (args.hi is None)
+    if lone or (args.lo is None and args.qubit is None):
+        raise MissingSubEntity("devmap takes --lo and --hi together, and "
+                               "needs them unless --qubit is given")
     evaluator = make_evaluator(args.evaluator)
     if args.qubit is not None:
         doc = _load_or_new(args)
@@ -220,20 +229,15 @@ def _cmd_devmap(args) -> int:
             c.kind in ("xmon", "transmon") for c in layout.components)
         if scratch:
             layout = place_qubits(doc.topology)
-        bounds = None
-        if args.lo is not None and args.hi is not None:
-            bounds = (args.lo, args.hi)
         result = map_qubit_capacitance(
             layout, args.qubit, args.target, evaluator=evaluator,
-            bounds=bounds, tolerance=args.tolerance,
-            max_iterations=args.max_iterations)
+            bounds=None if args.lo is None else (args.lo, args.hi),
+            tolerance=args.tolerance, max_iterations=args.max_iterations)
         sections = {} if scratch else {"layout": layout}
         doc = inject(doc, ParameterBundle(doc.version, sections),
                      operation=f"devmap:{args.qubit}")
         _save(doc, args)
     else:
-        if args.lo is None or args.hi is None:
-            raise MissingSubEntity("standalone devmap needs --lo and --hi")
         problem = MappingProblem(args.param, args.lo, args.hi, args.target,
                                  args.tolerance, args.max_iterations)
         result = solve(problem, evaluator)
@@ -288,7 +292,11 @@ def _cmd_bench(args) -> int:
     sizes = []
     for chunk in args.sizes.split(","):
         m, _, n = chunk.lower().partition("x")
-        sizes.append((int(m), int(n)))
+        try:
+            sizes.append((int(m), int(n)))
+        except ValueError:
+            raise InvalidDimension(f"--sizes entry {chunk!r} is not MxN"
+                                   ) from None
     strategies = tuple(s.strip() for s in args.strategies.split(","))
     result = bench_mod.bench_scaling(sizes, strategies, args.repetitions)
     out = Path(args.out)

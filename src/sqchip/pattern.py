@@ -9,6 +9,11 @@ columns serve the top/bottom edges (deeper target, outer lane) and
 horizontal bands under each row serve the side edges (nearer column, higher
 lane). The construction is planar by design: route_pattern never produces a
 crossing, at the price of only working on lattice layouts.
+
+The four edges differ only by the axis their pins run along and their
+outward sign (``_OUT``); every per-edge rule is written once in along-edge
+coordinates u and across-edge coordinates v, and ``_point`` turns a (u, v)
+pair into (x, y).
 """
 
 from __future__ import annotations
@@ -23,10 +28,22 @@ from .routing import Pin, RoutedPath, RoutingResult
 from .topology import Topology
 
 _EDGES = ("top", "bottom", "left", "right")
+# outward sign of each edge along its across-edge axis
+_OUT = {"top": 1, "bottom": -1, "left": -1, "right": 1}
 # enumeration direction along each edge, per die-corner conventions:
 # top runs x-descending, bottom x-ascending, left y-ascending, right
 # y-descending. Pin ids and offsets follow this order.
-_REVERSED = {"top": True, "bottom": False, "left": False, "right": True}
+_REVERSED = {e: _OUT[e] > 0 for e in _EDGES}
+# channel inner boundary off the content box, and drop clearance off a
+# qubit's bounding box, um
+_CLEARANCE = 20.0
+
+
+def _point(edge: str, u, v):
+    """(x, y) of along-edge u and across-edge v: (u, v) on top and bottom,
+    (v, u) on the sides. The swap is its own inverse, so it also maps an
+    (x, y) pair to (u, v)."""
+    return (u, v) if edge in ("top", "bottom") else (v, u)
 
 
 def edge_pin_counts(topology: Topology) -> dict[str, int]:
@@ -117,9 +134,7 @@ def _qubit_grid(layout, topology):
     off = info["origin"]
     pitch = info["pitch"]
     half = info.get("qubit_half_extent", 250.0)
-    by_pos = {}
-    for qid, (c, r) in topology.qubits.items():
-        by_pos[(c, r)] = qid
+    by_pos = {pos: qid for qid, pos in topology.qubits.items()}
     return m, n, off, pitch, half, by_pos
 
 
@@ -177,8 +192,7 @@ def _row_floor(layout, y_row, half) -> float:
     return floor
 
 
-def build_nets(layout, topology, lane_pitch: float = 25.0,
-               clearance: float = 20.0) -> PinPlan:
+def build_nets(layout, topology, lane_pitch: float = 25.0) -> PinPlan:
     """Plan entries and in-content approach polylines for every net."""
     m, n, off, pitch, half, by_pos = _qubit_grid(layout, topology)
     x_of = lambda c: off[0] + c * pitch
@@ -187,15 +201,11 @@ def build_nets(layout, topology, lane_pitch: float = 25.0,
     feeds = _feedline_ends(layout)
     T, B, L, R = _row_split(m, n)
     cx0, cy0, cx1, cy1 = layout.content_bbox()
+    bound = {"top": cy1, "bottom": cy0, "left": cx0, "right": cx1}
     lam = lane_pitch
-    side = half + clearance      # drop/corridor clearance off a qubit bbox
-
-    plan = PinPlan(lam, {
-        "top": _EdgePlan("top", cy1 + clearance),
-        "bottom": _EdgePlan("bottom", cy0 - clearance),
-        "left": _EdgePlan("left", cx0 - clearance),
-        "right": _EdgePlan("right", cx1 + clearance),
-    })
+    side = half + _CLEARANCE
+    plan = PinPlan(lam, {e: _EdgePlan(e, bound[e] + _OUT[e] * _CLEARANCE)
+                         for e in _EDGES})
 
     max_off = max(T - 1, B - 1)
     bases = _column_gaps(layout, n, off, pitch, lam, max_off) \
@@ -203,20 +213,9 @@ def build_nets(layout, topology, lane_pitch: float = 25.0,
 
     for r in range(m):
         edge = row_edge[r]
+        ep = plan.edges[edge]
         y = y_of(r)
-        if edge in ("top", "bottom"):
-            inner = plan.edges[edge].inner
-            for c in range(n):
-                qid = by_pos.get((c, r))
-                if qid is None:
-                    raise SpecInfeasible(f"lattice hole at ({c}, {r})")
-                depth = (m - 1 - r) if edge == "top" else r
-                ex = bases[c] + depth * lam
-                port = (x_of(c) + half, y)
-                plan.edges[edge].nets.append(_Net(
-                    f"ctl_{qid}", "control", edge, qid, ex,
-                    [(ex, inner), (ex, y), port]))
-        else:
+        if edge in ("left", "right"):
             # horizontal lane band below the row; nearer column, higher lane
             floor = _row_floor(layout, y, half)
             low = y - side - (n - 1) * lam
@@ -224,35 +223,31 @@ def build_nets(layout, topology, lane_pitch: float = 25.0,
                 raise CorridorExhausted(
                     f"row {r} band needs {n} lanes but only "
                     f"{y - side - floor:.0f} um of clear space below")
-            inner = plan.edges[edge].inner
-            for c in range(n):
-                qid = by_pos.get((c, r))
-                if qid is None:
-                    raise SpecInfeasible(f"lattice hole at ({c}, {r})")
-                if edge == "left":
-                    ly = y - side - c * lam
-                    drop = x_of(c) - side
-                    port = (x_of(c) - half, y)
-                else:
-                    ly = y - side - (n - 1 - c) * lam
-                    drop = x_of(c) + side
-                    port = (x_of(c) + half, y)
-                plan.edges[edge].nets.append(_Net(
-                    f"ctl_{qid}", "control", edge, qid, ly,
-                    [(inner, ly), (drop, ly), (drop, y), port]))
+        for c in range(n):
+            qid = by_pos.get((c, r))
+            if qid is None:
+                raise SpecInfeasible(f"lattice hole at ({c}, {r})")
+            if edge in ("top", "bottom"):
+                depth = (m - 1 - r) if edge == "top" else r
+                u = bases[c] + depth * lam
+                approach = [(u, ep.inner), (u, y), (x_of(c) + half, y)]
+            else:
+                u = y - side - (c if edge == "left" else n - 1 - c) * lam
+                drop = x_of(c) + _OUT[edge] * side
+                approach = [(ep.inner, u), (drop, u), (drop, y),
+                            (x_of(c) + _OUT[edge] * half, y)]
+            ep.nets.append(_Net(f"ctl_{qid}", "control", edge, qid, u,
+                                approach))
 
         # feedline launch and drain pins flank every row
-        bus_q = by_pos.get((0, r))
-        bus = f"bus_{bus_q}"
+        bus = f"bus_{by_pos.get((0, r))}"
         if bus not in feeds:
             raise SpecInfeasible(f"row {r} has no feedline (expected {bus})")
-        (wx, wy), (ex_, ey_) = feeds[bus]
-        plan.edges["left"].nets.append(_Net(
-            f"tx_{bus}_in", "transmission", "left", f"{bus}@west", wy,
-            [(plan.edges["left"].inner, wy), (wx, wy)]))
-        plan.edges["right"].nets.append(_Net(
-            f"tx_{bus}_out", "transmission", "right", f"{bus}@east", ey_,
-            [(plan.edges["right"].inner, ey_), (ex_, ey_)]))
+        for e, (fx, fy), tail, end in zip(("left", "right"), feeds[bus],
+                                          ("in", "out"), ("west", "east")):
+            plan.edges[e].nets.append(_Net(
+                f"tx_{bus}_{tail}", "transmission", e, f"{bus}@{end}", fy,
+                [(plan.edges[e].inner, fy), (fx, fy)]))
 
     for e in _EDGES:
         plan.edges[e].nets.sort(key=lambda net: net.entry_u)
@@ -302,14 +297,11 @@ def _assign_lanes(nets: list[_Net], tol: float = 6.0) -> int:
     up = [i for i, net in enumerate(nets) if net.entry_u > net.pin_u + tol]
     down = [i for i, net in enumerate(nets) if net.entry_u < net.pin_u - tol]
     lanes: dict[int, int] = {}
-    for i in up:
-        clash = [lanes[k] for k in up if k < i and k in lanes
-                 and spans[k][0] < spans[i][1] and spans[i][0] < spans[k][1]]
-        lanes[i] = 1 + max(clash, default=0)
-    for i in reversed(down):
-        clash = [lanes[k] for k in down if k > i and k in lanes
-                 and spans[k][0] < spans[i][1] and spans[i][0] < spans[k][1]]
-        lanes[i] = 1 + max(clash, default=0)
+    for order in (up, down[::-1]):
+        for i in order:
+            clash = [lanes[k] for k in order if k in lanes and
+                     spans[k][0] < spans[i][1] and spans[i][0] < spans[k][1]]
+            lanes[i] = 1 + max(clash, default=0)
     used = 0
     for i, net in enumerate(nets):
         net.lane = lanes.get(i, 0)
@@ -339,8 +331,8 @@ def allocate_pins(layout, topology, lane_pitch: float = 25.0,
         if not nets:
             ep.lanes_used = 0
             continue
-        lo, hi = (cx0 + inset, cx1 - inset) if e in ("top", "bottom") \
-            else (cy0 + inset, cy1 - inset)
+        (lo, hi), _ = _point(e, (cx0 + inset, cx1 - inset),
+                             (cy0 + inset, cy1 - inset))
         step = (hi - lo) / len(nets)
         # keep-out windows around the entry verticals: pin drops need
         # process-grade spacing from them, not merely non-intersection
@@ -374,32 +366,18 @@ def allocate_pins(layout, topology, lane_pitch: float = 25.0,
         max(cy1 + border, plan.edges["top"].inner + depth["top"], die.y1),
     )
     die = layout.die
+    die_edge = {"top": die.y1, "bottom": die.y0,
+                "left": die.x0, "right": die.x1}
 
     pins: list[Pin] = []
     pad_c = pad_size / 2.0 + 10.0
     for e in _EDGES:
         nets = plan.edges[e].nets
-        count = len(nets)
-        for idx, net in enumerate(nets):
-            k = count - 1 - idx if _REVERSED[e] else idx
+        (lo, hi), _ = _point(e, (die.x0, die.x1), (die.y0, die.y1))
+        for k, net in enumerate(nets[::-1] if _REVERSED[e] else nets):
             net.pin_id = f"{e[0].upper()}{k}"
-            if e == "top":
-                net.pin_pos = (net.pin_u, die.y1 - pad_c)
-            elif e == "bottom":
-                net.pin_pos = (net.pin_u, die.y0 + pad_c)
-            elif e == "left":
-                net.pin_pos = (die.x0 + pad_c, net.pin_u)
-            else:
-                net.pin_pos = (die.x1 - pad_c, net.pin_u)
-        for net in sorted(nets, key=lambda x: int(x.pin_id[1:])):
-            if e == "top":
-                offset = die.x1 - net.pin_u
-            elif e == "bottom":
-                offset = net.pin_u - die.x0
-            elif e == "left":
-                offset = net.pin_u - die.y0
-            else:
-                offset = die.y1 - net.pin_u
+            net.pin_pos = _point(e, net.pin_u, die_edge[e] - _OUT[e] * pad_c)
+            offset = hi - net.pin_u if _REVERSED[e] else net.pin_u - lo
             # pad disjointness is a plan invariant (separation enforced
             # above); the O(components) overlap scan would dominate at scale
             layout.add_component(make_pad(net.pin_id, net.pin_pos, pad_size,
@@ -468,27 +446,11 @@ def route_pattern(layout, width: float = 10.0) -> RoutingResult:
     layer = LAYER_OPPOSITE if layout.flip_chip else LAYER_ROUTING
     result = RoutingResult("pattern")
     lam = plan.lane_pitch
-    for e in _EDGES:
-        ep = plan.edges.get(e)
-        if ep is None:
-            continue
+    for e, ep in plan.edges.items():
         for net in ep.nets:
-            if e == "top":
-                lane_v = ep.inner + net.lane * lam
-                head = [(net.pin_u, net.pin_pos[1]), (net.pin_u, lane_v),
-                        (net.entry_u, lane_v)]
-            elif e == "bottom":
-                lane_v = ep.inner - net.lane * lam
-                head = [(net.pin_u, net.pin_pos[1]), (net.pin_u, lane_v),
-                        (net.entry_u, lane_v)]
-            elif e == "left":
-                lane_v = ep.inner - net.lane * lam
-                head = [(net.pin_pos[0], net.pin_u), (lane_v, net.pin_u),
-                        (lane_v, net.entry_u)]
-            else:
-                lane_v = ep.inner + net.lane * lam
-                head = [(net.pin_pos[0], net.pin_u), (lane_v, net.pin_u),
-                        (lane_v, net.entry_u)]
+            lane = ep.inner + _OUT[e] * net.lane * lam
+            head = [net.pin_pos, _point(e, net.pin_u, lane),
+                    _point(e, net.entry_u, lane)]
             pts = merge_collinear(head + net.approach)
             path = RoutedPath(net.net_id, net.role, layer, pts, width,
                               corner_count=_bends(pts), crossing_count=0)

@@ -35,6 +35,7 @@ from .errors import (
     MissingSubEntity,
     NoPath,
     NonPositiveInput,
+    SpecInfeasible,
     SqchipError,
     StageError,
     check_selector,
@@ -109,7 +110,18 @@ class PipelineConfig:
                                    f"got {self.qubit_frequencies}")
         for name, allowed in SELECTORS.items():
             check_selector(name, getattr(self, name), allowed)
-        get_process(self.process)
+        if self.border < 0:
+            raise NonPositiveInput(f"border must be >= 0, got {self.border}")
+        if self.lane_pitch <= 0:
+            raise NonPositiveInput(f"lane_pitch must be positive, "
+                                   f"got {self.lane_pitch}")
+        # adjacent pattern lanes carry traces at least min_feature wide
+        rules = get_process(self.process)
+        need = max(self.trace_width, rules.min_feature) + rules.min_spacing
+        if self.strategy == "pattern" and self.lane_pitch < need:
+            raise SpecInfeasible(f"lane_pitch {self.lane_pitch} um is under "
+                                 f"the {need} um {rules.name} needs between "
+                                 f"pattern lanes")
 
 
 @dataclass

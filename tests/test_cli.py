@@ -180,6 +180,38 @@ def test_pipeline_refuses_a_non_finite_pitch_up_front(tmp_path, capsys,
                              "--pitch", "nan")
 
 
+def test_pipeline_refuses_a_negative_border_up_front(tmp_path, capsys,
+                                                    monkeypatch):
+    _assert_refused_up_front(tmp_path, capsys, monkeypatch, "border",
+                             "--border", "-1")
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--sizes", "4x", "'4x'"),
+    ("--strategies", "patern", "'patern'"),
+])
+def test_bench_refuses_a_malformed_list_without_a_traceback(tmp_path, capsys,
+                                                           flag, value, named):
+    assert _run(tmp_path, "bench", flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("bound", [("--lo", "1e9"), ("--hi", "1e9")])
+def test_devmap_refuses_a_lone_search_bound(tmp_path, capsys, bound):
+    _run(tmp_path, "topo", "--rows", "1", "--cols", "2")
+    capsys.readouterr()
+    assert _run(tmp_path, "devmap", "--qubit", "q0", "--param", "arm_length",
+                "--target", "1e-15", "--evaluator", "stub:pad-capacitance",
+                *bound) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--lo and --hi" in err
+    doc = load_document(tmp_path / "chip.sqd")
+    assert doc.provenance_log[-1]["operation"] != "devmap:q0"
+
+
 def test_bench_command_writes_csv(tmp_path, capsys):
     code = _run(tmp_path, "bench", "--sizes", "2x2,3x3,4x4",
                 "--strategies", "pattern", "--repetitions", "3")

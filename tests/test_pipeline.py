@@ -112,6 +112,12 @@ def test_flip_chip_run_places_indium_and_routes_opposite():
     assert result.drc_report == []
 
 
+def _no_stage_may_run(monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the config was checked")
+    monkeypatch.setattr(pipeline, "dispatch", no_stage)
+
+
 def test_config_rejects_bad_knobs_up_front(monkeypatch):
     with pytest.raises(NonPositiveInput):
         PipelineConfig(rows=0)
@@ -120,9 +126,7 @@ def test_config_rejects_bad_knobs_up_front(monkeypatch):
     with pytest.raises(SpecInfeasible):
         PipelineConfig(process="exotic-2um")
 
-    def no_stage(*args, **kwargs):
-        raise AssertionError("a stage ran before the config was checked")
-    monkeypatch.setattr(pipeline, "dispatch", no_stage)
+    _no_stage_may_run(monkeypatch)
     with pytest.raises(UnknownSelector, match="'foo'.*'xmon', 'transmon'"):
         run_pipeline(qubit_style="foo")
     for cell in (0.0, -50.0, float("nan")):
@@ -135,6 +139,48 @@ def test_config_rejects_bad_knobs_up_front(monkeypatch):
     assert PipelineConfig(corner_penalty=0.0, cross_penalty=0.0)
 
 
+def test_config_refuses_a_negative_border_up_front(monkeypatch):
+    _no_stage_may_run(monkeypatch)
+    # a negative border only shifted the origin of the same routed die
+    for bad in (-500.0, -1e-9):
+        with pytest.raises(NonPositiveInput, match="border"):
+            run_pipeline(rows=3, cols=3, border=bad)
+    assert PipelineConfig(border=0.0)
+
+
+@pytest.mark.parametrize("strategy", ["pattern", "maze"])
+@pytest.mark.parametrize("bad", [0.0, -25.0])
+def test_config_refuses_a_non_positive_lane_pitch_up_front(monkeypatch,
+                                                          strategy, bad):
+    _no_stage_may_run(monkeypatch)
+    with pytest.raises(NonPositiveInput, match="lane_pitch"):
+        run_pipeline(rows=3, cols=3, strategy=strategy, lane_pitch=bad)
+
+
+# the pattern lane pitch limit is max(trace_width, min_feature) + min_spacing
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("process, trace_width, limit", [
+    ("generic-10um", 10.0, 20.0),
+    ("fine-4um", 10.0, 14.0),
+    ("generic-10um", 8.0, 20.0),     # routes widen to min_feature
+])
+def test_pattern_lane_pitch_is_refused_just_below_its_spacing_limit(
+        process, trace_width, limit, below):
+    kwargs = dict(rows=3, cols=3, process=process, trace_width=trace_width)
+    if below:
+        with pytest.raises(SpecInfeasible, match=f"{limit - 0.01} um .* "
+                                                 f"{limit} um {process}"):
+            PipelineConfig(lane_pitch=limit - 0.01, **kwargs)
+    else:
+        report = run_pipeline(lane_pitch=limit, **kwargs).drc_report
+        assert [v for v in report if v.rule == "spacing"] == []
+
+
+def test_maze_keeps_a_lane_pitch_under_the_pattern_limit():
+    result = run_pipeline(rows=3, cols=3, strategy="maze", lane_pitch=5.0)
+    assert result.drc_report == []
+
+
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)
                 if f.type == "float"]
 
@@ -143,9 +189,7 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)
 @pytest.mark.parametrize("name", FLOAT_FIELDS + ["qubit_frequencies"])
 def test_config_refuses_a_non_finite_value_naming_the_field(monkeypatch, name,
                                                              bad):
-    def no_stage(*args, **kwargs):
-        raise AssertionError("a stage ran before the config was checked")
-    monkeypatch.setattr(pipeline, "dispatch", no_stage)
+    _no_stage_may_run(monkeypatch)
     value = (4.3e9, bad) if name == "qubit_frequencies" else bad
     # maze_cell keeps its own error type, the one a zero cell raises
     error = DegenerateGrid if name == "maze_cell" else NonPositiveInput
@@ -207,6 +251,8 @@ ROADMAP_PINS = [
     (dict(rows=5, cols=5, strategy="maze"), "55725edd10799e8b"),
     (dict(rows=6, cols=6, strategy="maze"), "d18ab1dcf732fad2"),
     (dict(rows=2, cols=2, flip_chip=True), "d65b462c44993dc6"),
+    (dict(rows=3, cols=5), "7af689431202bcfc"),    # left band, no right band
+    (dict(rows=1, cols=7), "f41512d907804166"),    # empty bottom edge
 ]
 
 
