@@ -156,10 +156,14 @@ def make_indium_column(comp_id: str, origin: tuple[float, float],
     )
 
 
+# shortest straight lead from the attach point up to the lowest meander run, um
+_MIN_LEAD = 15.0
+
+
 def synthesize_meander(attach: tuple[float, float], top_y: float,
                        x_left: float, x_right: float, length: float,
                        trace_width: float, coupling_length: float,
-                       min_lead: float = 15.0) -> list[tuple[float, float]]:
+                       ) -> list[tuple[float, float]]:
     """Rectilinear serpentine centerline of exactly `length` um.
 
     Starts at `attach` heading up, ends with a horizontal coupling run of
@@ -190,10 +194,10 @@ def synthesize_meander(attach: tuple[float, float], top_y: float,
         split = False
     # riser count sanity: lowest run sits at top_y - (k+1)*pitch
     lowest = top_y - (k + 1) * pitch
-    if lowest < ay + min_lead:
+    if lowest < ay + _MIN_LEAD:
         raise MeanderDoesNotFit(
             f"needs {k} runs but zone height {H:.1f} fits only "
-            f"{int((H - min_lead) / pitch) - 1}")
+            f"{int((H - _MIN_LEAD) / pitch) - 1}")
 
     pts: list[tuple[float, float]] = [(ax, ay), (ax, lowest)]
     pts.append((x_left, lowest))                       # half run

@@ -282,9 +282,6 @@ def read_gds(src) -> GdsLibrary:
                     vals = struct.unpack(f">{len(payload) // 4}i", payload)
                     el.xy = [(vals[i] * scale, vals[i + 1] * scale)
                              for i in range(0, len(vals), 2)]
-            elif rectype not in (BOUNDARY, PATH, SREF):
-                # element kind we do not model; raw slice keeps it intact
-                pass
     return lib
 
 

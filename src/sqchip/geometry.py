@@ -22,23 +22,6 @@ def bbox_union(boxes):
             max(b[2] for b in boxes), max(b[3] for b in boxes))
 
 
-def point_in_polygon(pt, poly):
-    """Even-odd rule; points on the boundary count as inside."""
-    x, y = pt
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if _on_segment((x, y), (x1, y1), (x2, y2)):
-            return True
-        if (y1 > y) != (y2 > y):
-            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if xi > x:
-                inside = not inside
-    return inside
-
-
 def _on_segment(p, a, b):
     cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
     if abs(cross) > 1e-9 * (abs(b[0] - a[0]) + abs(b[1] - a[1]) + 1.0):
@@ -58,15 +41,6 @@ def point_segment_distance(p, a, b):
     t = ((px - ax) * dx + (py - ay) * dy) / L2
     t = max(0.0, min(1.0, t))
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-def point_polygon_distance(pt, poly):
-    """0 when the point lies inside; else distance to the closest edge."""
-    if point_in_polygon(pt, poly):
-        return 0.0
-    n = len(poly)
-    return min(point_segment_distance(pt, poly[i], poly[(i + 1) % n])
-               for i in range(n))
 
 
 def segment_distance(a, b, c, d):

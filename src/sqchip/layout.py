@@ -165,8 +165,7 @@ def place_qubits(topology: Topology, qubit_style: str = "xmon",
                2.0 * off + (n_cols - 1) * pitch,
                2.0 * off + (n_rows - 1) * pitch),
         grid_info={"origin": (off, off), "pitch": pitch,
-                   "dims": (n_rows, n_cols), "qubit_half_extent": half_extent,
-                   "style": qubit_style, "border": border},
+                   "qubit_half_extent": half_extent, "border": border},
     )
     for qid in sorted(topology.qubits, key=_qubit_sort_key):
         c, r = topology.qubits[qid]
@@ -212,12 +211,22 @@ def readout_ladder(n: int, f_start: float, f_stop: float) -> list[float]:
     return [f_start + i * step for i in range(n)]
 
 
+# readout zone between a row's north ports and its feedline, and the part of
+# the qubit pitch a meander cell leaves clear, um
+_ZONE_HEIGHT = 450.0
+_CELL_CLEAR = 600.0
+
+
+def bus_name(first_qubit: str) -> str:
+    """Net name of the feedline over the row that starts at first_qubit;
+    both routers find a row's feedline by it."""
+    return f"bus_{first_qubit}"
+
+
 def generate_readout_bus(layout: ChipLayout, row_qubits: list[str],
                          f_start: float, f_stop: float, *,
                          w: float = 10.0, g: float = 6.0,
                          eps_r: float = 11.45, coupling_length: float = 200.0,
-                         zone_height: float = 450.0, cell_clear: float = 600.0,
-                         bus_id: str | None = None,
                          ) -> tuple[list[ResonatorSpec], list[PlacedComponent]]:
     """Attach one readout resonator per qubit and a shared feedline above them.
 
@@ -236,12 +245,12 @@ def generate_readout_bus(layout: ChipLayout, row_qubits: list[str],
         pitch = min(b - a for a, b in zip(xs, xs[1:]))
     else:
         pitch = layout.grid_info.get("pitch", 2000.0)
-    usable = pitch - cell_clear
+    usable = pitch - _CELL_CLEAR
     if usable <= 2.0 * coupling_length:
         raise PitchTooSmall(f"pitch {pitch} um leaves no room for meanders")
 
     top_attach = max(p.position[1] for p in ports)
-    top_y = top_attach + zone_height
+    top_y = top_attach + _ZONE_HEIGHT
     freqs = readout_ladder(len(row_qubits), f_start, f_stop)
 
     specs: list[ResonatorSpec] = []
@@ -259,12 +268,12 @@ def generate_readout_bus(layout: ChipLayout, row_qubits: list[str],
         specs.append(spec)
         made.append(res)
 
-    name = bus_id or f"bus_{row_qubits[0]}"
     y_fl = top_y + (w + g)               # edge-to-edge gap of g to coupling runs
     x_lo = min(xs) - usable / 2.0 - 300.0
     x_hi = max(xs) + usable / 2.0 + 300.0
     layout.paths.append(RoutedPath(
-        name, "feedline", LAYER_QUBIT, [(x_lo, y_fl), (x_hi, y_fl)], w))
+        bus_name(row_qubits[0]), "feedline", LAYER_QUBIT,
+        [(x_lo, y_fl), (x_hi, y_fl)], w))
     layout.expand_die_to_content(layout.grid_info.get("border", 500.0))
     return specs, made
 

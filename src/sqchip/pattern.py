@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .components import LAYER_OPPOSITE, LAYER_ROUTING, make_pad
 from .errors import CorridorExhausted, SpecInfeasible
 from .geometry import merge_collinear
-from .layout import DieBox
+from .layout import DieBox, bus_name
 from .routing import Pin, RoutedPath, RoutingResult
 from .topology import Topology
 
@@ -240,7 +240,7 @@ def build_nets(layout, topology, lane_pitch: float = 25.0) -> PinPlan:
                                 approach))
 
         # feedline launch and drain pins flank every row
-        bus = f"bus_{by_pos.get((0, r))}"
+        bus = bus_name(by_pos[(0, r)])
         if bus not in feeds:
             raise SpecInfeasible(f"row {r} has no feedline (expected {bus})")
         for e, (fx, fy), tail, end in zip(("left", "right"), feeds[bus],
@@ -400,7 +400,7 @@ def map_pins(pins: list[Pin], topology: Topology) -> dict[str, str]:
     m, n = _grid_dims(topology)
     row_edge = _row_edges(m, n)
     by_pos = {pos: qid for qid, pos in topology.qubits.items()}
-    bus = {r: f"bus_{by_pos[(0, r)]}" for r in range(m)}
+    bus = {r: bus_name(by_pos[(0, r)]) for r in range(m)}
 
     # along-edge geometric order, ascending coordinate. Top and bottom run
     # column-major (within a column the corridor serves deeper rows on outer

@@ -115,9 +115,13 @@ class PipelineConfig:
         if self.lane_pitch <= 0:
             raise NonPositiveInput(f"lane_pitch must be positive, "
                                    f"got {self.lane_pitch}")
-        # adjacent pattern lanes carry traces at least min_feature wide
+        # apply_rules widens routed traces but not the readout feedlines
         rules = get_process(self.process)
-        need = max(self.trace_width, rules.min_feature) + rules.min_spacing
+        if self.trace_width < rules.min_feature:
+            raise SpecInfeasible(f"trace_width {self.trace_width} um is under "
+                                 f"the {rules.min_feature} um minimum "
+                                 f"feature of {rules.name}")
+        need = self.trace_width + rules.min_spacing
         if self.strategy == "pattern" and self.lane_pitch < need:
             raise SpecInfeasible(f"lane_pitch {self.lane_pitch} um is under "
                                  f"the {need} um {rules.name} needs between "

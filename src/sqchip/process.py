@@ -19,13 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .components import LAYER_AIRBRIDGE, make_airbridge, make_indium_column
+from .components import (
+    LAYER_AIRBRIDGE,
+    LAYER_PIN,
+    make_airbridge,
+    make_indium_column,
+    make_pad,
+)
 from .errors import SpecInfeasible
 from .geometry import (
     BinIndex,
     bbox,
     path_segments,
-    point_segment_distance,
     segment_crossing_point,
     segment_distance,
 )
@@ -70,7 +75,11 @@ class Violation:
     subjects: tuple[str, str] = ("", "")
 
 
-def _fillet_corner(a, b, c, radius: float, segs_per_quarter: int = 16):
+# arc points per quarter turn of a fillet
+_SEGS_PER_QUARTER = 16
+
+
+def _fillet_corner(a, b, c, radius: float):
     """Replace corner b with an arc tangent to both legs; returns arc points."""
     ax, ay = a[0] - b[0], a[1] - b[1]
     cx, cy = c[0] - b[0], c[1] - b[1]
@@ -108,7 +117,7 @@ def _fillet_corner(a, b, c, radius: float, segs_per_quarter: int = 16):
         sweep -= 2.0 * math.pi
     while sweep < -math.pi:
         sweep += 2.0 * math.pi
-    n = max(2, round(segs_per_quarter * abs(sweep) / (math.pi / 2.0)))
+    n = max(2, round(_SEGS_PER_QUARTER * abs(sweep) / (math.pi / 2.0)))
     return [(ox + r * math.cos(a1 + sweep * i / n),
              oy + r * math.sin(a1 + sweep * i / n)) for i in range(n + 1)]
 
@@ -131,9 +140,6 @@ def apply_rules(layout, rules: ProcessRules):
     Calling twice with the same rules is a no-op; switching processes after
     geometry has been filleted is refused.
     """
-    from .components import LAYER_PIN, Port
-    from .geometry import rect
-
     if layout.applied_rules == rules.name:
         return layout
     if layout.applied_rules is not None:
@@ -152,12 +158,10 @@ def apply_rules(layout, rules: ProcessRules):
     for comp in layout.components:
         if comp.kind != "pad" or comp.params.get("size") == rules.pad_size:
             continue
-        cx, cy = comp.origin
-        h = rules.pad_size / 2.0
-        comp.set_footprint(LAYER_PIN, [rect(cx - h, cy - h, cx + h, cy + h)])
-        inward = comp.ports["inner"].direction
-        comp.ports["inner"] = Port(
-            "inner", (cx + inward[0] * h, cy + inward[1] * h), inward)
+        pad = make_pad(comp.comp_id, comp.origin, rules.pad_size,
+                       comp.params["edge"], comp.params["role"])
+        comp.set_footprint(LAYER_PIN, pad.footprint[LAYER_PIN])
+        comp.ports["inner"] = pad.ports["inner"]
         comp.params["size"] = rules.pad_size
     layout.applied_rules = rules.name
     return layout
@@ -279,8 +283,8 @@ def _near_segment_pairs(paths, rules: ProcessRules, reach: float | None = None):
 def insert_air_bridges(layout, rules: ProcessRules) -> list:
     """One bridge per same-layer crossing of two routed nets.
 
-    The deck is oriented along the second net's segment, so the earlier net
-    passes underneath. Crossings closer than a deck length to an existing
+    The deck is oriented along the second net's crossing segment, so the
+    earlier net passes underneath. Crossings closer than a deck length to an existing
     bridge share it.
     """
     placed = []
@@ -291,8 +295,8 @@ def insert_air_bridges(layout, rules: ProcessRules) -> list:
             pt = segment_crossing_point(s1[0], s1[1], s2[0], s2[1])
             if pt is None or _bridged(decks, pt):
                 continue
-            seg = _segment_at(pb.points, pt)
-            horiz = abs(seg[1][0] - seg[0][0]) >= abs(seg[1][1] - seg[0][1])
+            (x1, y1), (x2, y2) = s2
+            horiz = abs(x2 - x1) >= abs(y2 - y1)
             comp = make_airbridge(f"ab{serial}", pt, rules.bridge_span,
                                   rules.bridge_width,
                                   "h" if horiz else "v")
@@ -301,13 +305,6 @@ def insert_air_bridges(layout, rules: ProcessRules) -> list:
             placed.append(comp)
             serial += 1
     return placed
-
-
-def _segment_at(points, pt, tol: float = 1e-6):
-    for seg in path_segments(points):
-        if point_segment_distance(pt, seg[0], seg[1]) < tol:
-            return seg
-    return (points[0], points[-1])
 
 
 def place_indium_columns(layout, rules: ProcessRules) -> list:

@@ -15,7 +15,7 @@ from sqchip.geometry import (
     segment_crossing_point,
     segment_distance,
 )
-from sqchip.process import _SLACK, Violation, _endpoint_touch, _segment_at
+from sqchip.process import _SLACK, Violation, _endpoint_touch
 
 
 def bridged(layout, pt) -> bool:
@@ -55,14 +55,16 @@ def near_segment_pairs(paths, rules, reach=None) -> list:
     return out
 
 
-def path_crossings(pa, pb) -> list[tuple[float, float]]:
-    pts = []
+def path_crossings(pa, pb) -> list:
+    """(point, segment of pb) for every crossing of pa and pb, in segment
+    order of pa, then of pb."""
+    out = []
     for a1, a2 in path_segments(pa.points):
         for b1, b2 in path_segments(pb.points):
             x = segment_crossing_point(a1, a2, b1, b2)
             if x is not None:
-                pts.append(x)
-    return pts
+                out.append((x, (b1, b2)))
+    return out
 
 
 def insert_air_bridges(layout, rules) -> list:
@@ -72,10 +74,10 @@ def insert_air_bridges(layout, rules) -> list:
         for pb in layout.paths[i + 1:]:
             if pa.layer != pb.layer or pa.net == pb.net:
                 continue
-            for (x, y) in path_crossings(pa, pb):
+            for (x, y), seg in path_crossings(pa, pb):
                 if bridged(layout, (x, y)):
                     continue
-                seg = _segment_at(pb.points, (x, y))
+                # the deck runs along the later net's crossing segment
                 horiz = abs(seg[1][0] - seg[0][0]) >= abs(seg[1][1] - seg[0][1])
                 comp = make_airbridge(f"ab{serial}", (x, y), rules.bridge_span,
                                       rules.bridge_width,

@@ -10,8 +10,6 @@ from sqchip.geometry import (
     merge_collinear,
     path_length,
     path_segments,
-    point_in_polygon,
-    point_polygon_distance,
     point_segment_distance,
     rect,
     segment_crossing_point,
@@ -34,25 +32,10 @@ def test_rect_is_counterclockwise_and_closed_by_bbox():
     assert area2 > 0
 
 
-def test_point_in_polygon_includes_the_boundary():
-    square = rect(0, 0, 10, 10)
-    assert point_in_polygon((5, 5), square)
-    assert point_in_polygon((0, 5), square)
-    assert point_in_polygon((10, 10), square)
-    assert not point_in_polygon((10.001, 5), square)
-    assert not point_in_polygon((-1, -1), square)
-
-
 def test_point_segment_distance_handles_interior_and_endpoints():
     assert point_segment_distance((5, 3), (0, 0), (10, 0)) == 3.0
     assert point_segment_distance((-4, 3), (0, 0), (10, 0)) == 5.0
     assert point_segment_distance((3, 4), (0, 0), (0, 0)) == 5.0
-
-
-def test_point_polygon_distance_is_zero_inside():
-    square = rect(0, 0, 10, 10)
-    assert point_polygon_distance((5, 5), square) == 0.0
-    assert point_polygon_distance((13, 5), square) == 3.0
 
 
 def test_segment_distance_matches_hand_cases():

@@ -96,7 +96,6 @@ def test_grid_placement_positions_follow_the_pitch():
     assert layout.die.height == 1500.0 + 1.0 * 2000.0
     assert layout.component_by_id("q0").origin == (750.0, 750.0)
     assert layout.component_by_id("q5").origin == (750.0 + 2 * 2000.0, 2750.0)
-    assert layout.grid_info["dims"] == (2, 3)
 
 
 def test_placement_rejects_pitch_below_the_footprint():
@@ -168,10 +167,10 @@ def test_readout_bus_adds_one_feedline_above_the_meanders():
 
 def test_readout_bus_rejects_rows_without_meander_room():
     topo = generate_grid(1, 2)
-    layout = place_qubits(topo, "xmon", pitch=2000.0, border=500.0)
+    # 900 um of pitch leaves 300 um of meander cell, under two couplers
+    layout = place_qubits(topo, "xmon", pitch=900.0, border=500.0)
     with pytest.raises(PitchTooSmall):
-        generate_readout_bus(layout, ["q0", "q1"], 6.535e9, 7.246e9,
-                             cell_clear=1700.0)
+        generate_readout_bus(layout, ["q0", "q1"], 6.535e9, 7.246e9)
 
 
 def test_readout_bus_refuses_an_unordered_row_with_a_typed_error():

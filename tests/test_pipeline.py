@@ -157,12 +157,11 @@ def test_config_refuses_a_non_positive_lane_pitch_up_front(monkeypatch,
         run_pipeline(rows=3, cols=3, strategy=strategy, lane_pitch=bad)
 
 
-# the pattern lane pitch limit is max(trace_width, min_feature) + min_spacing
+# the pattern lane pitch limit is trace_width + min_spacing
 @pytest.mark.parametrize("below", [False, True])
 @pytest.mark.parametrize("process, trace_width, limit", [
     ("generic-10um", 10.0, 20.0),
     ("fine-4um", 10.0, 14.0),
-    ("generic-10um", 8.0, 20.0),     # routes widen to min_feature
 ])
 def test_pattern_lane_pitch_is_refused_just_below_its_spacing_limit(
         process, trace_width, limit, below):
@@ -174,6 +173,19 @@ def test_pattern_lane_pitch_is_refused_just_below_its_spacing_limit(
     else:
         report = run_pipeline(lane_pitch=limit, **kwargs).drc_report
         assert [v for v in report if v.rule == "spacing"] == []
+
+
+@pytest.mark.parametrize("strategy", ["pattern", "maze"])
+def test_config_refuses_a_trace_width_under_the_process_min_feature(
+        monkeypatch, strategy):
+    _no_stage_may_run(monkeypatch)
+    # the feedlines would keep the narrow width and fail min-feature
+    with pytest.raises(SpecInfeasible, match="trace_width 8.0 um .* "
+                                             "10.0 um .* generic-10um"):
+        run_pipeline(rows=3, cols=3, strategy=strategy, trace_width=8.0,
+                     lane_pitch=20.0)
+    assert PipelineConfig(process="fine-4um", trace_width=8.0,
+                          lane_pitch=12.0)
 
 
 def test_maze_keeps_a_lane_pitch_under_the_pattern_limit():

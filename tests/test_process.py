@@ -352,6 +352,27 @@ def _assert_scans_match_reference(lay: ChipLayout) -> None:
             [(c.comp_id, c.origin) for c in want]
 
 
+def test_bridge_decks_run_along_the_later_nets_crossing_segment():
+    # net w passes (500, 500) twice, vertically and then horizontally, and
+    # the diagonal d crosses both passes there: one bridge, along the first
+    twice = _bare_layout(
+        RoutedPath("d", "control", 2, [(485.0, 485.0), (515.0, 515.0)], 10.0),
+        RoutedPath("w", "control", 2, [(500.0, 480.0), (500.0, 520.0),
+                                       (525.0, 520.0), (525.0, 500.0),
+                                       (480.0, 500.0)], 10.0))
+    # net w first only touches h at (500, 500), at the end of a mostly
+    # horizontal leg, then doubles back and crosses h vertically there
+    touch = _bare_layout(
+        RoutedPath("h", "control", 2, [(400.0, 500.0), (600.0, 500.0)], 10.0),
+        RoutedPath("w", "control", 2, [(540.0, 520.0), (500.0, 500.0),
+                                       (500.0, 450.0), (500.0, 560.0)], 10.0))
+    for lay in (twice, touch):
+        _assert_scans_match_reference(lay)
+        placed = insert_air_bridges(lay, GENERIC)
+        assert [(c.origin, c.params["orientation"]) for c in placed] == \
+            [((500.0, 500.0), "v")]
+
+
 def _widening_outcome(check, lay, widened):
     try:
         check(lay, widened, GENERIC)
