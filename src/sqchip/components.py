@@ -42,6 +42,9 @@ class PlacedComponent:
     params: dict = field(default_factory=dict)
     _bbox: tuple[float, float, float, float] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # the footprint's GDS BOUNDARY records, packed once by gdsio
+    _gds: bytes | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         # cached: overlap checks hit this once per existing component
@@ -53,8 +56,10 @@ class PlacedComponent:
 
     def set_footprint(self, layer: int,
                       polygons: list[list[tuple[float, float]]]) -> None:
+        """The one way to change a footprint: it clears both caches."""
         self.footprint[layer] = polygons
         self._bbox = None
+        self._gds = None
 
     def layers(self) -> set[int]:
         return set(self.footprint)

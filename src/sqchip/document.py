@@ -325,10 +325,11 @@ def load(data: bytes, base_dir: str | Path = ".") -> DesignDocument:
         if not ref.is_absolute():
             ref = Path(base_dir) / ref
         try:
-            doc.layout = layout_from_gds(ref)
-        except FileNotFoundError as e:
-            raise ParseError(f"layout sidecar {ref} not found",
+            data = ref.read_bytes()
+        except (OSError, ValueError) as e:     # missing, a directory, a NUL
+            raise ParseError(f"layout sidecar {ref} cannot be read: {e}",
                              path="layout_ref") from e
+        doc.layout = layout_from_gds(data)
     if "flip_chip" in payload:
         if not isinstance(payload["flip_chip"], bool) or doc.layout is None:
             raise ParseError("flip_chip must be true or false, next to a "

@@ -2,9 +2,16 @@
 
 The writer is canonical: fixed record order, pinned timestamps, one
 structure per component kind plus a TOP structure of references, so equal
-layouts produce byte-identical streams. The reader keeps the raw byte slice
-of every structure it parses and re-emits those slices verbatim, which makes
-write -> read -> write a fixpoint by construction.
+layouts produce byte-identical streams. It packs each thing once. A
+component keeps the bytes of its BOUNDARY records from its first render
+until ``set_footprint`` changes it, and a layout keeps its last render
+(``ChipLayout.rendered``), which ``write_gds`` returns for as long as the
+layout holds the geometry it was rendered from. Both caches rely on one
+rule: footprints change only through ``PlacedComponent.set_footprint``.
+
+The reader keeps the raw byte slice of every structure it parses, and
+``layout_from_gds`` stores those slices re-emitted as the import's render,
+which makes write -> read -> write a fixpoint by construction.
 
 Database unit is 1 nm (1e-3 user units of 1 um, 1e-9 m).
 """
@@ -21,6 +28,7 @@ from .errors import (
     BadMagic,
     CoordinateOverflow,
     OddLength,
+    ParseError,
     TruncatedRecord,
     check_selector,
 )
@@ -37,12 +45,14 @@ ENDSTR = 0x0700
 BOUNDARY = 0x0800
 PATH = 0x0900
 SREF = 0x0A00
+AREF = 0x0B00
 LAYER = 0x0D02
 DATATYPE = 0x0E02
 WIDTH = 0x0F03
 XY = 0x1003
 ENDEL = 0x1100
 SNAME = 0x1206
+STRANS = 0x1A01
 PATHTYPE = 0x2102
 
 GDS_VERSION = 600
@@ -125,25 +135,28 @@ def _xy(points) -> bytes:
 
 # ---- parsed model --------------------------------------------------------
 
-ELEMENT_KINDS = ("boundary", "path", "sref")
+ELEMENT_KINDS = ("boundary", "path", "sref")     # what the writer renders
 
 
 @dataclass
 class GdsElement:
-    kind: str                          # one of ELEMENT_KINDS
+    kind: str                          # ELEMENT_KINDS; read also gives "aref"
     layer: int = 0
     datatype: int = 0
     xy: list[tuple[float, float]] = field(default_factory=list)  # um
     width: float = 0.0                 # um (paths)
     pathtype: int = 0
     sname: str = ""
+    strans: bool = False               # read: the reference has a STRANS
 
 
 @dataclass
 class GdsStructure:
     name: str
     elements: list[GdsElement] = field(default_factory=list)
-    raw: bytes | None = None           # verbatim slice when parsed from a stream
+    # the structure's bytes, written in place of its elements: the verbatim
+    # slice when parsed, the cached component records when built
+    raw: bytes | None = None
 
 
 @dataclass
@@ -250,6 +263,8 @@ def read_gds(src) -> GdsLibrary:
                 el = GdsElement("path")
             elif rectype == SREF:
                 el = GdsElement("sref")
+            elif rectype == AREF:
+                el = GdsElement("aref")
             elif rectype == ENDEL:
                 if el is not None:
                     if not el.xy:
@@ -274,6 +289,8 @@ def read_gds(src) -> GdsLibrary:
                     el.pathtype = struct.unpack(">h", payload)[0]
                 elif rectype == SNAME:
                     el.sname = payload.rstrip(b"\x00").decode("ascii", "replace")
+                elif rectype == STRANS:
+                    el.strans = True
                 elif rectype == XY:
                     if len(payload) % 8:
                         raise OddLength(
@@ -313,13 +330,15 @@ def _render_element(el: GdsElement) -> bytes:
     return b"".join(out)
 
 
+def _frame(name: str, body: bytes) -> bytes:
+    return b"".join((_record(BGNSTR, _times()), _record(STRNAME, _ascii(name)),
+                     body, _record(ENDSTR)))
+
+
 def _render_structure(s: GdsStructure) -> bytes:
     if s.raw is not None:
         return s.raw
-    out = [_record(BGNSTR, _times()), _record(STRNAME, _ascii(s.name))]
-    out.extend(_render_element(el) for el in s.elements)
-    out.append(_record(ENDSTR))
-    return b"".join(out)
+    return _frame(s.name, b"".join(_render_element(el) for el in s.elements))
 
 
 def write_library(lib: GdsLibrary) -> bytes:
@@ -342,8 +361,23 @@ def _cell_name(kind: str) -> str:
     return safe.upper() or "MISC"
 
 
+def _boundaries(comp) -> bytes:
+    """comp's BOUNDARY records, layers ascending, packed on first use and
+    kept on comp until set_footprint clears them."""
+    if comp._gds is None:
+        comp._gds = b"".join(
+            _render_element(GdsElement("boundary", layer=layer, xy=poly))
+            for layer in sorted(comp.footprint)
+            for poly in comp.footprint[layer])
+    return comp._gds
+
+
 def build_library(layout) -> GdsLibrary:
-    """Canonical library: one structure per component kind, TOP references all."""
+    """Canonical library: one structure per component kind, TOP references all.
+
+    A component structure is built as its raw bytes, from each member's
+    cached BOUNDARY records; TOP keeps its elements.
+    """
     groups: dict[str, list] = {}
     for comp in layout.components:
         groups.setdefault(_cell_name(comp.kind), []).append(comp)
@@ -351,26 +385,25 @@ def build_library(layout) -> GdsLibrary:
     lib = GdsLibrary(layout.name or "chip")
     top = GdsStructure("TOP")
     for cell in sorted(groups):
-        s = GdsStructure(cell)
-        for comp in sorted(groups[cell], key=lambda c: c.comp_id):
-            for layer in sorted(comp.footprint):
-                for poly in comp.footprint[layer]:
-                    s.elements.append(GdsElement("boundary", layer=layer,
-                                                 xy=list(poly)))
-        lib.structures.append(s)
+        members = sorted(groups[cell], key=lambda c: c.comp_id)
+        lib.structures.append(GdsStructure(cell, raw=_frame(
+            cell, b"".join(_boundaries(c) for c in members))))
         top.elements.append(GdsElement("sref", sname=cell, xy=[(0.0, 0.0)]))
     for p in layout.paths:
-        top.elements.append(GdsElement("path", layer=p.layer, xy=list(p.points),
+        top.elements.append(GdsElement("path", layer=p.layer, xy=p.points,
                                        width=p.width))
     lib.structures.append(top)
     return lib
 
 
 def _geometry(layout) -> tuple:
-    """What build_library reads of a layout, as a value to compare.
+    """What build_library reads of a layout, as a value to compare: the key
+    of the layout's render memo.
 
-    Path points are copied. Footprints are not: like the bounding-box
-    cache, this relies on footprints changing only through set_footprint.
+    Path points are copied, so an in-place edit of a path shows. Footprints
+    are not: like the bounding-box and BOUNDARY-bytes caches, this relies
+    on footprints changing only through set_footprint, which puts a new
+    polygon list in place of the old one.
     """
     return (layout.name,
             [(c.comp_id, c.kind, dict(c.footprint)) for c in layout.components],
@@ -378,12 +411,11 @@ def _geometry(layout) -> tuple:
 
 
 def write_gds(layout, path=None) -> bytes:
-    # an imported layout re-emits its source stream verbatim, which makes
-    # read -> write byte-stable, while it holds the geometry it was read as
-    lib = getattr(layout, "source_library", None)
-    if lib is None or layout.source_geometry != _geometry(layout):
-        lib = build_library(layout)
-    data = write_library(lib)
+    """The layout's GDS stream, rendered at most once per layout state."""
+    key = _geometry(layout)
+    if layout.rendered is None or layout.rendered[0] != key:
+        layout.rendered = (key, write_library(build_library(layout)))
+    data = layout.rendered[1]
     if path is not None:
         Path(path).write_bytes(data)
     return data
@@ -392,8 +424,12 @@ def write_gds(layout, path=None) -> bytes:
 def layout_from_gds(src):
     """Geometry-level import: every structure's polygons and paths, flattened.
 
-    References are resolved at offset only (the canonical writer places all
-    references at the origin); arbitrary transforms are out of scope.
+    Each structure is imported as if placed once at the origin, which is
+    where the canonical writer places every reference. Any other reference
+    (an SREF at an offset, an SREF with a STRANS transform, any AREF) is
+    refused with ParseError, rather than imported misplaced. The import's
+    render memo holds the source stream re-emitted, so an unedited import
+    writes back verbatim.
     """
     from .components import PlacedComponent
     from .geometry import bbox
@@ -418,9 +454,14 @@ def layout_from_gds(src):
                 layout.paths.append(RoutedPath(
                     f"{s.name}_p{len(layout.paths)}", "signal", el.layer,
                     list(el.xy), el.width))
+            elif el.kind == "aref" or el.strans or el.xy != [(0.0, 0.0)]:
+                how = ("as an array (AREF)" if el.kind == "aref" else
+                       "with a transform (STRANS)" if el.strans else
+                       f"at {el.xy}, not at the origin")
+                raise ParseError(f"structure {s.name!r} places {el.sname!r} "
+                                 f"{how}, which cannot import")
     layout.expand_die_to_content(0.0)
-    layout.source_library = lib
-    layout.source_geometry = _geometry(layout)
+    layout.rendered = (_geometry(layout), write_library(lib))
     return layout
 
 

@@ -80,10 +80,10 @@ class ChipLayout:
     applied_rules: str | None = None
     flip_chip: bool = False
     pin_plan: object | None = None     # escape-routing plan, not persisted
-    # set on GDS import; write_gds re-emits the library while the layout
-    # still holds the geometry it was imported as
-    source_library: object | None = None
-    source_geometry: tuple | None = None
+    # (geometry, GDS bytes) of the last render or of the GDS import:
+    # write_gds returns the bytes while gdsio._geometry(layout) equals the
+    # key, which holds while footprints change only through set_footprint
+    rendered: tuple | None = field(default=None, repr=False)
 
     def component_by_id(self, comp_id: str) -> PlacedComponent:
         for c in self.components:

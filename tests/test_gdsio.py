@@ -6,12 +6,16 @@ from __future__ import annotations
 import random
 import struct
 
+import gds_reference
 import pytest
 
+from sqchip.components import make_pad
+from sqchip.document import extract
 from sqchip.errors import (
     BadMagic,
     CoordinateOverflow,
     OddLength,
+    ParseError,
     SqchipError,
     TruncatedRecord,
     UnknownSelector,
@@ -23,7 +27,7 @@ from sqchip.gdsio import (
     GdsStructure,
     UNITS,
     XY,
-    build_library,
+    _frame,
     excess64_decode,
     excess64_encode,
     export_svg,
@@ -288,18 +292,19 @@ def test_an_edited_import_writes_its_edits(edit):
     edit(back)
     edited = write_gds(back)
     assert edited != source
-    assert edited == write_library(build_library(back))
+    assert edited == gds_reference.write_gds(back)
 
 
 def test_layout_import_splits_polygons_into_components():
     layout = place_qubits(generate_grid(1, 2))
     n_polys = sum(len(polys) for c in layout.components
                   for polys in c.footprint.values())
-    back = layout_from_gds(write_gds(layout))
+    source = write_gds(layout)
+    back = layout_from_gds(source)
     assert all(c.kind == "imported" for c in back.components)
     assert len(back.components) == n_polys
     assert back.die.width > 0 and back.die.height > 0
-    assert back.source_library is not None
+    assert back.rendered[1] == source       # the import is its own render
 
 
 def test_write_gds_to_file_round_trips(tmp_path):
@@ -326,3 +331,75 @@ def test_svg_writes_to_file(tmp_path):
     target = tmp_path / "chip.svg"
     svg = export_svg(layout, target)
     assert target.read_text() == svg
+
+
+# ---- references the flattening import would misplace ----------------------
+
+_SNAME_CELL = _rec(0x1206, b"CELL")
+_ENDEL = _rec(0x1100)
+
+
+def _top_placing(*records: bytes) -> bytes:
+    """A stream with a one-square CELL and a TOP made of the given records."""
+    cell = GdsStructure("CELL", [
+        GdsElement("boundary", layer=1, xy=rect(0.0, 0.0, 5.0, 5.0))])
+    top = GdsStructure("TOP", raw=_frame("TOP", b"".join(records)))
+    return write_library(GdsLibrary("lib", structures=[cell, top]))
+
+
+def _sref_at(x_db: int, y_db: int, *extra: bytes) -> tuple[bytes, ...]:
+    return (_rec(0x0A00), _SNAME_CELL, *extra,
+            _rec(XY, struct.pack(">2i", x_db, y_db)), _ENDEL)
+
+
+@pytest.mark.parametrize("records, what", [
+    (_sref_at(5_000_000, 5_000_000), r"at \[\(5000\.0, 5000\.0\)\]"),
+    (_sref_at(0, 0, _rec(0x1A01, b"\x80\x00")),
+     r"with a transform \(STRANS\)"),
+    ((_rec(0x0B00), _SNAME_CELL, _rec(0x1302, struct.pack(">hh", 3, 3)),
+      _rec(XY, struct.pack(">6i", 0, 0, 30_000, 0, 0, 30_000)), _ENDEL),
+     r"as an array \(AREF\)"),
+])
+def test_import_refuses_a_reference_it_would_misplace(records, what):
+    data = _top_placing(*records)
+    assert write_library(read_gds(data)) == data    # the reader carries it
+    with pytest.raises(ParseError, match=f"'TOP' places 'CELL' {what}"):
+        layout_from_gds(data)
+    # the same CELL placed plainly at the origin imports
+    plain = _top_placing(*_sref_at(0, 0))
+    assert write_gds(layout_from_gds(plain)) == plain
+
+
+# ---- the component bytes and the render memo ------------------------------
+
+def _widen_path(layout):
+    layout.paths[0].width += 2.0
+
+
+def _append_component(layout):
+    layout.add_component(make_pad("extra_pad", (-8000.0, -8000.0)))
+
+
+@pytest.mark.parametrize("edit", [_set_footprint, _extend_points_in_place,
+                                  _widen_path, _append_component])
+def test_a_rendered_layout_renders_its_edits(edit):
+    layout = run_pipeline(rows=2, cols=2).document.layout
+    first = write_gds(layout)
+    assert first == gds_reference.write_gds(layout)
+    edit(layout)
+    second = write_gds(layout)
+    assert second != first
+    assert second == gds_reference.write_gds(layout)
+
+
+def test_an_extracted_copy_renders_alone():
+    doc = run_pipeline(rows=2, cols=2).document
+    source = write_gds(doc.layout)
+    copy = extract(doc, "layout").sections["layout"]
+    assert copy is not doc.layout
+    assert write_gds(copy) == source == gds_reference.write_gds(copy)
+    # edits to the copy reach neither the original's memo nor its components
+    _set_footprint(copy)
+    _extend_points_in_place(copy)
+    assert write_gds(copy) == gds_reference.write_gds(copy) != source
+    assert write_gds(doc.layout) == source == gds_reference.write_gds(doc.layout)

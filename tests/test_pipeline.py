@@ -16,6 +16,7 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import gds_reference
 import process_reference
 import pytest
 
@@ -283,7 +284,11 @@ def _sha(data: bytes) -> str:
 
 def test_gds_digests_match_the_roadmap_pins():
     for kwargs, pin in ROADMAP_PINS:
-        assert _sha(run_pipeline(**kwargs).gds_bytes) == pin, kwargs
+        result = run_pipeline(**kwargs)
+        assert _sha(result.gds_bytes) == pin, kwargs
+        # the cached render equals the element-by-element one
+        assert result.gds_bytes == \
+            gds_reference.write_gds(result.document.layout), kwargs
     for kwargs, pin in SQD_PINS:
         doc = run_pipeline(**kwargs).document
         assert _sha(save(doc, layout_ref="chip.gds")) == pin, kwargs
