@@ -220,21 +220,15 @@ def _cmd_devmap(args) -> int:
     if args.qubit is not None:
         doc = _load_or_new(args)
         _require(doc, "topology")
-        layout = doc.layout
-        # mapping needs parametric components; a reloaded design only has
-        # flattened geometry, so solve against a scratch placement and leave
-        # the persisted geometry alone (mapped values live in params and
-        # never render into footprints anyway)
-        scratch = layout is None or not any(
-            c.kind in ("xmon", "transmon") for c in layout.components)
-        if scratch:
-            layout = place_qubits(doc.topology)
+        # mapping needs parametric components, and a reloaded layout holds
+        # only imported geometry, so solve on a fresh placement and persist
+        # just the provenance record, leaving the design's geometry alone
         result = map_qubit_capacitance(
-            layout, args.qubit, args.target, evaluator=evaluator,
+            place_qubits(doc.topology), args.qubit, args.target,
+            evaluator=evaluator,
             bounds=None if args.lo is None else (args.lo, args.hi),
             tolerance=args.tolerance, max_iterations=args.max_iterations)
-        sections = {} if scratch else {"layout": layout}
-        doc = inject(doc, ParameterBundle(doc.version, sections),
+        doc = inject(doc, ParameterBundle(doc.version, {}),
                      operation=f"devmap:{args.qubit}")
         _save(doc, args)
     else:

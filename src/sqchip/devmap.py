@@ -2,8 +2,10 @@
 
 An Evaluator wraps any geometry-parameter -> metric function (here analytic
 stubs; in production an EM solver adapter) together with its declared
-monotonicity. solve() runs bisection when the metric is monotone in the
-parameter and golden-section on the residual when it is not.
+monotonicity. solve() is the one search loop: it evaluates probes, keeps
+the best iterate and tests the tolerance. Two probe rules propose the
+probes: bisection when the metric is monotone in the parameter and
+golden-section on the residual when it is not.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import logging
 import math
 import subprocess
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .circuit import charging_energy
 from .errors import (
@@ -90,11 +93,14 @@ def _close(metric: float, problem: MappingProblem) -> bool:
 def solve(problem: MappingProblem, evaluator: Evaluator) -> MappingResult:
     """Find the parameter value whose metric hits the target.
 
-    Monotone evaluators take bisection on the sign of the residual and
-    require a bracketing interval. Unknown monotonicity takes golden-section
-    minimization of |metric - target| instead, with no bracket demanded.
+    One driver loop evaluates the bounds, then up to max_iterations probes
+    from a probe rule, keeping the best iterate for MaxIterations.
+    Monotone evaluators take the bisection rule on the sign of the residual
+    and require a bracketing interval. Unknown monotonicity takes the
+    golden-section rule on |metric - target|, with no bracket demanded.
     Total evaluator calls stay within max_iterations + 2.
     """
+    t = problem.target
     f_lo = evaluator(problem.lo)
     f_hi = evaluator(problem.hi)
     if _close(f_lo, problem):
@@ -102,86 +108,59 @@ def solve(problem: MappingProblem, evaluator: Evaluator) -> MappingResult:
     if _close(f_hi, problem):
         return MappingResult(problem.hi, f_hi, 0)
 
-    if evaluator.monotonicity in ("increasing", "decreasing"):
-        return _bisect(problem, evaluator, f_lo, f_hi)
-    return _golden(problem, evaluator, f_lo, f_hi)
-
-
-def _bisect(problem, evaluator, f_lo, f_hi) -> MappingResult:
-    t = problem.target
-    if (f_lo - t) * (f_hi - t) > 0:
+    if evaluator.monotonicity == "unknown":
+        probes = _golden(problem, evaluator)
+    elif (f_lo - t) * (f_hi - t) > 0:
         raise TargetNotBracketed(
             f"{evaluator.name}({problem.lo})={f_lo:g} and "
             f"{evaluator.name}({problem.hi})={f_hi:g} sit on the same side "
             f"of target {t:g}")
-    lo, hi = problem.lo, problem.hi
-    s_lo = f_lo - t
-    best_x, best_f = (lo, f_lo) if abs(f_lo - t) < abs(f_hi - t) else (hi, f_hi)
-    for i in range(1, problem.max_iterations + 1):
+    else:
+        probes = _bisect(problem, evaluator, f_lo - t)
+    best_x, best_f = ((problem.lo, f_lo) if abs(f_lo - t) < abs(f_hi - t)
+                      else (problem.hi, f_hi))
+    for i, x in enumerate(islice(probes, problem.max_iterations), 1):
+        f = evaluator(x)
+        if abs(f - t) < abs(best_f - t):
+            best_x, best_f = x, f
+        if _close(f, problem):
+            return MappingResult(x, f, i)
+    raise MaxIterations(
+        f"no convergence to {t:g} within {problem.max_iterations} iterations "
+        f"(best {evaluator.name}({best_x:g}) = {best_f:g})",
+        best_value=best_x, best_metric=best_f,
+        iterations=problem.max_iterations)
+
+
+# Probe rules only yield probes for solve() to evaluate. They re-read a
+# probe's metric through the evaluator's memo, which makes no new call.
+
+def _bisect(problem, evaluator, s_lo):
+    lo, hi, t = problem.lo, problem.hi, problem.target
+    while True:
         mid = (lo + hi) / 2.0
-        f_mid = evaluator(mid)
-        if abs(f_mid - t) < abs(best_f - t):
-            best_x, best_f = mid, f_mid
-        if _close(f_mid, problem):
-            return MappingResult(mid, f_mid, i)
-        if (f_mid - t) * s_lo > 0:
-            lo, s_lo = mid, f_mid - t
+        yield mid
+        if (evaluator(mid) - t) * s_lo > 0:
+            lo, s_lo = mid, evaluator(mid) - t
         else:
             hi = mid
-    raise MaxIterations(
-        f"no convergence to {t:g} within {problem.max_iterations} iterations "
-        f"(best {evaluator.name}({best_x:g}) = {best_f:g})",
-        best_value=best_x, best_metric=best_f,
-        iterations=problem.max_iterations)
 
 
-def _golden(problem, evaluator, f_lo, f_hi) -> MappingResult:
-    t = problem.target
-    lo, hi = problem.lo, problem.hi
-    best_x, best_f = (lo, f_lo) if abs(f_lo - t) < abs(f_hi - t) else (hi, f_hi)
-
-    def spent(n):
-        return MaxIterations(
-            f"budget of {problem.max_iterations} spent before convergence "
-            f"(best {evaluator.name}({best_x:g}) = {best_f:g})",
-            best_value=best_x, best_metric=best_f, iterations=n)
-
+def _golden(problem, evaluator):
+    lo, hi, t = problem.lo, problem.hi, problem.target
     x1 = hi - _GOLDEN * (hi - lo)
-    g1 = abs(evaluator(x1) - t)
-    if g1 < abs(best_f - t):
-        best_x, best_f = x1, evaluator(x1)
-    if _close(evaluator(x1), problem):
-        return MappingResult(x1, evaluator(x1), 1)
-    if problem.max_iterations == 1:
-        raise spent(1)
+    yield x1
     x2 = lo + _GOLDEN * (hi - lo)
-    g2 = abs(evaluator(x2) - t)
-    if g2 < abs(best_f - t):
-        best_x, best_f = x2, evaluator(x2)
-    if _close(evaluator(x2), problem):
-        return MappingResult(x2, evaluator(x2), 2)
-    if problem.max_iterations == 2:
-        raise spent(2)
-    for i in range(3, problem.max_iterations + 1):
-        if g1 < g2:
-            hi, x2, g2 = x2, x1, g1
+    yield x2
+    while True:
+        if abs(evaluator(x1) - t) < abs(evaluator(x2) - t):
+            hi, x2 = x2, x1
             x1 = hi - _GOLDEN * (hi - lo)
-            g1 = abs(evaluator(x1) - t)
-            probe, g_new = x1, g1
+            yield x1
         else:
-            lo, x1, g1 = x1, x2, g2
+            lo, x1 = x1, x2
             x2 = lo + _GOLDEN * (hi - lo)
-            g2 = abs(evaluator(x2) - t)
-            probe, g_new = x2, g2
-        if g_new < abs(best_f - t):
-            best_x, best_f = probe, evaluator(probe)
-        if g_new <= problem.tolerance * abs(t):
-            return MappingResult(probe, evaluator(probe), i)
-    raise MaxIterations(
-        f"no convergence to {t:g} within {problem.max_iterations} iterations "
-        f"(best {evaluator.name}({best_x:g}) = {best_f:g})",
-        best_value=best_x, best_metric=best_f,
-        iterations=problem.max_iterations)
+            yield x2
 
 
 # ---- shipped evaluators --------------------------------------------------

@@ -185,6 +185,10 @@ class BadMagic(SqchipError):
     pass
 
 
+class NonAsciiName(SqchipError):
+    pass
+
+
 class OddLength(SqchipError):
     def __init__(self, message, offset=-1):
         super().__init__(message)

@@ -27,6 +27,7 @@ from .components import stroke_centerline
 from .errors import (
     BadMagic,
     CoordinateOverflow,
+    NonAsciiName,
     OddLength,
     ParseError,
     TruncatedRecord,
@@ -110,6 +111,8 @@ def _record(rectype: int, payload: bytes = b"") -> bytes:
 
 
 def _ascii(text: str) -> bytes:
+    if not text.isascii():
+        raise NonAsciiName(f"GDS names are ASCII; {text!r} is not")
     raw = text.encode("ascii")
     return raw + b"\x00" if len(raw) % 2 else raw
 

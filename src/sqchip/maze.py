@@ -265,8 +265,6 @@ def route_all(grid: GridGraph, nets: list[tuple[str, tuple[int, int], tuple[int,
                           crossing_count=crossings_before,
                           cells=cells)
         result.paths.append(path)
-        result.total_corners += corners
-        result.total_crossings += crossings_before
     return result
 
 

@@ -455,7 +455,6 @@ def route_pattern(layout, width: float = 10.0) -> RoutingResult:
             path = RoutedPath(net.net_id, net.role, layer, pts, width,
                               corner_count=_bends(pts), crossing_count=0)
             result.paths.append(path)
-            result.total_corners += path.corner_count
     layout.paths.extend(result.paths)
     return result
 

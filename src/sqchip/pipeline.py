@@ -34,6 +34,7 @@ from .errors import (
     DegenerateGrid,
     MissingSubEntity,
     NoPath,
+    NonAsciiName,
     NonPositiveInput,
     SpecInfeasible,
     SqchipError,
@@ -91,6 +92,9 @@ class PipelineConfig:
     process: str = "generic-10um"
 
     def __post_init__(self):
+        # the name becomes the GDS library name, which must be ASCII
+        if not self.name.isascii():
+            raise NonAsciiName(f"design name {self.name!r} is not ASCII")
         if self.rows < 1 or self.cols < 1:
             raise NonPositiveInput(f"grid dims must be positive integers, "
                                    f"got {self.rows}x{self.cols}")
@@ -350,13 +354,8 @@ def run_stages(doc: DesignDocument, cfg: PipelineConfig, names=None
 
 
 def summarize_routing(layout, strategy: str) -> RoutingResult:
-    result = RoutingResult(strategy)
-    for p in layout.paths:
-        if p.kind in ("control", "transmission"):
-            result.paths.append(p)
-            result.total_corners += p.corner_count
-            result.total_crossings += p.crossing_count
-    return result
+    return RoutingResult(strategy, [p for p in layout.paths
+                                    if p.kind in ("control", "transmission")])
 
 
 def run_pipeline(config: PipelineConfig | None = None, **overrides

@@ -45,9 +45,15 @@ class RoutingResult:
     strategy: str
     paths: list[RoutedPath] = field(default_factory=list)
     failures: list[tuple[str, str]] = field(default_factory=list)  # (net, reason)
-    total_corners: int = 0
-    total_crossings: int = 0
 
     @property
     def nets_routed(self) -> int:
         return len(self.paths)
+
+    @property
+    def total_corners(self) -> int:
+        return sum(p.corner_count for p in self.paths)
+
+    @property
+    def total_crossings(self) -> int:
+        return sum(p.crossing_count for p in self.paths)

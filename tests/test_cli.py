@@ -188,6 +188,16 @@ def test_pipeline_refuses_a_negative_border_up_front(tmp_path, capsys,
                              "--border", "-1")
 
 
+def test_a_non_ascii_design_name_is_refused_at_topo(tmp_path, capsys):
+    # every staged command builds its config from the design name, so the
+    # first one refuses it before a design file exists
+    assert main(["--out", str(tmp_path), "--design", "chip\u00e9.sqd",
+                 "topo", "--rows", "1", "--cols", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'chip\u00e9'" in err
+    assert not (tmp_path / "chip\u00e9.sqd").exists()
+
+
 @pytest.mark.parametrize("flag, value, named", [
     ("--sizes", "4x", "'4x'"),
     ("--strategies", "patern", "'patern'"),

@@ -5,6 +5,7 @@ import random
 import stat
 import subprocess
 
+import devmap_reference
 import pytest
 
 from sqchip.circuit import charging_energy
@@ -20,6 +21,7 @@ from sqchip.devmap import (
 )
 from sqchip.errors import (
     ComponentNotTunable,
+    SqchipError,
     EvaluatorFailed,
     MaxIterations,
     NonPositiveInput,
@@ -123,6 +125,59 @@ def test_identical_problems_yield_identical_iterates():
         return (r.value, r.metric, r.iterations, ev.calls)
 
     assert run() == run()
+
+
+def _outcome(solver, problem, ev):
+    try:
+        r = solver(problem, ev)
+        got = ("ok", r.value, r.metric, r.iterations, "")
+    except SqchipError as exc:
+        got = (type(exc), getattr(exc, "best_value", None),
+               getattr(exc, "best_metric", None),
+               getattr(exc, "iterations", None), str(exc))
+    return got, ev.calls, list(ev._cache)
+
+
+def test_one_driver_loop_takes_the_reference_iterates():
+    # the reference keeps one loop per method; the driver must match it on
+    # result, error, evaluator calls and probe order
+    shapes = (lambda a, b: lambda x: a * x + b,
+              lambda a, b: lambda x: a * (x - b) ** 2,
+              lambda a, b: lambda x: math.sin(a * x) + b)
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(1500):
+        lo = rng.uniform(-50.0, 50.0)
+        hi = lo + rng.choice([1e-3, 1.0, rng.uniform(1.0, 300.0)])
+        a = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0)
+        b = rng.uniform(-20.0, 20.0)
+        shape = rng.choice(shapes)
+        mono = rng.choice(["increasing", "decreasing", "unknown"])
+        x_root = rng.uniform(lo, hi)
+        target = rng.choice([shape(a, b)(x_root), rng.uniform(-100.0, 100.0)])
+        problem = MappingProblem("x", lo, hi, target,
+                                 tolerance=10.0 ** -rng.uniform(2.0, 12.0),
+                                 max_iterations=rng.choice(
+                                     [1, 2, 3, rng.randint(4, 60)]))
+        want, got = (_outcome(solver, problem,
+                              Evaluator("f", "", mono, shape(a, b)))
+                     for solver in (devmap_reference.solve, solve))
+        case = (problem, mono)
+        assert got[1:] == want[1:], case
+        if mono == "unknown" and problem.max_iterations < 3:
+            # the reference's golden-section wording for budgets of 1 or 2
+            assert got[0][:4] == want[0][:4], case
+            if want[0][0] is MaxIterations:
+                assert "no convergence to" in got[0][4], case
+        else:
+            assert got[0] == want[0], case
+        seen.add((want[0][0], mono, min(problem.max_iterations, 4)))
+    # every outcome was reached for each method and each small budget
+    for mono in ("increasing", "decreasing", "unknown"):
+        for budget in (1, 2, 3, 4):
+            assert {("ok", mono, budget), (MaxIterations, mono, budget)} <= seen
+            if mono != "unknown":
+                assert (TargetNotBracketed, mono, budget) in seen
 
 
 def test_problem_validation_rejects_bad_setups():

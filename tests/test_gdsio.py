@@ -14,6 +14,7 @@ from sqchip.document import extract
 from sqchip.errors import (
     BadMagic,
     CoordinateOverflow,
+    NonAsciiName,
     OddLength,
     ParseError,
     SqchipError,
@@ -162,6 +163,16 @@ def test_missing_endlib_with_zero_padding_still_parses():
     lib = read_gds(padded)
     assert [s.name for s in lib.structures] == \
         [s.name for s in read_gds(data).structures]
+
+
+def test_writer_refuses_a_non_ascii_name_typed():
+    layout = place_qubits(generate_grid(1, 1))
+    layout.name = "chip\u00e9"
+    with pytest.raises(NonAsciiName, match="'chip\u00e9'"):
+        write_gds(layout)
+    lib = GdsLibrary("chip", structures=[GdsStructure("cell\u00e9")])
+    with pytest.raises(NonAsciiName, match="'cell\u00e9'"):
+        write_library(lib)
 
 
 def test_reader_rejects_bad_framing():

@@ -24,6 +24,7 @@ from sqchip.document import DesignDocument, save
 from sqchip.errors import (
     DegenerateGrid,
     MissingSubEntity,
+    NonAsciiName,
     NonPositiveInput,
     PitchTooSmall,
     SpecInfeasible,
@@ -147,6 +148,14 @@ def test_config_refuses_a_negative_border_up_front(monkeypatch):
         with pytest.raises(NonPositiveInput, match="border"):
             run_pipeline(rows=3, cols=3, border=bad)
     assert PipelineConfig(border=0.0)
+
+
+def test_config_refuses_a_non_ascii_name_up_front(monkeypatch):
+    # the name becomes the GDS library name, so no stage may start on it
+    _no_stage_may_run(monkeypatch)
+    with pytest.raises(NonAsciiName, match="'chip\u00e9'"):
+        run_pipeline(rows=1, cols=1, name="chip\u00e9")
+    assert PipelineConfig(name="chip-e_1")
 
 
 @pytest.mark.parametrize("strategy", ["pattern", "maze"])
