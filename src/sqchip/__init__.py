@@ -46,7 +46,6 @@ from .gdsio import export_svg, layout_from_gds, read_gds, write_gds
 from .layout import (
     ChipLayout,
     DieBox,
-    ResonatorSpec,
     allocate_frequencies,
     generate_readout_bus,
     place_qubits,

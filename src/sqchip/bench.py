@@ -91,8 +91,9 @@ def fit_exponent(records: list[BenchRecord]) -> tuple[float, float] | None:
 def bench_scaling(sizes: list[tuple[int, int]],
                   strategies: tuple[str, ...] = ("pattern", "maze"),
                   repetitions: int = 3) -> BenchResult:
-    """Run the full grid of cells; per-cell failures are recorded, not
-    raised."""
+    """Run the full grid of cells; a cell that fails with a SqchipError is
+    recorded, not raised, and any other exception is a fault and
+    propagates."""
     if not sizes:
         raise SqchipError("no sizes to benchmark")
     if repetitions < 3:
@@ -104,7 +105,7 @@ def bench_scaling(sizes: list[tuple[int, int]],
         for m, n in sizes:
             try:
                 out.records.append(bench_cell(s, m, n, repetitions))
-            except Exception as exc:
+            except SqchipError as exc:
                 out.failures.append((s, m, n, str(exc)))
     for s in strategies:
         fit = fit_exponent([r for r in out.records if r.strategy == s])

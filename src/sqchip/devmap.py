@@ -71,6 +71,11 @@ class MappingProblem:
     max_iterations: int = 60
 
     def __post_init__(self):
+        # an inf target passes _close as inf <= inf, a nan runs to the budget
+        for name in ("lo", "hi", "target", "tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise NonPositiveInput(f"{name} must be finite, "
+                                       f"got {getattr(self, name)}")
         if not self.lo < self.hi:
             raise NonPositiveInput(f"bounds [{self.lo}, {self.hi}] are empty")
         if self.tolerance <= 0:

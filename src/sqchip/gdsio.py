@@ -202,6 +202,14 @@ def _iter_records(data: bytes):
         pos += length
 
 
+def _name(payload: bytes, pos: int) -> str:
+    try:
+        return payload.rstrip(b"\x00").decode("ascii")
+    except UnicodeDecodeError:
+        raise NonAsciiName(f"name record at offset {pos} is not ASCII: "
+                           f"{payload!r}") from None
+
+
 # payload bytes of the fixed-size element records the reader decodes
 _PAYLOAD_SIZE = {LAYER: 2, DATATYPE: 2, PATHTYPE: 2, WIDTH: 4}
 
@@ -210,7 +218,8 @@ def read_gds(src) -> GdsLibrary:
     """Parse a stream (bytes) or a file path into a GdsLibrary.
 
     A malformed stream raises BadMagic, TruncatedRecord or OddLength; the
-    last two carry the offending record's offset.
+    last two carry the offending record's offset. A name the writer would
+    refuse raises NonAsciiName.
     """
     if isinstance(src, (str, Path)):
         data = Path(src).read_bytes()
@@ -235,7 +244,7 @@ def read_gds(src) -> GdsLibrary:
         if rectype == BGNLIB:
             continue
         if rectype == LIBNAME:
-            lib.name = payload.rstrip(b"\x00").decode("ascii", "replace")
+            lib.name = _name(payload, pos)
         elif rectype == UNITS:
             if len(payload) != 16:
                 raise TruncatedRecord(f"UNITS record at offset {pos} malformed", pos)
@@ -251,7 +260,7 @@ def read_gds(src) -> GdsLibrary:
             el = None
         elif rectype == STRNAME:
             if cur is not None:
-                cur.name = payload.rstrip(b"\x00").decode("ascii", "replace")
+                cur.name = _name(payload, pos)
         elif rectype == ENDSTR:
             if cur is not None:
                 cur.raw = data[struct_start:pos + 4]
@@ -291,7 +300,7 @@ def read_gds(src) -> GdsLibrary:
                 elif rectype == PATHTYPE:
                     el.pathtype = struct.unpack(">h", payload)[0]
                 elif rectype == SNAME:
-                    el.sname = payload.rstrip(b"\x00").decode("ascii", "replace")
+                    el.sname = _name(payload, pos)
                 elif rectype == STRANS:
                     el.strans = True
                 elif rectype == XY:

@@ -22,6 +22,12 @@ def bbox_union(boxes):
             max(b[2] for b in boxes), max(b[3] for b in boxes))
 
 
+def boxes_overlap(a, b) -> bool:
+    """True if boxes (x0, y0, x1, y1) share positive area; touching
+    boundaries do not count."""
+    return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
+
+
 def _on_segment(p, a, b):
     cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
     if abs(cross) > 1e-9 * (abs(b[0] - a[0]) + abs(b[1] - a[1]) + 1.0):

@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .components import (
+    LAYER_OPPOSITE,
     LAYER_QUBIT,
+    LAYER_ROUTING,
     PlacedComponent,
     make_resonator,
     make_transmon,
@@ -25,7 +27,7 @@ from .errors import (
     SpecInfeasible,
     check_selector,
 )
-from .geometry import bbox_union
+from .geometry import bbox_union, boxes_overlap
 from .routing import Pin, RoutedPath
 from .topology import Topology
 
@@ -51,25 +53,6 @@ class DieBox:
 
 
 @dataclass
-class ResonatorSpec:
-    """Target and geometry of one readout resonator."""
-
-    mode: str                  # quarter-wave | half-wave
-    target_frequency: float    # Hz
-    length: float              # um
-    w: float = 10.0            # trace width, um
-    g: float = 6.0             # gap to ground, um
-    eps_r: float = 11.45       # substrate relative permittivity
-    coupling_length: float = 200.0
-
-    def __post_init__(self):
-        if not 1.0 < self.eps_r < 30.0:
-            raise InvalidSubstrate(f"relative permittivity {self.eps_r} out of range (1, 30)")
-        if self.target_frequency <= 0 or self.length <= 0:
-            raise NonPositiveInput("resonator frequency and length must be positive")
-
-
-@dataclass
 class ChipLayout:
     name: str
     die: DieBox
@@ -91,15 +74,18 @@ class ChipLayout:
                 return c
         raise KeyError(comp_id)
 
+    @property
+    def routing_layer(self) -> int:
+        """The layer both routers put their nets on: the carrier face of a
+        flip-chip stack, else the qubit face's routing metal."""
+        return LAYER_OPPOSITE if self.flip_chip else LAYER_ROUTING
+
     def add_component(self, comp: PlacedComponent, check_overlap: bool = True) -> None:
         if check_overlap:
             nb = comp.bounding_box()
             for other in self.components:
-                if not (other.layers() & comp.layers()):
-                    continue
-                ob = other.bounding_box()
-                # touching boundaries is fine; positive-area overlap is not
-                if nb[0] < ob[2] and ob[0] < nb[2] and nb[1] < ob[3] and ob[1] < nb[3]:
+                if (other.layers() & comp.layers()
+                        and boxes_overlap(nb, other.bounding_box())):
                     raise PlacementOverlap(
                         f"{comp.comp_id} overlaps {other.comp_id} on a shared layer")
         self.components.append(comp)
@@ -223,12 +209,20 @@ def bus_name(first_qubit: str) -> str:
     return f"bus_{first_qubit}"
 
 
+def feedline_ends(layout: ChipLayout,
+                  ) -> dict[str, tuple[tuple[float, float], tuple[float, float]]]:
+    """Feedline net -> (west end, east end); both routers attach to these."""
+    return {p.net: (min(p.points), max(p.points))
+            for p in layout.paths if p.kind == "feedline"}
+
+
 def generate_readout_bus(layout: ChipLayout, row_qubits: list[str],
                          f_start: float, f_stop: float, *,
                          w: float = 10.0, g: float = 6.0,
                          eps_r: float = 11.45, coupling_length: float = 200.0,
-                         ) -> tuple[list[ResonatorSpec], list[PlacedComponent]]:
-    """Attach one readout resonator per qubit and a shared feedline above them.
+                         ) -> list[PlacedComponent]:
+    """Attach one readout resonator per qubit and a shared feedline above
+    them; returns the resonators, left to right.
 
     row_qubits must be one horizontal row, ordered left to right; target
     frequencies ascend in that order. The feedline is added to layout.paths
@@ -253,19 +247,16 @@ def generate_readout_bus(layout: ChipLayout, row_qubits: list[str],
     top_y = top_attach + _ZONE_HEIGHT
     freqs = readout_ladder(len(row_qubits), f_start, f_stop)
 
-    specs: list[ResonatorSpec] = []
     made: list[PlacedComponent] = []
     for comp, port, f in zip(comps, ports, freqs):
-        length = resonator_length(f, eps_r)
-        spec = ResonatorSpec("quarter-wave", f, length, w, g, eps_r, coupling_length)
         px, py = port.position
         attach = (px, py + g + w / 2.0)   # capacitive gap to the qubit arm
         res = make_resonator(
             f"res_{comp.comp_id}", attach, top_y,
             px - usable / 2.0, px + usable / 2.0,
-            length, w, g, coupling_length, f, qubit_id=comp.comp_id)
+            resonator_length(f, eps_r), w, g, coupling_length, f,
+            qubit_id=comp.comp_id)
         layout.add_component(res)
-        specs.append(spec)
         made.append(res)
 
     y_fl = top_y + (w + g)               # edge-to-edge gap of g to coupling runs
@@ -275,7 +266,7 @@ def generate_readout_bus(layout: ChipLayout, row_qubits: list[str],
         bus_name(row_qubits[0]), "feedline", LAYER_QUBIT,
         [(x_lo, y_fl), (x_hi, y_fl)], w))
     layout.expand_die_to_content(layout.grid_info.get("border", 500.0))
-    return specs, made
+    return made
 
 
 def allocate_frequencies(topology: Topology,

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BlockedEndpoint, DegenerateGrid, NoPath, NonPositiveInput
+from .layout import feedline_ends
 from .routing import RoutedPath, RoutingResult
 
 # direction encoding: index into _STEPS; -1 means "no direction yet"
@@ -262,8 +263,7 @@ def route_all(grid: GridGraph, nets: list[tuple[str, tuple[int, int], tuple[int,
         path = RoutedPath(net_id, "control", layer,
                           cells_to_points(grid, cells), width,
                           corner_count=corners,
-                          crossing_count=crossings_before,
-                          cells=cells)
+                          crossing_count=crossings_before)
         result.paths.append(path)
     return result
 
@@ -274,12 +274,10 @@ def resolve_target(layout, target: str, standoff: float,
     keep-out. Targets are qubit ids or "<feedline>@west" / "@east"."""
     if "@" in target:
         bus, side = target.split("@")
-        for p in layout.paths:
-            if p.kind == "feedline" and p.net == bus:
-                pos = min(p.points) if side == "west" else max(p.points)
-                break
-        else:
+        ends = feedline_ends(layout)
+        if bus not in ends:
             raise NoPath(f"no feedline named {bus}")
+        pos = ends[bus][0 if side == "west" else 1]
         direction = (-1.0, 0.0) if side == "west" else (1.0, 0.0)
     else:
         comp = layout.component_by_id(target)

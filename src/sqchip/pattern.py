@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .components import LAYER_OPPOSITE, LAYER_ROUTING, make_pad
+from .components import make_pad
 from .errors import CorridorExhausted, SpecInfeasible
 from .geometry import merge_collinear
-from .layout import DieBox, bus_name
+from .layout import DieBox, bus_name, feedline_ends
 from .routing import Pin, RoutedPath, RoutingResult
 from .topology import Topology
 
@@ -138,16 +138,6 @@ def _qubit_grid(layout, topology):
     return m, n, off, pitch, half, by_pos
 
 
-def _feedline_ends(layout) -> dict[str, tuple[tuple[float, float], tuple[float, float]]]:
-    out = {}
-    for p in layout.paths:
-        if p.kind != "feedline":
-            continue
-        pts = sorted(p.points)
-        out[p.net] = (pts[0], pts[-1])     # (west end, east end)
-    return out
-
-
 def _column_gaps(layout, n, off, pitch, lane_pitch, max_offset):
     """Corridor base x per column gap, validated against real geometry."""
     x_of = lambda c: off[0] + c * pitch
@@ -198,7 +188,7 @@ def build_nets(layout, topology, lane_pitch: float = 25.0) -> PinPlan:
     x_of = lambda c: off[0] + c * pitch
     y_of = lambda r: off[1] + r * pitch
     row_edge = _row_edges(m, n)
-    feeds = _feedline_ends(layout)
+    feeds = feedline_ends(layout)
     T, B, L, R = _row_split(m, n)
     cx0, cy0, cx1, cy1 = layout.content_bbox()
     bound = {"top": cy1, "bottom": cy0, "left": cx0, "right": cx1}
@@ -443,7 +433,7 @@ def route_pattern(layout, width: float = 10.0) -> RoutingResult:
     plan = getattr(layout, "pin_plan", None)
     if plan is None:
         raise SpecInfeasible("layout has no pin plan; run allocate_pins first")
-    layer = LAYER_OPPOSITE if layout.flip_chip else LAYER_ROUTING
+    layer = layout.routing_layer
     result = RoutingResult("pattern")
     lam = plan.lane_pitch
     for e, ep in plan.edges.items():

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .circuit import EquivalentCircuit, inverse_solve
-from .components import LAYER_OPPOSITE, LAYER_ROUTING
 from .document import (
     DesignDocument,
     ParameterBundle,
@@ -213,9 +212,9 @@ def route_maze_core(layout, topology, corner_penalty, cross_penalty,
         nets.append((pin.pin_id, grid.cell_at(*pin.position),
                      grid.cell_at(*off)))
         tails[pin.pin_id] = (pin.position, pos, pin.role)
-    layer = LAYER_OPPOSITE if layout.flip_chip else LAYER_ROUTING
     result = route_all(grid, nets, k_corner=corner_penalty,
-                       k_cross=cross_penalty, layer=layer, width=trace_width)
+                       k_cross=cross_penalty, layer=layout.routing_layer,
+                       width=trace_width)
     if result.failures:
         raise NoPath(f"{len(result.failures)} nets unroutable: "
                      f"{result.failures[:3]}")

@@ -26,10 +26,11 @@ from .components import (
     make_indium_column,
     make_pad,
 )
-from .errors import SpecInfeasible
+from .errors import SpecInfeasible, UnresolvableOverlap
 from .geometry import (
     BinIndex,
     bbox,
+    boxes_overlap,
     path_segments,
     segment_crossing_point,
     segment_distance,
@@ -169,25 +170,14 @@ def apply_rules(layout, rules: ProcessRules):
 
 def _check_widening(layout, widened, rules: ProcessRules) -> None:
     """Fatter traces must not eat the spacing margin to their neighbors."""
-    from .errors import UnresolvableOverlap
-
     grown = {id(p) for p in widened}
-    for a, b, pairs in _near_segment_pairs(layout.paths, rules):
-        if id(a) not in grown and id(b) not in grown:
-            continue
-        need = rules.min_spacing + (a.width + b.width) / 2.0
-        for s1, s2 in pairs:
-            d = segment_distance(s1[0], s1[1], s2[0], s2[1])
-            if d >= need:
-                continue
-            # transversal crossings are legal, they get bridges
-            if segment_crossing_point(s1[0], s1[1], s2[0], s2[1]):
-                continue
-            if d > 1e-9 or not _endpoint_touch(s1, s2):
-                raise UnresolvableOverlap(
-                    f"widening {a.net} to {a.width} um leaves "
-                    f"{d:.2f} um to {b.net}, below the "
-                    f"{rules.min_spacing} um spacing rule")
+    for a, b, _, d, x in _spacing_faults(layout.paths, rules):
+        # transversal crossings are legal, they get bridges
+        if x is None and (id(a) in grown or id(b) in grown):
+            raise UnresolvableOverlap(
+                f"widening {a.net} to {a.width} um leaves "
+                f"{d:.2f} um to {b.net}, below the "
+                f"{rules.min_spacing} um spacing rule")
 
 
 # Index queries widen exact-predicate reaches by this much, so rounding in
@@ -278,6 +268,28 @@ def _near_segment_pairs(paths, rules: ProcessRules, reach: float | None = None):
             pa, pb = a.points, paths[j].points
             yield a, paths[j], [((pa[k], pa[k + 1]), (pb[l], pb[l + 1]))
                                 for k, l in sorted(near[j])]
+
+
+def _spacing_faults(paths, rules: ProcessRules):
+    """Segment pairs of different nets on one layer that come closer than
+    min_spacing plus their half widths, in all-pairs order.
+
+    Yields (a, b, s1, d, x): paths a and b, a's segment s1, the centerline
+    distance d, and the crossing point x of a transversal crossing, or None
+    for a spacing fault. A pair of paths yields nothing after its first
+    spacing fault, and segments that only touch at an endpoint are skipped.
+    """
+    for a, b, pairs in _near_segment_pairs(paths, rules):
+        need = rules.min_spacing + (a.width + b.width) / 2.0
+        for s1, s2 in pairs:
+            d = segment_distance(s1[0], s1[1], s2[0], s2[1])
+            if d >= need:
+                continue
+            x = segment_crossing_point(s1[0], s1[1], s2[0], s2[1])
+            if x is not None or d > 1e-9 or not _endpoint_touch(s1, s2):
+                yield a, b, s1, d, x
+                if x is None:
+                    break
 
 
 def insert_air_bridges(layout, rules: ProcessRules) -> list:
@@ -398,27 +410,19 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
 
     # spacing between different nets on one layer
     decks = _deck_index(layout, rules)
-    for a, b, pairs in _near_segment_pairs(layout.paths, rules):
-        need = rules.min_spacing + (a.width + b.width) / 2.0
-        for s1, s2 in pairs:
-            d = segment_distance(s1[0], s1[1], s2[0], s2[1])
-            if d >= need:
-                continue
-            x = segment_crossing_point(s1[0], s1[1], s2[0], s2[1])
-            if x is not None:
-                if not _bridged(decks, x):
-                    out.append(Violation(
-                        "unbridged-crossing",
-                        f"nets {a.net} and {b.net} cross without "
-                        f"an air bridge", x, (a.net, b.net)))
-            elif d > 1e-9 or not _endpoint_touch(s1, s2):
-                out.append(Violation(
-                    "spacing",
-                    f"nets {a.net} and {b.net} are "
-                    f"{max(d - (a.width + b.width) / 2.0, 0.0):.2f} um "
-                    f"apart, need {rules.min_spacing} um",
-                    s1[0], (a.net, b.net)))
-                break
+    for a, b, s1, d, x in _spacing_faults(layout.paths, rules):
+        if x is None:
+            out.append(Violation(
+                "spacing",
+                f"nets {a.net} and {b.net} are "
+                f"{max(d - (a.width + b.width) / 2.0, 0.0):.2f} um "
+                f"apart, need {rules.min_spacing} um",
+                s1[0], (a.net, b.net)))
+        elif not _bridged(decks, x):
+            out.append(Violation(
+                "unbridged-crossing",
+                f"nets {a.net} and {b.net} cross without "
+                f"an air bridge", x, (a.net, b.net)))
 
     # everything inside the die
     for comp in layout.components:
@@ -453,8 +457,7 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
         for j in sorted(near):
             if j <= i:
                 continue
-            bj = comps[j].bounding_box()
-            if bi[0] < bj[2] and bj[0] < bi[2] and bi[1] < bj[3] and bj[1] < bi[3]:
+            if boxes_overlap(bi, comps[j].bounding_box()):
                 out.append(Violation(
                     "overlap", f"{ci.comp_id} overlaps {comps[j].comp_id}",
                     ci.origin, (ci.comp_id, comps[j].comp_id)))

@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 class RoutedPath:
     """One routed net as a centerline polyline in micrometres.
 
-    Maze-routed nets also keep their grid cell sequence; pattern-routed nets
-    are born as polylines. corner_count/crossing_count mirror the router's
-    bookkeeping at route time.
+    corner_count/crossing_count mirror the router's bookkeeping at route
+    time.
     """
 
     net: str
@@ -21,7 +20,6 @@ class RoutedPath:
     width: float                   # um
     corner_count: int = 0
     crossing_count: int = 0
-    cells: list[tuple[int, int]] | None = None
 
     def length(self) -> float:
         from .geometry import path_length

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from sqchip import bench
 from sqchip.bench import (
     CSV_COLUMNS,
     BenchRecord,
@@ -91,6 +92,15 @@ def test_bench_scaling_records_per_cell_failures():
     assert (strategy, m, n) == ("pattern", 0, 2)
     assert reason
     assert "pattern" not in result.exponents   # one surviving size, no fit
+
+
+def test_bench_scaling_lets_a_fault_propagate(monkeypatch):
+    def broken(*args):
+        raise TypeError("a router fault, not a failed cell")
+
+    monkeypatch.setattr(bench, "bench_cell", broken)
+    with pytest.raises(TypeError, match="router fault"):
+        bench_scaling([(2, 2)], strategies=("pattern",), repetitions=3)
 
 
 def test_csv_round_trips_records(tmp_path):

@@ -123,6 +123,18 @@ def test_devmap_standalone_requires_bounds(tmp_path):
                 "--evaluator", "stub:linear:2:0") == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--target", "inf"),
+                                         ("--target", "nan"),
+                                         ("--hi", "inf")])
+def test_devmap_refuses_a_non_finite_input(tmp_path, capsys, flag, value):
+    argv = {"--lo": "0", "--hi": "10", "--target": "3", flag: value}
+    code = _run(tmp_path, "devmap", "--param", "x",
+                "--evaluator", "stub:linear:1",
+                *[t for kv in argv.items() for t in kv])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_devmap_with_a_failing_evaluator_exits_2(tmp_path, capsys):
     code = _run(tmp_path, "devmap", "--evaluator", "cmd:/bin/false",
                 "--param", "x", "--target", "1", "--lo", "0", "--hi", "2")

@@ -191,6 +191,15 @@ def test_problem_validation_rejects_bad_setups():
         Evaluator("t", "", "sideways", lambda x: x)
 
 
+@pytest.mark.parametrize("field", ["lo", "hi", "target", "tolerance"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_problem_validation_rejects_non_finite_inputs(field, bad):
+    kwargs = dict(parameter="x", lo=0.0, hi=10.0, target=3.0, tolerance=1e-3)
+    kwargs[field] = bad
+    with pytest.raises(NonPositiveInput, match=field):
+        MappingProblem(**kwargs)
+
+
 def test_charging_energy_stub_inverts_the_analytic_chain():
     ev = make_evaluator("stub:charging-energy")
     target = 298e6

@@ -26,9 +26,13 @@ from sqchip.gdsio import (
     GdsElement,
     GdsLibrary,
     GdsStructure,
+    LIBNAME,
+    SNAME,
+    STRNAME,
     UNITS,
     XY,
     _frame,
+    _iter_records,
     excess64_decode,
     excess64_encode,
     export_svg,
@@ -173,6 +177,17 @@ def test_writer_refuses_a_non_ascii_name_typed():
     lib = GdsLibrary("chip", structures=[GdsStructure("cell\u00e9")])
     with pytest.raises(NonAsciiName, match="'cell\u00e9'"):
         write_library(lib)
+
+
+@pytest.mark.parametrize("rectype", [LIBNAME, STRNAME, SNAME])
+def test_reader_refuses_a_non_ascii_name_the_writer_would_refuse(rectype):
+    data = bytearray(run_pipeline(rows=1, cols=1).gds_bytes)
+    pos = next(p for p, t, _ in _iter_records(bytes(data)) if t == rectype)
+    data[pos + 4] = 0xE9
+    with pytest.raises(NonAsciiName, match=f"offset {pos} "):
+        read_gds(bytes(data))
+    with pytest.raises(NonAsciiName):
+        layout_from_gds(bytes(data))
 
 
 def test_reader_rejects_bad_framing():

@@ -7,6 +7,7 @@ from sqchip.geometry import (
     BinIndex,
     bbox,
     bbox_union,
+    boxes_overlap,
     merge_collinear,
     path_length,
     path_segments,
@@ -21,6 +22,16 @@ from sqchip.geometry import (
 def test_bbox_and_union_cover_all_points():
     assert bbox([(1, 2), (-3, 5), (0, 0)]) == (-3, 0, 1, 5)
     assert bbox_union([(0, 0, 1, 1), (2, -1, 3, 0)]) == (0, -1, 3, 1)
+
+
+def test_boxes_overlap_only_on_positive_area():
+    a = (0, 0, 10, 10)
+    assert boxes_overlap(a, (5, 5, 15, 15))
+    assert boxes_overlap(a, (2, 2, 3, 3))
+    for touching in [(10, 0, 20, 10), (0, 10, 10, 20), (10, 10, 20, 20)]:
+        assert not boxes_overlap(a, touching)
+        assert not boxes_overlap(touching, a)
+    assert not boxes_overlap(a, (11, 0, 20, 10))
 
 
 def test_rect_is_counterclockwise_and_closed_by_bbox():

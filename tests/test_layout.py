@@ -17,7 +17,6 @@ from sqchip.errors import (
 from sqchip.layout import (
     ChipLayout,
     DieBox,
-    ResonatorSpec,
     allocate_frequencies,
     generate_readout_bus,
     place_qubits,
@@ -65,8 +64,6 @@ def test_resonator_length_rejects_bad_substrate_and_frequency():
         resonator_length(0.0)
     with pytest.raises(UnknownSelector, match="half-wave"):
         resonator_length(6.5e9, mode="full-wave")
-    with pytest.raises(InvalidSubstrate):
-        ResonatorSpec("quarter-wave", 6.5e9, 4621.0, 10.0, 6.0, 31.0, 200.0)
 
 
 def test_readout_ladder_is_inclusive_and_evenly_spaced():
@@ -133,12 +130,12 @@ def test_die_expansion_only_grows():
 def test_readout_bus_attaches_ascending_frequencies_left_to_right():
     topo = generate_grid(1, 4)
     layout = place_qubits(topo, "xmon", pitch=2000.0, border=500.0)
-    specs, resonators = generate_readout_bus(
+    resonators = generate_readout_bus(
         layout, ["q0", "q1", "q2", "q3"], 6.535e9, 7.246e9)
-    assert [s.target_frequency for s in specs] == \
+    assert [r.params["target_frequency"] for r in resonators] == \
         readout_ladder(4, 6.535e9, 7.246e9)
     # higher frequency means shorter quarter-wave resonator
-    lengths = [s.length for s in specs]
+    lengths = [r.params["length"] for r in resonators]
     assert lengths == sorted(lengths, reverse=True)
     assert all(a > b for a, b in zip(lengths, lengths[1:]))
     # capacitive attach: gap of g above the north arm tip
