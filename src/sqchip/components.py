@@ -45,9 +45,13 @@ class PlacedComponent:
     # the footprint's GDS BOUNDARY records, packed once by gdsio
     _gds: bytes | None = field(
         default=None, init=False, repr=False, compare=False)
+    # (moved list, position) once a ChipLayout holds the component: the
+    # layout re-files the positions set_footprint appends to the list
+    _slot: tuple[list[int], int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
-        # cached: overlap checks hit this once per existing component
+        # cached: overlap checks, DRC and content_bbox each read it
         if self._bbox is None:
             boxes = [bbox(poly) for polys in self.footprint.values()
                      for poly in polys]
@@ -56,10 +60,14 @@ class PlacedComponent:
 
     def set_footprint(self, layer: int,
                       polygons: list[list[tuple[float, float]]]) -> None:
-        """The one way to change a footprint: it clears both caches."""
+        """The one way to change a footprint: it clears both caches and
+        tells the component's layout to re-file it in its overlap index."""
         self.footprint[layer] = polygons
         self._bbox = None
         self._gds = None
+        if self._slot is not None:
+            moved, i = self._slot
+            moved.append(i)
 
     def layers(self) -> set[int]:
         return set(self.footprint)

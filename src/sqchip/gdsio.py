@@ -129,10 +129,13 @@ def _to_db(um: float) -> int:
 
 
 def _xy(points) -> bytes:
-    flat = []
-    for x, y in points:
-        flat.append(_to_db(x))
-        flat.append(_to_db(y))
+    """XY payload: each coordinate rounded half-to-even to the database
+    grid, packed in one call."""
+    flat = [round(v * DB_PER_UM) for pt in points for v in pt]
+    if flat and (max(flat) > _I32_MAX or min(flat) < -_I32_MAX):
+        for pt in points:
+            for v in pt:
+                _to_db(v)          # raises CoordinateOverflow naming v
     return struct.pack(f">{len(flat)}i", *flat)
 
 
@@ -316,30 +319,34 @@ def read_gds(src) -> GdsLibrary:
 
 # ---- writing -------------------------------------------------------------
 
+# the fixed records up to the XY header, each packed in one call
+_BOUNDARY_HEAD = struct.Struct(">HHHHhHHhHH")   # BOUNDARY LAYER DATATYPE XY
+_PATH_HEAD = struct.Struct(">HHHHhHHhHHhHHiHH")  # PATH ... PATHTYPE WIDTH XY
+_ENDEL = struct.pack(">HH", 4, ENDEL)
+
+
+def _boundary(layer: int, datatype: int, points) -> bytes:
+    pts = list(points)
+    if pts and pts[0] != pts[-1]:
+        pts.append(pts[0])
+    xy = _xy(pts)
+    return _BOUNDARY_HEAD.pack(4, BOUNDARY, 6, LAYER, layer, 6, DATATYPE,
+                               datatype, 4 + len(xy), XY) + xy + _ENDEL
+
+
 def _render_element(el: GdsElement) -> bytes:
     check_selector("element kind", el.kind, ELEMENT_KINDS)
-    out = []
     if el.kind == "boundary":
-        pts = list(el.xy)
-        if pts and pts[0] != pts[-1]:
-            pts.append(pts[0])
-        out.append(_record(BOUNDARY))
-        out.append(_record(LAYER, struct.pack(">h", el.layer)))
-        out.append(_record(DATATYPE, struct.pack(">h", el.datatype)))
-        out.append(_record(XY, _xy(pts)))
-    elif el.kind == "path":
-        out.append(_record(PATH))
-        out.append(_record(LAYER, struct.pack(">h", el.layer)))
-        out.append(_record(DATATYPE, struct.pack(">h", el.datatype)))
-        out.append(_record(PATHTYPE, struct.pack(">h", el.pathtype)))
-        out.append(_record(WIDTH, struct.pack(">i", _to_db(el.width))))
-        out.append(_record(XY, _xy(el.xy)))
-    else:
-        out.append(_record(SREF))
-        out.append(_record(SNAME, _ascii(el.sname)))
-        out.append(_record(XY, _xy(el.xy)))
-    out.append(_record(ENDEL))
-    return b"".join(out)
+        return _boundary(el.layer, el.datatype, el.xy)
+    if el.kind == "path":
+        width = _to_db(el.width)
+        xy = _xy(el.xy)
+        return _PATH_HEAD.pack(
+            4, PATH, 6, LAYER, el.layer, 6, DATATYPE, el.datatype,
+            6, PATHTYPE, el.pathtype, 8, WIDTH, width,
+            4 + len(xy), XY) + xy + _ENDEL
+    return b"".join((_record(SREF), _record(SNAME, _ascii(el.sname)),
+                     _record(XY, _xy(el.xy)), _ENDEL))
 
 
 def _frame(name: str, body: bytes) -> bytes:
@@ -377,10 +384,9 @@ def _boundaries(comp) -> bytes:
     """comp's BOUNDARY records, layers ascending, packed on first use and
     kept on comp until set_footprint clears them."""
     if comp._gds is None:
-        comp._gds = b"".join(
-            _render_element(GdsElement("boundary", layer=layer, xy=poly))
-            for layer in sorted(comp.footprint)
-            for poly in comp.footprint[layer])
+        comp._gds = b"".join(_boundary(layer, 0, poly)
+                             for layer in sorted(comp.footprint)
+                             for poly in comp.footprint[layer])
     return comp._gds
 
 
@@ -457,10 +463,11 @@ def layout_from_gds(src):
         for el in s.elements:
             if el.kind == "boundary":
                 poly = el.xy[:-1] if len(el.xy) > 1 and el.xy[0] == el.xy[-1] else el.xy
-                x0, y0, _, _ = bbox(poly)
-                layout.components.append(PlacedComponent(
-                    f"{s.name}_{serial}", "imported", (x0, y0),
-                    {el.layer: [poly]}))
+                box = bbox(poly)
+                comp = PlacedComponent(f"{s.name}_{serial}", "imported",
+                                       box[:2], {el.layer: [poly]})
+                comp._bbox = box          # its one polygon's box
+                layout.add_component(comp, check_overlap=False)
                 serial += 1
             elif el.kind == "path":
                 layout.paths.append(RoutedPath(

@@ -126,27 +126,35 @@ class BinIndex:
         self.cell = cell
         self._bins: dict[tuple, list] = {}
 
-    def _keys(self, layer, box):
+    def _span(self, lo, hi):
         c = self.cell
-        ix0, ix1 = math.floor(box[0] / c), math.floor(box[2] / c)
-        iy0, iy1 = math.floor(box[1] / c), math.floor(box[3] / c)
-        return [(layer, ix, iy) for ix in range(ix0, ix1 + 1)
-                for iy in range(iy0, iy1 + 1)]
+        return range(math.floor(lo / c), math.floor(hi / c) + 1)
 
     def add(self, layer, box, item) -> None:
         """File hashable `item` under `box` = (x0, y0, x1, y1) on `layer`."""
         entry = (box, item)
-        for key in self._keys(layer, box):
-            self._bins.setdefault(key, []).append(entry)
+        bins = self._bins
+        ys = self._span(box[1], box[3])
+        for ix in self._span(box[0], box[2]):
+            for iy in ys:
+                filed = bins.get((layer, ix, iy))
+                if filed is None:
+                    bins[(layer, ix, iy)] = [entry]
+                else:
+                    filed.append(entry)
 
     def query(self, layer, box) -> set:
         """Items on `layer` whose box meets `box`."""
         x0, y0, x1, y1 = box
+        bins = self._bins
         found = set()
-        for key in self._keys(layer, box):
-            for b, item in self._bins.get(key, ()):
-                if b[0] <= x1 and x0 <= b[2] and b[1] <= y1 and y0 <= b[3]:
-                    found.add(item)
+        ys = self._span(y0, y1)
+        for ix in self._span(x0, x1):
+            for iy in ys:
+                for b, item in bins.get((layer, ix, iy), ()):
+                    if b[0] <= x1 and x0 <= b[2] and b[1] <= y1 \
+                            and y0 <= b[3]:
+                        found.add(item)
         return found
 
 

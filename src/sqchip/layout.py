@@ -6,6 +6,7 @@ the layout, then treat it as an immutable snapshot.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .components import (
@@ -27,7 +28,7 @@ from .errors import (
     SpecInfeasible,
     check_selector,
 )
-from .geometry import bbox_union, boxes_overlap
+from .geometry import BinIndex, bbox_union, boxes_overlap
 from .routing import Pin, RoutedPath
 from .topology import Topology
 
@@ -52,11 +53,34 @@ class DieBox:
                 and self.y0 - tol <= y <= self.y1 + tol)
 
 
+# side of the overlap index's bins, um: a qubit or pad falls in one to four
+_COMPONENT_BIN = 1000.0
+
+
+class _Components(Sequence):
+    """Read-only view of a layout's components. They change only through
+    ChipLayout.add_component and PlacedComponent.set_footprint, which keep
+    the layout's id map and overlap index in step."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: list[PlacedComponent]):
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    def __iter__(self):
+        return iter(self._items)
+
+
 @dataclass
 class ChipLayout:
     name: str
     die: DieBox
-    components: list[PlacedComponent] = field(default_factory=list)
     paths: list[RoutedPath] = field(default_factory=list)
     pins: list[Pin] = field(default_factory=list)
     grid_info: dict = field(default_factory=dict)
@@ -67,12 +91,29 @@ class ChipLayout:
     # write_gds returns the bytes while gdsio._geometry(layout) equals the
     # key, which holds while footprints change only through set_footprint
     rendered: tuple | None = field(default=None, repr=False)
+    # (key, pairs) of the last full-reach segment-pair scan of the paths,
+    # which bridges and DRC share; process._segment_pairs keys it on the
+    # rules and each path's identity, net, layer, width and points
+    segment_pairs: tuple | None = field(default=None, repr=False)
+    _components: list[PlacedComponent] = field(
+        default_factory=list, init=False, repr=False)
+    # id -> the first component with it
+    _by_id: dict[str, PlacedComponent] = field(
+        default_factory=dict, init=False, repr=False)
+    # component boxes per layer, items are positions in _components: the
+    # first _filed components are in it, and each overlap check first files
+    # the rest and re-files the positions set_footprint reports in _moved
+    _boxes: BinIndex = field(default_factory=lambda: BinIndex(_COMPONENT_BIN),
+                             init=False, repr=False)
+    _filed: int = field(default=0, init=False, repr=False)
+    _moved: list[int] = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def components(self) -> Sequence[PlacedComponent]:
+        return _Components(self._components)
 
     def component_by_id(self, comp_id: str) -> PlacedComponent:
-        for c in self.components:
-            if c.comp_id == comp_id:
-                return c
-        raise KeyError(comp_id)
+        return self._by_id[comp_id]
 
     @property
     def routing_layer(self) -> int:
@@ -81,14 +122,47 @@ class ChipLayout:
         return LAYER_OPPOSITE if self.flip_chip else LAYER_ROUTING
 
     def add_component(self, comp: PlacedComponent, check_overlap: bool = True) -> None:
-        if check_overlap:
-            nb = comp.bounding_box()
-            for other in self.components:
-                if (other.layers() & comp.layers()
-                        and boxes_overlap(nb, other.bounding_box())):
-                    raise PlacementOverlap(
-                        f"{comp.comp_id} overlaps {other.comp_id} on a shared layer")
-        self.components.append(comp)
+        """Append comp, refusing it with PlacementOverlap if check_overlap
+        and its box overlaps the box of a component sharing a layer; the
+        error names the first such component in components order."""
+        hits = self.overlaps(comp) if check_overlap else []
+        if hits:
+            raise PlacementOverlap(
+                f"{comp.comp_id} overlaps {self._components[hits[0]].comp_id} "
+                f"on a shared layer")
+        comp._slot = (self._moved, len(self._components))
+        self._components.append(comp)
+        self._by_id.setdefault(comp.comp_id, comp)
+
+    def overlaps(self, comp: PlacedComponent, after: int = -1) -> list[int]:
+        """Positions, ascending and past `after`, of the components that
+        share a layer with comp and whose boxes overlap comp's box."""
+        self._catch_up()
+        box = comp.bounding_box()
+        layers = comp.layers()
+        near = set()
+        for layer in layers:
+            near |= self._boxes.query(layer, box)
+        return [i for i in sorted(near)
+                if i > after and self._components[i].layers() & layers
+                and boxes_overlap(box, self._components[i].bounding_box())]
+
+    def _catch_up(self) -> None:
+        """Bring the overlap index in step with the components. A re-filed
+        component leaves its old entries behind: queries then return a
+        candidate more, which the exact test drops."""
+        if self._filed == len(self._components) and not self._moved:
+            return
+        moved = [i for i in self._moved if i < self._filed]
+        self._moved.clear()
+        moved.extend(range(self._filed, len(self._components)))
+        self._filed = len(self._components)
+        for i in moved:
+            comp = self._components[i]
+            if any(comp.footprint.values()):
+                box = comp.bounding_box()
+                for layer in comp.footprint:
+                    self._boxes.add(layer, box, i)
 
     def content_bbox(self) -> tuple[float, float, float, float]:
         boxes = [c.bounding_box() for c in self.components]

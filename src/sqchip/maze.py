@@ -18,7 +18,13 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .errors import BlockedEndpoint, DegenerateGrid, NoPath, NonPositiveInput
+from .errors import (
+    BlockedEndpoint,
+    DegenerateGrid,
+    NoPath,
+    NonPositiveInput,
+    check_selector,
+)
 from .layout import feedline_ends
 from .routing import RoutedPath, RoutingResult
 
@@ -273,7 +279,9 @@ def resolve_target(layout, target: str, standoff: float,
     """Net-target position plus a free approach point outside the metal
     keep-out. Targets are qubit ids or "<feedline>@west" / "@east"."""
     if "@" in target:
-        bus, side = target.split("@")
+        bus, _, side = target.partition("@")
+        check_selector(f"target {target!r}: feedline side", side,
+                       ("west", "east"))
         ends = feedline_ends(layout)
         if bus not in ends:
             raise NoPath(f"no feedline named {bus}")

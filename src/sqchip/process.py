@@ -11,7 +11,9 @@ segment scan files each path as runs of consecutive segments that fit one
 bin, so a fillet arc is one index entry, and box-tests segment pairs only
 inside two runs that meet. All scans visit candidates in all-pairs order
 (path i < j, then segment of i, then of j), so bridge numbering, DRC report
-order and GDS bytes match a scan over all pairs.
+order and GDS bytes match a scan over all pairs. Bridges, DRC and the
+widening check share one full-reach segment scan per path state, kept on
+the layout (ChipLayout.segment_pairs).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import SpecInfeasible, UnresolvableOverlap
 from .geometry import (
     BinIndex,
     bbox,
-    boxes_overlap,
     path_segments,
     segment_crossing_point,
     segment_distance,
@@ -171,7 +172,7 @@ def apply_rules(layout, rules: ProcessRules):
 def _check_widening(layout, widened, rules: ProcessRules) -> None:
     """Fatter traces must not eat the spacing margin to their neighbors."""
     grown = {id(p) for p in widened}
-    for a, b, _, d, x in _spacing_faults(layout.paths, rules):
+    for a, b, _, d, x in _spacing_faults(layout, rules):
         # transversal crossings are legal, they get bridges
         if x is None and (id(a) in grown or id(b) in grown):
             raise UnresolvableOverlap(
@@ -198,8 +199,11 @@ def _bin_size(rules: ProcessRules, paths) -> float:
 
 def _box(seg, grow: float = 0.0):
     (ax, ay), (bx, by) = seg
-    return (min(ax, bx) - grow, min(ay, by) - grow,
-            max(ax, bx) + grow, max(ay, by) + grow)
+    if bx < ax:
+        ax, bx = bx, ax
+    if by < ay:
+        ay, by = by, ay
+    return (ax - grow, ay - grow, bx + grow, by + grow)
 
 
 def _runs(points, cell: float):
@@ -214,8 +218,10 @@ def _runs(points, cell: float):
         hi = lo
         while hi < last:
             x, y = points[hi + 1]
-            ux0, uy0 = min(x0, x), min(y0, y)
-            ux1, uy1 = max(x1, x), max(y1, y)
+            ux0 = x if x < x0 else x0
+            uy0 = y if y < y0 else y0
+            ux1 = x if x > x1 else x1
+            uy1 = y if y > y1 else y1
             if hi > lo and (ux1 - ux0 > cell or uy1 - uy0 > cell):
                 break
             x0, y0, x1, y1 = ux0, uy0, ux1, uy1
@@ -229,48 +235,94 @@ def _near_segment_pairs(paths, rules: ProcessRules, reach: float | None = None):
     """Segment pairs of different nets on one layer whose boxes come within
     `reach` (default: the largest spacing requirement), in all-pairs order.
 
-    Yields (a, b, [(s1, s2), ...]) for paths a = paths[i], b = paths[j],
-    i < j, with the pairs sorted by segment index in a, then in b. Pairs are
-    gathered one path at a time, never for the whole layout at once.
+    Returns [(a, b, [(s1, s2), ...]), ...] for paths a = paths[i] and
+    b = paths[j], i < j, with the pairs sorted by segment index in a, then
+    in b.
 
     The index holds runs of segments (see _runs), not single segments: a
     fillet arc is one entry instead of sixteen. A run's box contains each of
     its segments' boxes, so a run query loses no candidate; the segment
-    pairs of two runs that meet are then box-tested one by one.
+    pairs of two runs that meet are then box-tested one by one, on segment
+    boxes built once per run.
     """
     if reach is None:
         reach = _spacing_reach(rules, paths)
     reach += _SLACK
     cell = _bin_size(rules, paths)
     runs = [_runs(p.points, cell) for p in paths]
+    # paths are scanned last to first, each filed after its own queries,
+    # so a query meets only runs of later paths
     index = BinIndex(cell)
-    for i, p in enumerate(paths):
-        for r, (_, _, box) in enumerate(runs[i]):
-            index.add(p.layer, box, (i, r))
-    for i, a in enumerate(paths):
+    boxes: dict[tuple[int, int], list] = {}     # (j, r) -> [(l, box)]
+    found = []
+    for i in range(len(paths) - 1, -1, -1):
+        a = paths[i]
         near: dict[int, list[tuple[int, int]]] = {}
         for lo, hi, (x0, y0, x1, y1) in runs[i]:
             grown = (x0 - reach, y0 - reach, x1 + reach, y1 + reach)
+            mine = None
             for j, r in index.query(a.layer, grown):
-                if j <= i or paths[j].net == a.net:
+                if paths[j].net == a.net:
                     continue
-                jlo, jhi, _ = runs[j][r]
-                theirs = [(l, _box(seg)) for l, seg in enumerate(
-                    path_segments(paths[j].points[jlo:jhi + 1]), jlo)]
-                for k, seg in enumerate(
-                        path_segments(a.points[lo:hi + 1]), lo):
-                    qx0, qy0, qx1, qy1 = _box(seg, reach)
+                theirs = boxes.get((j, r))
+                if theirs is None:
+                    jlo, jhi, _ = runs[j][r]
+                    theirs = boxes[(j, r)] = [
+                        (l, _box(seg)) for l, seg in enumerate(
+                            path_segments(paths[j].points[jlo:jhi + 1]), jlo)]
+                if mine is None:
+                    mine = [(k, _box(seg, reach)) for k, seg in enumerate(
+                        path_segments(a.points[lo:hi + 1]), lo)]
+                for k, (qx0, qy0, qx1, qy1) in mine:
                     for l, b in theirs:
                         if b[0] <= qx1 and qx0 <= b[2] and b[1] <= qy1 \
                                 and qy0 <= b[3]:
                             near.setdefault(j, []).append((k, l))
-        for j in sorted(near):
+        for r, (_, _, box) in enumerate(runs[i]):
+            index.add(a.layer, box, (i, r))
+        for j in sorted(near, reverse=True):
             pa, pb = a.points, paths[j].points
-            yield a, paths[j], [((pa[k], pa[k + 1]), (pb[l], pb[l + 1]))
-                                for k, l in sorted(near[j])]
+            found.append((a, paths[j],
+                          [((pa[k], pa[k + 1]), (pb[l], pb[l + 1]))
+                           for k, l in sorted(near[j])]))
+    found.reverse()
+    return found
 
 
-def _spacing_faults(paths, rules: ProcessRules):
+def _segment_pairs(layout, rules: ProcessRules):
+    """The full-reach _near_segment_pairs of layout.paths, scanned once per
+    path state: the result is kept in layout.segment_pairs, keyed on the
+    rules and each path's identity (the result holds the path objects) and
+    a copy of its net, layer, width and points, so an in-place edit of a
+    path shows. Bridges add only components, so DRC after them reuses the
+    scan."""
+    paths = layout.paths
+    key = (rules, [(id(p), p.net, p.layer, p.width, list(p.points))
+                   for p in paths])
+    if layout.segment_pairs is None or layout.segment_pairs[0] != key:
+        # never below reach 0, so the crossing candidates are a subset
+        reach = max(_spacing_reach(rules, paths), 0.0)
+        layout.segment_pairs = (key, _near_segment_pairs(paths, rules, reach))
+    return layout.segment_pairs[1]
+
+
+def _crossing_pairs(layout, rules: ProcessRules):
+    """The reach-0 _near_segment_pairs of layout.paths, filtered from the
+    shared full-reach scan with the reach-0 scan's own box test."""
+    out = []
+    for a, b, pairs in _segment_pairs(layout, rules):
+        meet = []
+        for s1, s2 in pairs:
+            qx0, qy0, qx1, qy1 = _box(s1, _SLACK)
+            bx0, by0, bx1, by1 = _box(s2)
+            if bx0 <= qx1 and qx0 <= bx1 and by0 <= qy1 and qy0 <= by1:
+                meet.append((s1, s2))
+        if meet:
+            out.append((a, b, meet))
+    return out
+
+
+def _spacing_faults(layout, rules: ProcessRules):
     """Segment pairs of different nets on one layer that come closer than
     min_spacing plus their half widths, in all-pairs order.
 
@@ -279,7 +331,7 @@ def _spacing_faults(paths, rules: ProcessRules):
     for a spacing fault. A pair of paths yields nothing after its first
     spacing fault, and segments that only touch at an endpoint are skipped.
     """
-    for a, b, pairs in _near_segment_pairs(paths, rules):
+    for a, b, pairs in _segment_pairs(layout, rules):
         need = rules.min_spacing + (a.width + b.width) / 2.0
         for s1, s2 in pairs:
             d = segment_distance(s1[0], s1[1], s2[0], s2[1])
@@ -302,7 +354,7 @@ def insert_air_bridges(layout, rules: ProcessRules) -> list:
     placed = []
     serial = sum(1 for c in layout.components if c.kind == "airbridge")
     decks = _deck_index(layout, rules)
-    for pa, pb, pairs in _near_segment_pairs(layout.paths, rules, reach=0.0):
+    for pa, pb, pairs in _crossing_pairs(layout, rules):
         for s1, s2 in pairs:
             pt = segment_crossing_point(s1[0], s1[1], s2[0], s2[1])
             if pt is None or _bridged(decks, pt):
@@ -410,7 +462,7 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
 
     # spacing between different nets on one layer
     decks = _deck_index(layout, rules)
-    for a, b, s1, d, x in _spacing_faults(layout.paths, rules):
+    for a, b, s1, d, x in _spacing_faults(layout, rules):
         if x is None:
             out.append(Violation(
                 "spacing",
@@ -443,21 +495,13 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
     # same-layer component overlap (bounding boxes); imported geometry is
     # exempt: stroked corners legitimately overlap and structure provenance
     # is gone after a round trip, so box tests there are meaningless
-    comps = [c for c in layout.components
-             if c.kind not in ("airbridge", "imported")]
-    boxes = BinIndex(_bin_size(rules, layout.paths))
-    for j, c in enumerate(comps):
-        for layer in c.footprint:
-            boxes.add(layer, c.bounding_box(), j)
+    exempt = ("airbridge", "imported")
+    comps = layout.components
     for i, ci in enumerate(comps):
-        bi = ci.bounding_box()
-        near = set()
-        for layer in ci.footprint:
-            near |= boxes.query(layer, bi)
-        for j in sorted(near):
-            if j <= i:
-                continue
-            if boxes_overlap(bi, comps[j].bounding_box()):
+        if ci.kind in exempt:
+            continue
+        for j in layout.overlaps(ci, after=i):
+            if comps[j].kind not in exempt:
                 out.append(Violation(
                     "overlap", f"{ci.comp_id} overlaps {comps[j].comp_id}",
                     ci.origin, (ci.comp_id, comps[j].comp_id)))

@@ -33,6 +33,7 @@ from sqchip.gdsio import (
     XY,
     _frame,
     _iter_records,
+    _render_element,
     excess64_decode,
     excess64_encode,
     export_svg,
@@ -277,6 +278,56 @@ def test_coordinates_beyond_the_grid_refuse_to_write():
     ]))
     with pytest.raises(CoordinateOverflow):
         write_library(lib)
+
+
+def _coordinate(rng: random.Random) -> float:
+    """A coordinate in um: anywhere on the grid, or an exact half-nm tie."""
+    if rng.random() < 0.5:
+        return rng.uniform(-2.0e6, 2.0e6)
+    return (rng.randint(-10**9, 10**9) + 0.5) / 1000.0
+
+
+def _element(rng: random.Random, kind: str, points) -> GdsElement:
+    return GdsElement(kind, layer=rng.randint(0, 30),
+                      datatype=rng.randint(0, 3), xy=points,
+                      width=rng.choice((0.0, 10.0, _coordinate(rng))),
+                      pathtype=rng.randint(0, 2), sname="CELL_A")
+
+
+def test_element_packer_matches_the_per_value_reference():
+    rng = random.Random(15)
+    ties = 0
+    for _ in range(300):
+        pts = [(_coordinate(rng), _coordinate(rng))
+               for _ in range(rng.randint(0, 9))]
+        ties += sum(v * 1000.0 % 1.0 == 0.5 for pt in pts for v in pt)
+        for kind in ("boundary", "path", "sref"):
+            el = _element(rng, kind, pts)
+            assert _render_element(el) == gds_reference.render_element(el)
+    assert ties > 300
+    # half-nm ties round to the even neighbour, either side of zero
+    el = GdsElement("path", xy=[(0.0005, 0.0015), (0.0025, -0.0005),
+                                (-0.0015, -0.0025)])
+    assert struct.unpack(">6i", _render_element(el)[-28:-4]) == \
+        (0, 2, 2, 0, -2, -2)
+
+
+@pytest.mark.parametrize("kind", ["boundary", "path"])
+def test_element_packer_accepts_the_32_bit_grid_and_refuses_beyond_it(kind):
+    edge = (2**31 - 1) / 1000.0        # um, at the largest database value
+    for sign in (1.0, -1.0):
+        el = GdsElement(kind, layer=1, width=10.0, xy=[
+            (0.0, 0.0), (sign * edge, 0.0), (0.0, sign * edge)])
+        lib = read_gds(write_library(GdsLibrary("edge", structures=[
+            GdsStructure("S", [el])])))
+        assert lib.structures[0].elements[0].xy[1] == (sign * edge, 0.0)
+        for at in (1, 2):
+            pts = list(el.xy)
+            pts[at] = tuple(sign * 2**31 / 1000.0 if v else v
+                            for v in pts[at])
+            with pytest.raises(CoordinateOverflow):
+                _render_element(GdsElement(kind, layer=1, width=10.0,
+                                           xy=pts))
 
 
 def test_write_library_refuses_an_unknown_element_kind():

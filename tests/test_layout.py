@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 
+import layout_reference
+import process_reference
 import pytest
 
-from sqchip.components import make_xmon
+from sqchip.components import PlacedComponent, make_xmon
 from sqchip.errors import (
     InsufficientFrequencySet,
     InvalidSubstrate,
@@ -14,6 +16,7 @@ from sqchip.errors import (
     SpecInfeasible,
     UnknownSelector,
 )
+from sqchip.geometry import boxes_overlap, rect
 from sqchip.layout import (
     ChipLayout,
     DieBox,
@@ -23,6 +26,7 @@ from sqchip.layout import (
     readout_ladder,
     resonator_length,
 )
+from sqchip.process import drc, get_process
 from sqchip.topology import Topology, generate_grid
 
 SPEED_OF_LIGHT = 299792458.0
@@ -116,6 +120,107 @@ def test_layout_rejects_overlapping_components_on_one_layer():
         layout.add_component(make_xmon("b", (700.0, 500.0)))
     with pytest.raises(KeyError):
         layout.component_by_id("b")
+
+
+def _random_component(rng: random.Random, comp_id: str) -> PlacedComponent:
+    """One to three rectangles on layers 1-3, corners on a 50 um grid so
+    boxes often touch; some straddle or span the index's bins, some sit at
+    negative coordinates."""
+    footprint: dict[int, list] = {}
+    cx, cy = rng.randint(-10, 70), rng.randint(-10, 70)
+    for _ in range(rng.randint(1, 3)):
+        x = 50.0 * (cx + rng.randint(-2, 2))
+        y = 50.0 * (cy + rng.randint(-2, 2))
+        w = 50.0 * rng.choice((1, 2, 2, 4, 25))
+        h = 50.0 * rng.choice((1, 2, 2, 4, 25))
+        footprint.setdefault(rng.randint(1, 3), []).append(
+            rect(x, y, x + w, y + h))
+    return PlacedComponent(comp_id, "test", (0.0, 0.0), footprint)
+
+
+def _touch(a, b) -> bool:
+    """Closed boxes a and b meet, but share no area."""
+    meet = a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+    return meet and not boxes_overlap(a, b)
+
+
+def _overlaps(report):
+    return [(v.message, v.subjects) for v in report if v.rule == "overlap"]
+
+
+def _outcome(add):
+    try:
+        add()
+    except PlacementOverlap as exc:
+        return str(exc)
+    return None
+
+
+def test_indexed_placement_check_matches_the_all_pairs_reference():
+    rng = random.Random(15)
+    refused = touching = resized = 0
+    for _ in range(30):
+        layout = ChipLayout("t", DieBox(0.0, 0.0, 2500.0, 2500.0))
+        held: list[PlacedComponent] = []
+        for _ in range(60):
+            # ids repeat, so component_by_id must return the first holder
+            comp = _random_component(rng, f"c{rng.randrange(40)}")
+            checked = rng.random() < 0.8
+            want = _outcome(lambda: layout_reference.check_overlap(held, comp)
+                            ) if checked else None
+            got = _outcome(lambda: layout.add_component(comp, checked))
+            assert got == want
+            refused += want is not None
+            if got is None:
+                touching += any(_touch(comp.bounding_box(), c.bounding_box())
+                                for c in held)
+                held.append(comp)
+            if held and rng.random() < 0.2:
+                # move, grow, shrink or add a layer of a placed component
+                victim = rng.choice(held)
+                other = _random_component(rng, "x")
+                layer = rng.choice(sorted(other.footprint))
+                victim.set_footprint(layer, other.footprint[layer])
+                resized += 1
+        assert list(layout.components) == held
+        # DRC's overlap rule asks the same index, after the resizes
+        rules = get_process("generic-10um")
+        assert _overlaps(drc(layout, rules)) == \
+            _overlaps(process_reference.drc(layout, rules))
+        for comp in held:
+            assert layout.component_by_id(comp.comp_id) is next(
+                c for c in held if c.comp_id == comp.comp_id)
+    # the sample really refuses, touches and resizes
+    assert refused > 300 and touching > 50 and resized > 150
+
+
+def test_layout_components_are_read_only():
+    layout = ChipLayout("t", DieBox(0.0, 0.0, 2000.0, 2000.0))
+    layout.add_component(make_xmon("a", (500.0, 500.0)))
+    with pytest.raises(AttributeError):
+        layout.components.append(make_xmon("b", (1500.0, 500.0)))
+    with pytest.raises(TypeError):
+        layout.components[0] = make_xmon("b", (1500.0, 500.0))
+    assert [c.comp_id for c in layout.components] == ["a"]
+
+
+def test_placement_box_tests_stay_within_the_component_count(monkeypatch):
+    """Host-independent guard against a quadratic placement scan: the
+    all-pairs check made 130,816 box tests for the 800 components of a
+    16x16 pattern chip."""
+    from sqchip.pipeline import run_pipeline
+
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return boxes_overlap(a, b)
+    # placement and the DRC overlap rule both ask the layout's index
+    monkeypatch.setattr("sqchip.layout.boxes_overlap", counted)
+    result = run_pipeline(rows=16, cols=16)
+    assert result.drc_report == []
+    assert calls <= len(result.document.layout.components)
 
 
 def test_die_expansion_only_grows():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from types import SimpleNamespace
 
@@ -8,7 +9,13 @@ import maze_reference
 import pytest
 
 from sqchip import maze
-from sqchip.errors import BlockedEndpoint, DegenerateGrid, NoPath, NonPositiveInput
+from sqchip.errors import (
+    BlockedEndpoint,
+    DegenerateGrid,
+    NoPath,
+    NonPositiveInput,
+    UnknownSelector,
+)
 from sqchip.layout import place_qubits
 from sqchip.maze import (
     GridGraph,
@@ -293,3 +300,14 @@ def test_resolve_target_finds_feedline_ends_and_qubit_ports():
     assert pos == q.ports["east"].position
     with pytest.raises(NoPath):
         resolve_target(layout, "ghost@west", standoff=10.0)
+
+
+@pytest.mark.parametrize("target", ["bus_q0@north", "bus_q0@west@x",
+                                    "bus_q0@"])
+def test_resolve_target_refuses_a_feedline_side_naming_the_target(target):
+    from sqchip.layout import generate_readout_bus
+
+    layout = place_qubits(generate_grid(1, 2), "xmon", pitch=2000.0)
+    generate_readout_bus(layout, ["q0", "q1"], 6.535e9, 7.246e9)
+    with pytest.raises(UnknownSelector, match=re.escape(repr(target))):
+        resolve_target(layout, target, standoff=10.0)

@@ -16,8 +16,9 @@ from sqchip.process import (
     ProcessRules,
     Violation,
     _bin_size,
-    _near_segment_pairs,
     _check_widening,
+    _crossing_pairs,
+    _near_segment_pairs,
     apply_rules,
     drc,
     fillet_path,
@@ -470,3 +471,43 @@ def test_near_segment_pairs_equal_the_all_pairs_oracle_in_order():
                                 for b in paths[i + 1:])
     # the sample really holds every shape the run index must get right
     assert all(n > 5 for n in seen.values()), seen
+
+
+def test_bridges_filter_the_reach_zero_pairs_from_the_shared_scan():
+    rng = random.Random(2025)
+    crossings = 0
+    for trial in range(40):
+        lay = _random_layout(rng, flip=trial % 4 == 0)
+        want = _scan_ids(_near_segment_pairs(lay.paths, GENERIC, 0.0),
+                         lay.paths)
+        assert _scan_ids(_crossing_pairs(lay, GENERIC), lay.paths) == want
+        crossings += len(want)
+    assert crossings > 40
+
+
+def _unmemoized_drc(lay, rules):
+    bare = copy.deepcopy(lay)
+    bare.segment_pairs = None
+    return _violations(drc(bare, rules))
+
+
+def test_the_shared_segment_scan_follows_path_edits_and_rules():
+    rng = random.Random(15)
+    changed = 0
+    for trial in range(30):
+        lay = _random_layout(rng)
+        edit = trial % 3
+        # the finer process has the shorter spacing reach, so its scan
+        # misses pairs the default one needs
+        before = _violations(drc(lay, FINE if edit == 2 else GENERIC))
+        assert lay.segment_pairs is not None
+        path = rng.choice(lay.paths)
+        if edit == 0:        # a new leg to a vertex of another net
+            other = rng.choice([p for p in lay.paths if p.net != path.net])
+            path.points.append(rng.choice(other.points))
+        elif edit == 1:
+            path.width += 100.0
+        after = _violations(drc(lay, GENERIC))
+        assert after == _unmemoized_drc(lay, GENERIC)
+        changed += after != before
+    assert changed > 15
