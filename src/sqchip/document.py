@@ -241,10 +241,18 @@ def _record(cls, data: dict, where: str = ""):
     return cls(**data)
 
 
+_QUBIT_FIELDS = tuple(f.name for f in fields(QubitElectricalParams))
+_COUPLING_FIELDS = tuple(f.name for f in fields(CouplingParams))
+
+
 def _circuit_to_json(c: EquivalentCircuit) -> dict:
+    # field dicts built directly: equal to asdict's for these flat records
+    # (str, float and a tuple of str), without its recursive deep copy
     return {
-        "qubits": {q: asdict(p) for q, p in sorted(c.qubits.items())},
-        "couplings": {"|".join(e): asdict(p)
+        "qubits": {q: {n: getattr(p, n) for n in _QUBIT_FIELDS}
+                   for q, p in sorted(c.qubits.items())},
+        "couplings": {"|".join(e): {n: getattr(p, n)
+                                    for n in _COUPLING_FIELDS}
                       for e, p in sorted(c.couplings.items())},
     }
 

@@ -10,6 +10,11 @@ accumulated cost, so the returned path minimizes
 steps + k_corner * corners + k_cross * crossings exactly, and both penalties
 must be finite and non-negative. ``route_net`` is a pure search;
 ``route_all`` is the only writer of ``GridGraph.occupied``.
+
+The search prunes dominated states: a state whose cell already holds an
+expanded sibling direction that offered every neighbour at least as cheaply
+is neither pushed nor expanded (see ``route_net``). The pruning is exact,
+so the routed cells are those of the unpruned search.
 """
 
 from __future__ import annotations
@@ -32,6 +37,14 @@ from .routing import RoutedPath, RoutingResult
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
+def check_cell(name: str, value: float) -> None:
+    """Raise DegenerateGrid unless a grid cell size (um) is positive and
+    finite: the grid divides by it and counts cells with it."""
+    if not 0.0 < value < math.inf:
+        raise DegenerateGrid(f"{name} must be positive and finite, "
+                             f"got {value} um")
+
+
 @dataclass
 class GridGraph:
     cols: int
@@ -44,10 +57,18 @@ class GridGraph:
     def __post_init__(self):
         if self.cols < 1 or self.rows < 1:
             raise DegenerateGrid(f"grid {self.cols}x{self.rows} has no cells")
+        check_cell("grid cell", self.cell)
+        n = self.cols * self.rows
         if self.blocked is None:
-            self.blocked = [False] * (self.cols * self.rows)
+            self.blocked = [False] * n
         if self.occupied is None:
-            self.occupied = [0] * (self.cols * self.rows)
+            self.occupied = [0] * n
+        for name, cells in (("blocked", self.blocked),
+                            ("occupied", self.occupied)):
+            if len(cells) != n:
+                raise DegenerateGrid(f"{name} has {len(cells)} entries, the "
+                                     f"{self.cols}x{self.rows} grid has "
+                                     f"{n} cells")
 
     def in_bounds(self, c: int, r: int) -> bool:
         return 0 <= c < self.cols and 0 <= r < self.rows
@@ -86,8 +107,7 @@ def build_grid(layout, cell: float = 50.0, clearance: float = 20.0) -> GridGraph
     """
     from .components import LAYER_QUBIT
 
-    if not cell > 0:
-        raise DegenerateGrid(f"grid cell must be positive, got {cell} um")
+    check_cell("grid cell", cell)
     die = layout.die
     cols = max(math.ceil(die.width / cell), 1)
     rows = max(math.ceil(die.height / cell), 1)
@@ -170,6 +190,18 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     keyed by (f, h, cell index, d), and the search returns the same cells.
     The heuristic is ``heuristic()`` inlined, with the same float
     expression, so every f is bit-identical too.
+
+    Dominance pruning: let e be the least g of a state already expanded in
+    cell i. A state (i, d) with cost g is skipped at pop, and a relaxed
+    neighbour is recorded in ``best``/``came`` but not pushed, when
+    ``g + straight[o] >= e + turning[o]`` for both o (free and occupied
+    neighbour). Every step out of (i, d) costs at least ``straight[o]``,
+    and the sibling already offered each neighbour at most
+    ``e + turning[o]``. Float addition rounds monotonically, so each relax
+    from (i, d) would fail the ``- 1e-12`` test: skipping it changes no
+    ``best``, no ``came`` and no heap order, and the cells are exactly
+    those of the unpruned search. The goal check runs before the prune and
+    the goal cell is never expanded, so a goal state is never pruned.
     """
     check_penalty("k_corner", k_corner)
     check_penalty("k_cross", k_cross)
@@ -192,12 +224,18 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     # per direction: (d + 1, dc, dr, cell index offset)
     moves = [(nd + 1, sx, sy, sy * cols + sx)
              for nd, (sx, sy) in enumerate(_STEPS)]
+    free_step, busy_step = straight
+    free_turn, busy_turn = turning
     s = (start[1] * cols + start[0]) * 5
     h0 = heuristic(start, goal, -1, k_corner)
     best = {s: 0.0}
     came = {s: -1}
+    # cell index -> least g of a state expanded there; the goal cell is
+    # never expanded, so it is never entered here and never pruned
+    expanded = {}
     open_q = [(h0, h0, s, 0.0)]
-    heappop, heappush, best_get = heapq.heappop, heapq.heappush, best.get
+    heappop, heappush = heapq.heappop, heapq.heappush
+    best_get, expanded_get = best.get, expanded.get
     inf = math.inf
     while open_q:
         _, _, s, g = heappop(open_q)
@@ -207,6 +245,11 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
         r, c = divmod(i, cols)
         if c == gc and r == gr:
             break
+        e = expanded_get(i, inf)
+        if g + free_step >= e + free_turn and g + busy_step >= e + busy_turn:
+            continue        # a sibling offered every move as cheaply
+        if g < e:
+            expanded[i] = g
         for nd1, sx, sy, di in moves:
             nc = c + sx
             nr = r + sy
@@ -221,6 +264,10 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
             if ng < best_get(ns, inf) - 1e-12:
                 best[ns] = ng
                 came[ns] = s
+                e = expanded_get(ni, inf)
+                if ng + free_step >= e + free_turn \
+                        and ng + busy_step >= e + busy_turn:
+                    continue    # it would be popped only to be pruned
                 dx = gc - nc
                 dy = gr - nr
                 if dx == 0 and dy == 0:

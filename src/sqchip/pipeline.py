@@ -30,7 +30,6 @@ from .document import (
 # unused here; perfbench's INSTRUMENTED table traces sqchip.pipeline.extract
 from .document import extract  # noqa: F401
 from .errors import (
-    DegenerateGrid,
     MissingSubEntity,
     NoPath,
     NonAsciiName,
@@ -47,7 +46,13 @@ from .layout import (
     generate_readout_bus,
     place_qubits,
 )
-from .maze import build_grid, check_penalty, resolve_target, route_all
+from .maze import (
+    build_grid,
+    check_cell,
+    check_penalty,
+    resolve_target,
+    route_all,
+)
 from .pattern import allocate_pins, map_pins, route_pattern
 from .process import (
     apply_rules,
@@ -97,9 +102,7 @@ class PipelineConfig:
         if self.rows < 1 or self.cols < 1:
             raise NonPositiveInput(f"grid dims must be positive integers, "
                                    f"got {self.rows}x{self.cols}")
-        if not 0 < self.maze_cell < math.inf:
-            raise DegenerateGrid(f"maze_cell must be positive and finite, "
-                                 f"got {self.maze_cell} um")
+        check_cell("maze_cell", self.maze_cell)
         check_penalty("corner_penalty", self.corner_penalty)
         check_penalty("cross_penalty", self.cross_penalty)
         # a nan or inf would otherwise surface mid-run as a raw ValueError

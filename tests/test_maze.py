@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from collections import deque
@@ -132,6 +133,66 @@ def test_route_net_returns_the_reference_cells_on_random_grids():
     assert outcomes == {list, NoPath, BlockedEndpoint}
 
 
+def test_pruned_search_returns_the_reference_cells_under_extreme_penalties():
+    # the dominance prune compares sums of g and step costs; penalties from
+    # zero through 1e-9 to 1e12 are where float rounding could tip it
+    rng = random.Random(16)
+    weights = (0.0, 1e-9, 0.1, 0.5, 3.7, 100.0, 1e6, 1e12)
+    outcomes = set()
+    for _ in range(2000):
+        cols, rows = rng.randint(1, 25), rng.randint(1, 25)
+        grid = GridGraph(cols, rows, (0.0, 0.0), 50.0)
+        p_block, p_busy = rng.random() * 0.4, rng.random() * 0.6
+        for i in range(cols * rows):
+            grid.blocked[i] = rng.random() < p_block
+            grid.occupied[i] = rng.randint(1, 3) if rng.random() < p_busy else 0
+        start = (rng.randrange(cols), rng.randrange(rows))
+        goal = (rng.randrange(cols), rng.randrange(rows))
+        k_corner, k_cross = rng.choice(weights), rng.choice(weights)
+        want = _reference_outcome(maze_reference.route_net, grid, start, goal,
+                                  k_corner, k_cross)
+        got = _reference_outcome(route_net, grid, start, goal,
+                                 k_corner, k_cross)
+        assert got == want, (cols, rows, start, goal, k_corner, k_cross)
+        outcomes.add(want if isinstance(want, type) else list)
+    assert outcomes == {list, NoPath, BlockedEndpoint}
+
+
+def _counting_heapq(counts, key):
+    def heappop(heap):
+        counts[key] += 1
+        return heapq.heappop(heap)
+    return SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+
+
+def test_pruned_search_pops_at_most_six_tenths_of_the_reference(monkeypatch):
+    # operation counts, not wall time, so the saving shows on any host:
+    # every net of the default maze 3x3/4x4/5x5 builds is routed by both
+    # searches on the same grid, and both must return the same cells
+    counts = {"pruned": 0, "reference": 0}
+    monkeypatch.setattr(maze, "heapq", _counting_heapq(counts, "pruned"))
+    monkeypatch.setattr(maze_reference, "heapq",
+                        _counting_heapq(counts, "reference"))
+    pruned = maze.route_net
+
+    def both(grid, start, goal, k_corner, k_cross):
+        want = _reference_outcome(maze_reference.route_net, grid, start, goal,
+                                  k_corner, k_cross)
+        try:
+            got = pruned(grid, start, goal, k_corner, k_cross)
+        except (NoPath, BlockedEndpoint) as exc:
+            assert type(exc) is want, (start, goal)
+            raise
+        assert got == want, (start, goal)
+        return got
+
+    monkeypatch.setattr(maze, "route_net", both)
+    for n in (3, 4, 5):
+        run_pipeline(rows=n, cols=n, strategy="maze")
+    assert counts["reference"] > 0
+    assert counts["pruned"] <= 0.6 * counts["reference"], counts
+
+
 @pytest.mark.parametrize("bad", [-5.0, -1e-9, float("inf"), float("nan")])
 def test_route_net_refuses_a_negative_or_non_finite_penalty(bad, monkeypatch):
     # a negative crossing price next to a marked row is a negative-cost
@@ -166,6 +227,22 @@ def test_route_reports_no_path_for_an_enclosed_goal():
         grid.blocked[r * 5 + c] = True
     with pytest.raises(NoPath):
         route_net(grid, (0, 0), (4, 4))
+
+
+@pytest.mark.parametrize("cell", [0.0, -50.0, float("nan"), float("inf"),
+                                  float("-inf")])
+def test_grid_graph_refuses_a_non_positive_or_non_finite_cell(cell):
+    with pytest.raises(DegenerateGrid, match="grid cell"):
+        GridGraph(3, 3, (0.0, 0.0), cell)
+
+
+@pytest.mark.parametrize("name", ["blocked", "occupied"])
+@pytest.mark.parametrize("length", [0, 8, 10])
+def test_grid_graph_refuses_a_cell_list_of_the_wrong_length(name, length):
+    with pytest.raises(DegenerateGrid, match=f"{name} has {length} entries"):
+        GridGraph(3, 3, (0.0, 0.0), 50.0, **{name: [0] * length})
+    assert len(getattr(GridGraph(3, 3, (0.0, 0.0), 50.0,
+                                 **{name: [0] * 9}), name)) == 9
 
 
 def test_route_degenerate_cases():
@@ -274,7 +351,7 @@ def test_build_grid_leaves_the_opposite_face_empty_for_flip_chip():
     assert not any(grid.blocked)
 
 
-@pytest.mark.parametrize("cell", [0.0, -50.0, float("nan")])
+@pytest.mark.parametrize("cell", [0.0, -50.0, float("nan"), float("inf")])
 def test_build_grid_refuses_a_non_positive_cell(cell):
     layout = place_qubits(generate_grid(1, 1), "xmon", pitch=2000.0)
     with pytest.raises(DegenerateGrid):
