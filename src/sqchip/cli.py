@@ -7,8 +7,11 @@ pipeline's stage table through ``pipeline.run_stages``; its flags are the
 PipelineConfig fields those stages read, so ``pipeline`` reaches every
 field. Geometry-producing stages regenerate placement deterministically
 from the document's semantic sections, so a reloaded design never goes
-stale. Exit codes: 0 success, 2 validation error or missing prerequisite,
-3 stage failure (naming the stage).
+stale. Only the commands that read the layout (``procmap``, ``drc`` and
+``gds``) import the GDS sidecar; every other command replaces the layout or
+carries the sidecar through as the bytes it read. Exit codes: 0 success,
+2 validation error or missing prerequisite, 3 stage failure (naming the
+stage).
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ def _procmap_report(doc, args) -> str:
 
 
 # stage subcommand -> its help, the stages of pipeline.STAGES it runs, the
-# design section those stages need, and its report line; pipeline has its
-# own handler
+# design section those stages need (a command that needs the layout is one
+# that reads it, so only then is the sidecar imported), and its report
+# line; pipeline has its own handler
 _STAGE_COMMANDS = {
     "topo": ("create a grid topology", ("topology",), None,
              lambda doc, args: f"topology {args.rows}x{args.cols} "
@@ -171,11 +175,18 @@ def _design_path(args) -> Path:
     return p if p.is_absolute() else Path(args.out) / p
 
 
-def _load_or_new(args) -> DesignDocument:
+def _load_or_new(args, needs: str | None = None) -> DesignDocument:
+    """The design file's document, or a new one, holding the section needs
+    names. The layout is imported only when it is the section needed;
+    otherwise it stays the sidecar bytes it was loaded from."""
     path = _design_path(args)
     if path.exists():
-        return doc_mod.load_document(path)
-    return DesignDocument(path.stem)
+        doc = doc_mod.load_document(path, import_layout=needs == "layout")
+    else:
+        doc = DesignDocument(path.stem)
+    if needs is not None:
+        _require(doc, needs)
+    return doc
 
 
 def _save(doc: DesignDocument, args) -> Path:
@@ -203,9 +214,7 @@ def _config(args, name: str) -> PipelineConfig:
 def _cmd_stages(args) -> int:
     """Run the subcommand's slice of the stage table on the design file."""
     _, stages, needs, report = _STAGE_COMMANDS[args.command]
-    doc = _load_or_new(args)
-    if needs is not None:
-        _require(doc, needs)
+    doc = _load_or_new(args, needs)
     doc = run_stages(doc, _config(args, doc.name), stages)
     print(f"{report(doc, args)} -> {_save(doc, args)}")
     return 0
@@ -218,14 +227,14 @@ def _cmd_devmap(args) -> int:
                                "needs them unless --qubit is given")
     evaluator = make_evaluator(args.evaluator)
     if args.qubit is not None:
-        doc = _load_or_new(args)
-        _require(doc, "topology")
-        # mapping needs parametric components, and a reloaded layout holds
-        # only imported geometry, so solve on a fresh placement and persist
-        # just the provenance record, leaving the design's geometry alone
+        doc = _load_or_new(args, "topology")
+        # mapping needs parametric components, and an imported layout holds
+        # only flat geometry, so solve on a fresh placement and persist just
+        # the provenance record; the design's layout is never imported and
+        # its sidecar bytes are written back as they were read
         result = map_qubit_capacitance(
             place_qubits(doc.topology), args.qubit, args.target,
-            evaluator=evaluator,
+            evaluator=evaluator, dimension=args.param,
             bounds=None if args.lo is None else (args.lo, args.hi),
             tolerance=args.tolerance, max_iterations=args.max_iterations)
         doc = inject(doc, ParameterBundle(doc.version, {}),
@@ -241,8 +250,7 @@ def _cmd_devmap(args) -> int:
 
 
 def _cmd_drc(args) -> int:
-    doc = _load_or_new(args)
-    _require(doc, "layout")
+    doc = _load_or_new(args, "layout")
     if args.process is not None:
         rules = get_process(args.process)
     elif doc.process_rules is not None:
@@ -258,8 +266,7 @@ def _cmd_drc(args) -> int:
 
 
 def _cmd_gds(args) -> int:
-    doc = _load_or_new(args)
-    _require(doc, "layout")
+    doc = _load_or_new(args, "layout")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gds_path = out / f"{doc.name}.gds"

@@ -23,6 +23,7 @@ from .errors import (
     MaxIterations,
     NonPositiveInput,
     TargetNotBracketed,
+    UnknownLabel,
     UnknownSelector,
     check_selector,
 )
@@ -241,17 +242,25 @@ def map_qubit_capacitance(layout, qubit_id: str, target_c: float,
                           evaluator: Evaluator | None = None,
                           bounds: tuple[float, float] | None = None,
                           tolerance: float = 1e-3,
-                          max_iterations: int = 60) -> MappingResult:
+                          max_iterations: int = 60,
+                          dimension: str | None = None) -> MappingResult:
     """Retune one qubit's tunable dimension to hit a target capacitance.
 
     Updates the component's params in place (the footprint polygons are not
-    re-rendered; params are the record of the mapped value).
+    re-rendered; params are the record of the mapped value). A dimension,
+    when given, must name the qubit's tunable one (TUNABLE_DIMENSION).
     """
-    comp = layout.component_by_id(qubit_id)
+    try:
+        comp = layout.component_by_id(qubit_id)
+    except KeyError:
+        raise UnknownLabel(f"layout has no component {qubit_id!r}") from None
     dim = TUNABLE_DIMENSION.get(comp.kind)
     if dim is None:
         raise ComponentNotTunable(
             f"{qubit_id} is a {comp.kind}; nothing to tune")
+    if dimension not in (None, dim):
+        raise ComponentNotTunable(
+            f"{qubit_id} ({comp.kind}) tunes {dim}, not {dimension!r}")
     if evaluator is None:
         evaluator = capacitance_evaluator(comp.kind, comp.params)
     x0 = comp.params[dim]

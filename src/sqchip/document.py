@@ -8,6 +8,12 @@ to work on. The pipeline's stage work instead edits the run's one layout
 in place before injecting it, so a document passed to a stage must not be
 used again. Persistence is canonical sorted-key JSON; GDS payloads live in
 a sidecar file referenced by path.
+
+A layout is imported from its sidecar only when the caller will read it
+(``load(..., import_layout=False)`` skips the import). An unread layout
+travels as a ``LayoutSidecar``: the sidecar bytes it was loaded from, which
+``inject`` keeps unless a bundle brings a layout and ``save_document``
+writes back verbatim. A document's layout is one or the other, never both.
 """
 
 from __future__ import annotations
@@ -43,9 +49,17 @@ class DesignDocument:
     version: str = SCHEMA_VERSION
     topology: Topology | None = None
     circuit: EquivalentCircuit | None = None
-    layout: object | None = None          # ChipLayout
+    layout: object | None = None          # ChipLayout or LayoutSidecar
     process_rules: ProcessRules | None = None
     provenance_log: list[dict] = field(default_factory=list)
+
+
+@dataclass
+class LayoutSidecar:
+    """A layout carried unread: the GDS sidecar bytes a design file was
+    loaded from, and the flip_chip flag the file keeps beside them."""
+    data: bytes
+    flip_chip: bool = False
 
 
 @dataclass
@@ -80,7 +94,9 @@ def validate_references(topology, circuit, layout) -> None:
         if stray:
             raise CrossEntityViolation(
                 f"circuit references unknown qubits {sorted(stray)}")
-    if layout is not None:
+    # an unread sidecar names no qubits: importing it yields only
+    # kind="imported" components
+    if layout is not None and not isinstance(layout, LayoutSidecar):
         stray = _layout_qubit_ids(layout) - known
         if stray:
             raise CrossEntityViolation(
@@ -138,7 +154,9 @@ def _bundle_digest(bundle: ParameterBundle) -> str:
     for name in sorted(bundle.sections):
         h.update(name.encode())
         value = bundle.sections[name]
-        if name == "layout" and value is not None:
+        if isinstance(value, LayoutSidecar):
+            h.update(value.data)
+        elif name == "layout" and value is not None:
             from .gdsio import write_gds
             h.update(write_gds(value))
         else:
@@ -300,8 +318,13 @@ def save(doc: DesignDocument, layout_ref: str | None = None) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
-def load(data: bytes, base_dir: str | Path = ".") -> DesignDocument:
-    """Parse .sqd bytes; a layout_ref is resolved relative to base_dir."""
+def load(data: bytes, base_dir: str | Path = ".",
+         import_layout: bool = True) -> DesignDocument:
+    """Parse .sqd bytes; a layout_ref is resolved relative to base_dir.
+
+    Without import_layout the sidecar is read but not parsed: the layout
+    is its LayoutSidecar, so a malformed sidecar is not reported here.
+    """
     try:
         payload = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
@@ -337,7 +360,8 @@ def load(data: bytes, base_dir: str | Path = ".") -> DesignDocument:
         except (OSError, ValueError) as e:     # missing, a directory, a NUL
             raise ParseError(f"layout sidecar {ref} cannot be read: {e}",
                              path="layout_ref") from e
-        doc.layout = layout_from_gds(data)
+        doc.layout = (layout_from_gds(data) if import_layout
+                      else LayoutSidecar(data))
     if "flip_chip" in payload:
         if not isinstance(payload["flip_chip"], bool) or doc.layout is None:
             raise ParseError("flip_chip must be true or false, next to a "
@@ -360,14 +384,19 @@ def save_document(doc: DesignDocument, path: str | Path) -> Path:
     path = Path(path)
     ref = None
     if doc.layout is not None:
-        from .gdsio import write_gds
         sidecar = path.with_suffix(".gds")
-        write_gds(doc.layout, sidecar)
+        if isinstance(doc.layout, LayoutSidecar):
+            sidecar.write_bytes(doc.layout.data)
+        else:
+            from .gdsio import write_gds
+            write_gds(doc.layout, sidecar)
         ref = sidecar.name
     path.write_bytes(save(doc, layout_ref=ref))
     return path
 
 
-def load_document(path: str | Path) -> DesignDocument:
+def load_document(path: str | Path, import_layout: bool = True
+                  ) -> DesignDocument:
     path = Path(path)
-    return load(path.read_bytes(), base_dir=path.parent)
+    return load(path.read_bytes(), base_dir=path.parent,
+                import_layout=import_layout)

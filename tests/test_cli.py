@@ -5,15 +5,18 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import re
 from dataclasses import fields
 
 import gds_reference
 import pytest
 
+from sqchip import gdsio
 from sqchip.cli import _parser, main
 from sqchip.components import LAYER_INDIUM
 from sqchip.document import load_document, save_document
+from sqchip.errors import SqchipError
 from sqchip.gdsio import write_gds
 from sqchip.pipeline import PipelineConfig, run_pipeline, run_stages
 
@@ -150,6 +153,103 @@ def test_devmap_retunes_a_qubit_in_the_design(tmp_path, capsys):
     assert "arm_length = " in capsys.readouterr().out
     doc = load_document(tmp_path / "chip.sqd")
     assert doc.provenance_log[-1]["operation"] == "devmap:q0"
+
+
+_DEVMAP_Q0 = ("devmap", "--qubit", "q0", "--param", "arm_length",
+              "--target", "3.64e-16", "--evaluator", "stub:pad-capacitance")
+
+
+@pytest.mark.parametrize("qubit, param, named", [
+    ("q99", "arm_length", "'q99'"),
+    ("q0", "bogus_dim", "tunes arm_length, not 'bogus_dim'"),
+])
+def test_devmap_refuses_a_qubit_or_param_it_cannot_tune(tmp_path, capsys,
+                                                        qubit, param, named):
+    _run(tmp_path, "topo", "--rows", "2", "--cols", "2")
+    before = (tmp_path / "chip.sqd").read_bytes()
+    capsys.readouterr()
+    assert _run(tmp_path, "devmap", "--qubit", qubit, "--param", param,
+                "--target", "3.64e-16",
+                "--evaluator", "stub:pad-capacitance") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert (tmp_path / "chip.sqd").read_bytes() == before
+
+
+def test_devmap_keeps_a_flip_chip_design_flip_chip(tmp_path, capsys):
+    _run(tmp_path, "topo", "--rows", "2", "--cols", "2")
+    assert _run(tmp_path, "route", "--flip-chip") == 0
+    sidecar = (tmp_path / "chip.gds").read_bytes()
+    assert _run(tmp_path, *_DEVMAP_Q0) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "chip.sqd").read_bytes())["flip_chip"]
+    assert (tmp_path / "chip.gds").read_bytes() == sidecar
+    assert load_document(tmp_path / "chip.sqd").layout.flip_chip
+
+
+def _placed_design(tmp_path):
+    for step in (("topo", "--rows", "2", "--cols", "2"), ("params",),
+                 ("layout",)):
+        assert _run(tmp_path, *step) == 0, step
+
+
+def _garbled_design(tmp_path):
+    """A placed 2x2 design whose sidecar is no GDS stream."""
+    _placed_design(tmp_path)
+    (tmp_path / "chip.gds").write_bytes(b"garbage")
+
+
+@pytest.mark.parametrize("command", [("procmap",), ("drc",), ("gds",)])
+def test_a_command_that_reads_a_garbled_sidecar_refuses_it(tmp_path, capsys,
+                                                           command):
+    _garbled_design(tmp_path)
+    with pytest.raises(SqchipError) as refused:
+        load_document(tmp_path / "chip.sqd")
+    capsys.readouterr()
+    assert _run(tmp_path, *command) == 2
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    assert (tmp_path / "chip.gds").read_bytes() == b"garbage"
+
+
+def test_devmap_leaves_a_garbled_sidecar_as_it_found_it(tmp_path, capsys):
+    _garbled_design(tmp_path)
+    assert _run(tmp_path, *_DEVMAP_Q0) == 0
+    assert "arm_length = " in capsys.readouterr().out
+    assert (tmp_path / "chip.gds").read_bytes() == b"garbage"
+    doc = load_document(tmp_path / "chip.sqd", import_layout=False)
+    assert doc.provenance_log[-1]["operation"] == "devmap:q0"
+
+
+def test_route_replaces_a_garbled_sidecar(tmp_path, capsys):
+    clean, garbled = tmp_path / "clean", tmp_path / "garbled"
+    _placed_design(clean)
+    _garbled_design(garbled)
+    for out in (clean, garbled):
+        assert _run(out, "route") == 0
+    capsys.readouterr()
+    for name in ("chip.sqd", "chip.gds"):
+        assert (garbled / name).read_bytes() == (clean / name).read_bytes()
+
+
+def test_staged_flow_imports_the_sidecar_only_where_the_layout_is_read(
+        tmp_path, capsys, monkeypatch):
+    imports = []        # the command running at each sidecar import
+    real = gdsio.layout_from_gds
+
+    def counting(src):
+        imports.append(step[0])
+        return real(src)
+    monkeypatch.setattr(gdsio, "layout_from_gds", counting)
+    steps = [("topo", "--rows", "4", "--cols", "4"), ("params",),
+             ("layout",), ("route",),
+             *(("devmap", "--qubit", q, *_DEVMAP_Q0[3:])
+               for q in ("q0", "q5", "q9")),
+             ("procmap",), ("drc",), ("gds",)]
+    for step in steps:
+        assert _run(tmp_path, *step) == 0, step
+    capsys.readouterr()
+    assert imports == ["procmap", "drc", "gds"]
 
 
 def test_pipeline_command_runs_end_to_end(tmp_path, capsys):

@@ -26,6 +26,7 @@ from sqchip.errors import (
     MaxIterations,
     NonPositiveInput,
     TargetNotBracketed,
+    UnknownLabel,
     UnknownSelector,
 )
 from sqchip.layout import place_qubits
@@ -283,6 +284,20 @@ def test_map_qubit_capacitance_rejects_untunable_components():
                          check_overlap=False)
     with pytest.raises(ComponentNotTunable):
         map_qubit_capacitance(layout, "P0", 65e-15)
+
+
+@pytest.mark.parametrize("qubit, dimension, error, named", [
+    ("q99", None, UnknownLabel, "'q99'"),
+    ("q0", "bogus_dim", ComponentNotTunable, "arm_length"),
+])
+def test_map_qubit_capacitance_refuses_before_it_solves(qubit, dimension,
+                                                        error, named):
+    layout = place_qubits(generate_grid(2, 2), "xmon", pitch=2000.0)
+    ev = make_evaluator("stub:pad-capacitance")
+    with pytest.raises(error, match=named):
+        map_qubit_capacitance(layout, qubit, 3.64e-16, evaluator=ev,
+                              dimension=dimension)
+    assert ev.calls == 0
 
 
 def test_capacitance_evaluator_matches_the_area_model():
