@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -215,8 +215,17 @@ def _cmd_stages(args) -> int:
     """Run the subcommand's slice of the stage table on the design file."""
     _, stages, needs, report = _STAGE_COMMANDS[args.command]
     doc = _load_or_new(args, needs)
+    stale = []
+    if args.command == "topo":
+        # a circuit or layout was derived from the topology topo replaces
+        stale = [s for s in ("circuit", "layout")
+                 if getattr(doc, s) is not None]
+        doc = replace(doc, circuit=None, layout=None)
     doc = run_stages(doc, _config(args, doc.name), stages)
-    print(f"{report(doc, args)} -> {_save(doc, args)}")
+    line = report(doc, args)
+    if stale:
+        line += f"; dropped the old {' and '.join(stale)}"
+    print(f"{line} -> {_save(doc, args)}")
     return 0
 
 

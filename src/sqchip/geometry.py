@@ -7,6 +7,8 @@ need exact comparisons keep their coordinates on a coarse grid.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 
 
@@ -108,6 +110,52 @@ def path_segments(points):
 def path_length(points):
     return sum(math.hypot(b[0] - a[0], b[1] - a[1])
                for a, b in path_segments(points))
+
+
+def sweep_pairs(boxes, groups, reach: float, tall: float
+                ) -> list[tuple[int, int]]:
+    """Index pairs (p, q) of boxes (x0, y0, x1, y1) from different groups
+    (groups[n] labels box n) that meet once one is grown by `reach` (closed
+    intervals), p being the box the sweep met first.
+
+    A sweep over x: boxes enter the active set in x0 order and leave it,
+    through a heap on x1, once the sweep line is more than `reach` past
+    them, so every active box meets the entering one on x. Active boxes at
+    most `tall` high sit in a list sorted by y0 and are range-queried with
+    bisect; taller ones (a vertical leg, a long diagonal) sit in a list of
+    their own, which stays short because they are mostly narrow and leave
+    soon after they enter. Each range query hands its lower end to
+    bisect_right as `lo`, so it looks at as many boxes as that call returns
+    less `lo`. Rounding in the margins can add a pair, never drop one;
+    callers decide each with their exact predicate.
+    """
+    bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
+    insort, heappush, heappop = bisect.insort, heapq.heappush, heapq.heappop
+    short: list[tuple[float, int]] = []      # (y0, index) of active boxes
+    high: list[tuple[float, int]] = []
+    ends: list[tuple[float, int]] = []       # (x1, index) heap, same boxes
+    pairs = []
+    for n in sorted(range(len(boxes)), key=[b[0] for b in boxes].__getitem__):
+        x0, y0, x1, y1 = boxes[n]
+        edge = x0 - reach
+        while ends and ends[0][0] < edge:
+            q = heappop(ends)[1]
+            _, qy0, _, qy1 = boxes[q]
+            active = short if qy0 >= qy1 - tall else high
+            del active[bisect_left(active, (qy0, q))]
+        # a short box that reaches ylo starts at ylo - tall or above, and
+        # top sorts after every (y0, index) with y0 <= y1 + reach
+        ylo, top, group = y0 - reach, (y1 + reach, math.inf), groups[n]
+        lo = bisect_left(short, (ylo - tall,))
+        for _, q in short[lo:bisect_right(short, top, lo)]:
+            if boxes[q][3] >= ylo and groups[q] != group:
+                pairs.append((q, n))
+        for _, q in high[:bisect_right(high, top, 0)]:
+            if boxes[q][3] >= ylo and groups[q] != group:
+                pairs.append((q, n))
+        insort(short if y0 >= y1 - tall else high, (y0, n))
+        heappush(ends, (x1, n))
+    return pairs
 
 
 class BinIndex:

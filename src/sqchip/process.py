@@ -4,21 +4,24 @@ Rule sets are named processes. apply_rules is idempotent via a marker on the
 layout (re-filleting already-filleted geometry would not be), and drc returns
 an empty list exactly when the layout satisfies every checked rule.
 
-The pairwise scans (bridge crossings and deck cover, DRC spacing and
-component overlap, the widening check, the indium keep-out) take candidates
-from a geometry.BinIndex and decide each with its exact predicate. The
-segment scan files each path as runs of consecutive segments that fit one
-bin, so a fillet arc is one index entry, and box-tests segment pairs only
-inside two runs that meet. All scans visit candidates in all-pairs order
-(path i < j, then segment of i, then of j), so bridge numbering, DRC report
-order and GDS bytes match a scan over all pairs. Bridges, DRC and the
-widening check share one full-reach segment scan per path state, kept on
-the layout (ChipLayout.segment_pairs).
+The segment scan behind bridge crossings, DRC spacing and the widening
+check files each path as runs of consecutive segments at most one spacing
+reach a side (a fillet arc is one run), takes candidate run pairs from one
+sweep over x per layer (geometry.sweep_pairs) and decides each segment pair
+with its exact box test. Its result is sorted into all-pairs order (path
+i < j, then segment of i, then of j), so bridge numbering, DRC report order
+and GDS bytes match a scan over all pairs. Bridges, DRC and the widening
+check share one full-reach scan per path state, kept on the layout
+(ChipLayout.segment_pairs). The indium keep-out marks the lattice sites
+each grown box covers; deck cover and component overlap query a
+geometry.BinIndex, which suits them because decks and components arrive
+one at a time while the path scan is a batch over a finished path set.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .components import (
@@ -35,6 +38,7 @@ from .geometry import (
     path_segments,
     segment_crossing_point,
     segment_distance,
+    sweep_pairs,
 )
 
 
@@ -192,11 +196,6 @@ def _spacing_reach(rules: ProcessRules, paths) -> float:
     return rules.min_spacing + max((p.width for p in paths), default=0.0)
 
 
-def _bin_size(rules: ProcessRules, paths) -> float:
-    # the query box of a short segment then touches one to four cells
-    return max(8.0 * _spacing_reach(rules, paths), 1.0)
-
-
 def _box(seg, grow: float = 0.0):
     (ax, ay), (bx, by) = seg
     if bx < ax:
@@ -212,22 +211,24 @@ def _runs(points, cell: float):
     is a run of its own). Returns (lo, hi, box) per run, covering segments
     lo..hi-1, that is points lo..hi."""
     runs = []
-    lo, last = 0, len(points) - 1
-    while lo < last:
-        x0, y0 = x1, y1 = points[lo]
-        hi = lo
-        while hi < last:
-            x, y = points[hi + 1]
-            ux0 = x if x < x0 else x0
-            uy0 = y if y < y0 else y0
-            ux1 = x if x > x1 else x1
-            uy1 = y if y > y1 else y1
-            if hi > lo and (ux1 - ux0 > cell or uy1 - uy0 > cell):
-                break
-            x0, y0, x1, y1 = ux0, uy0, ux1, uy1
-            hi += 1
-        runs.append((lo, hi, (x0, y0, x1, y1)))
-        lo = hi
+    if len(points) < 2:
+        return runs
+    lo = hi = 0
+    x0, y0 = x1, y1 = px, py = points[0]
+    for x, y in points[1:]:
+        ux0 = x if x < x0 else x0
+        uy0 = y if y < y0 else y0
+        ux1 = x if x > x1 else x1
+        uy1 = y if y > y1 else y1
+        if hi > lo and (ux1 - ux0 > cell or uy1 - uy0 > cell):
+            runs.append((lo, hi, (x0, y0, x1, y1)))
+            lo = hi
+            ux0, ux1 = (x, px) if x < px else (px, x)
+            uy0, uy1 = (y, py) if y < py else (py, y)
+        x0, y0, x1, y1 = ux0, uy0, ux1, uy1
+        px, py = x, y
+        hi += 1
+    runs.append((lo, hi, (x0, y0, x1, y1)))
     return runs
 
 
@@ -239,54 +240,63 @@ def _near_segment_pairs(paths, rules: ProcessRules, reach: float | None = None):
     b = paths[j], i < j, with the pairs sorted by segment index in a, then
     in b.
 
-    The index holds runs of segments (see _runs), not single segments: a
-    fillet arc is one entry instead of sixteen. A run's box contains each of
-    its segments' boxes, so a run query loses no candidate; the segment
-    pairs of two runs that meet are then box-tested one by one, on segment
-    boxes built once per run.
+    Each layer's runs (see _runs; a fillet arc is one run) go through one
+    geometry.sweep_pairs with a margin a hair above `reach`. A run's box
+    contains each of its segments' boxes, so no candidate is lost; each
+    candidate run pair is then decided segment pair by segment pair.
     """
     if reach is None:
         reach = _spacing_reach(rules, paths)
     reach += _SLACK
-    cell = _bin_size(rules, paths)
-    runs = [_runs(p.points, cell) for p in paths]
-    # paths are scanned last to first, each filed after its own queries,
-    # so a query meets only runs of later paths
-    index = BinIndex(cell)
-    boxes: dict[tuple[int, int], list] = {}     # (j, r) -> [(l, box)]
+    # runs at most one spacing reach a side keep a run's box tight around
+    # what its segments can reach; that is also the sweep's tall threshold
+    cell = max(_spacing_reach(rules, paths), 1.0)
+    layers: dict = {}
+    for i, p in enumerate(paths):
+        boxes, nets, spans = layers.setdefault(p.layer, ([], [], []))
+        for lo, hi, box in _runs(p.points, cell):
+            boxes.append(box)
+            nets.append(p.net)
+            spans.append((i, lo, hi))
+    near: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for boxes, nets, spans in layers.values():
+        for m, t in sweep_pairs(boxes, nets, reach + _SLACK, cell):
+            if spans[t][0] < spans[m][0]:
+                m, t = t, m
+            pairs = _run_pairs(paths, spans[m], boxes[m], spans[t], boxes[t],
+                               reach)
+            if pairs:
+                near.setdefault((spans[m][0], spans[t][0]), []).extend(pairs)
     found = []
-    for i in range(len(paths) - 1, -1, -1):
-        a = paths[i]
-        near: dict[int, list[tuple[int, int]]] = {}
-        for lo, hi, (x0, y0, x1, y1) in runs[i]:
-            grown = (x0 - reach, y0 - reach, x1 + reach, y1 + reach)
-            mine = None
-            for j, r in index.query(a.layer, grown):
-                if paths[j].net == a.net:
-                    continue
-                theirs = boxes.get((j, r))
-                if theirs is None:
-                    jlo, jhi, _ = runs[j][r]
-                    theirs = boxes[(j, r)] = [
-                        (l, _box(seg)) for l, seg in enumerate(
-                            path_segments(paths[j].points[jlo:jhi + 1]), jlo)]
-                if mine is None:
-                    mine = [(k, _box(seg, reach)) for k, seg in enumerate(
-                        path_segments(a.points[lo:hi + 1]), lo)]
-                for k, (qx0, qy0, qx1, qy1) in mine:
-                    for l, b in theirs:
-                        if b[0] <= qx1 and qx0 <= b[2] and b[1] <= qy1 \
-                                and qy0 <= b[3]:
-                            near.setdefault(j, []).append((k, l))
-        for r, (_, _, box) in enumerate(runs[i]):
-            index.add(a.layer, box, (i, r))
-        for j in sorted(near, reverse=True):
-            pa, pb = a.points, paths[j].points
-            found.append((a, paths[j],
-                          [((pa[k], pa[k + 1]), (pb[l], pb[l + 1]))
-                           for k, l in sorted(near[j])]))
-    found.reverse()
+    for i, j in sorted(near):
+        pa, pb = paths[i].points, paths[j].points
+        found.append((paths[i], paths[j],
+                      [((pa[k], pa[k + 1]), (pb[l], pb[l + 1]))
+                       for k, l in sorted(near[(i, j)])]))
     return found
+
+
+def _run_pairs(paths, run_a, box_a, run_b, box_b, reach: float):
+    """Segment pairs (k, l) of runs (i, lo, hi) of paths[i] and (j, jlo,
+    jhi) of paths[j] whose boxes meet when k's is grown by reach. Each side
+    is first cut to the segments that meet the other run's box (grown by
+    reach for run a's), which holds every segment they pair with."""
+    i, lo, hi = run_a
+    j, jlo, jhi = run_b
+    pa, pb = paths[i].points, paths[j].points
+    x0, y0, x1, y1 = box_b
+    mine = [(k, q) for k in range(lo, hi)
+            for q in (_box((pa[k], pa[k + 1]), reach),)
+            if x0 <= q[2] and q[0] <= x1 and y0 <= q[3] and q[1] <= y1]
+    if not mine:
+        return ()
+    x0, y0, x1, y1 = (box_a[0] - reach, box_a[1] - reach,
+                      box_a[2] + reach, box_a[3] + reach)
+    theirs = [(l, b) for l in range(jlo, jhi)
+              for b in (_box((pb[l], pb[l + 1])),)
+              if b[0] <= x1 and x0 <= b[2] and b[1] <= y1 and y0 <= b[3]]
+    return [(k, l) for k, (qx0, qy0, qx1, qy1) in mine for l, b in theirs
+            if b[0] <= qx1 and qx0 <= b[2] and b[1] <= qy1 and qy0 <= b[3]]
 
 
 def _segment_pairs(layout, rules: ProcessRules):
@@ -385,34 +395,42 @@ def place_indium_columns(layout, rules: ProcessRules) -> list:
     y0 = die.y0 + (die.height - (ny - 1) * rules.indium_pitch) / 2.0
     clear = rules.indium_clear + rules.indium_size / 2.0
 
-    keepout = BinIndex(_bin_size(rules, layout.paths))
+    # bisect on the site coordinates gives exactly the sites whose closed
+    # test b[0] <= x <= b[2] (and the same on y) a keep-out box passes
+    xs = [x0 + i * rules.indium_pitch for i in range(nx)]
+    ys = [y0 + j * rules.indium_pitch for j in range(ny)]
+    taken = bytearray(nx * ny)
+    row = b"\x01" * nx
+
+    def refuse(bx0, by0, bx1, by1):
+        i0, i1 = bisect_left(xs, bx0), bisect_right(xs, bx1)
+        if i0 < i1:
+            for j in range(bisect_left(ys, by0), bisect_right(ys, by1)):
+                taken[j * nx + i0:j * nx + i1] = row[i0:i1]
+
     for comp in layout.components:
         b = comp.bounding_box()
-        box = (b[0] - clear, b[1] - clear, b[2] + clear, b[3] + clear)
-        keepout.add(None, box, box)
+        refuse(b[0] - clear, b[1] - clear, b[2] + clear, b[3] + clear)
     for p in layout.paths:
         h = p.width / 2.0 + clear
         for seg in path_segments(p.points):
-            box = _box(seg, h)
-            keepout.add(None, box, box)
+            refuse(*_box(seg, h))
 
     placed = []
-    serial = 0
-    for j in range(ny):
-        for i in range(nx):
-            x = x0 + i * rules.indium_pitch
-            y = y0 + j * rules.indium_pitch
-            if keepout.query(None, (x, y, x, y)):
+    for j, y in enumerate(ys):
+        for i, x in enumerate(xs):
+            if taken[j * nx + i]:
                 continue
-            comp = make_indium_column(f"in{serial}", (x, y), rules.indium_size)
+            comp = make_indium_column(f"in{len(placed)}", (x, y),
+                                      rules.indium_size)
             layout.add_component(comp, check_overlap=False)
             placed.append(comp)
-            serial += 1
     return placed
 
 
 def _deck_index(layout, rules: ProcessRules) -> BinIndex:
-    decks = BinIndex(_bin_size(rules, layout.paths))
+    # a deck is bridge_span long, so it lands in at most two bins a side
+    decks = BinIndex(max(4.0 * rules.bridge_span, 1.0))
     for comp in layout.components:
         _add_decks(decks, comp)
     return decks

@@ -27,7 +27,8 @@ def _run(tmp_path, *argv: str) -> int:
 
 def test_topo_writes_a_design_file(tmp_path, capsys):
     assert _run(tmp_path, "topo", "--rows", "2", "--cols", "3") == 0
-    assert "2x3" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "2x3" in out and "dropped" not in out
     doc = load_document(tmp_path / "chip.sqd")
     assert doc.topology.grid_dims == (2, 3)
     assert len(doc.topology.qubits) == 6
@@ -67,6 +68,25 @@ def test_staged_stage_failure_exits_3_naming_the_stage(tmp_path, capsys,
 def test_drc_without_layout_is_a_validation_error(tmp_path):
     _run(tmp_path, "topo", "--rows", "1", "--cols", "1")
     assert _run(tmp_path, "drc", "--process", "generic-10um") == 2
+
+
+def test_a_new_topology_drops_the_circuit_and_layout_of_the_old_one(
+        tmp_path, capsys):
+    # a 3x3 layout must not pass for the 1x2 design: drc and gds refuse to
+    # run instead of checking and writing the old mask
+    _run(tmp_path, "topo", "--rows", "3", "--cols", "3")
+    _run(tmp_path, "params")
+    _run(tmp_path, "route")
+    capsys.readouterr()
+    assert _run(tmp_path, "topo", "--rows", "1", "--cols", "2") == 0
+    assert "dropped the old circuit and layout" in capsys.readouterr().out
+    doc = load_document(tmp_path / "chip.sqd")
+    assert doc.circuit is None and doc.layout is None
+    assert _run(tmp_path, "params") == 0
+    capsys.readouterr()
+    for command in (("drc", "--process", "generic-10um"), ("gds",)):
+        assert _run(tmp_path, *command) == 2
+        assert "run 'layout' first" in capsys.readouterr().err
 
 
 def test_full_flow_topo_params_layout_route_drc_gds(tmp_path, capsys):

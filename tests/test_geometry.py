@@ -16,6 +16,7 @@ from sqchip.geometry import (
     segment_crossing_point,
     segment_distance,
     segments_intersect,
+    sweep_pairs,
 )
 
 
@@ -127,3 +128,28 @@ def test_bin_index_returns_exactly_the_boxes_a_query_meets():
         want = {n for n, (lay, b) in enumerate(boxes) if lay == layer
                 and b[0] <= x1 and x0 <= b[2] and b[1] <= y1 and y0 <= b[3]}
         assert index.query(layer, (x0, y0, x1, y1)) == want
+
+
+def test_sweep_pairs_returns_exactly_the_cross_group_boxes_within_reach():
+    # coordinates and reaches on a 5 um lattice, so no margin rounds: boxes
+    # share x0s, sit exactly reach apart, degenerate to points and lines,
+    # and some are tall (a leg) or tall and wide (a diagonal's box)
+    rng = random.Random(18)
+    coord = lambda: 5.0 * rng.randint(-30, 30)
+    for _ in range(60):
+        boxes = []
+        for _ in range(rng.randint(0, 40)):
+            x0, y0 = coord(), coord()
+            w, h = (5.0 * rng.choice((0, 1, 2, rng.randint(0, 60)))
+                    for _ in range(2))
+            boxes.append((x0, y0, x0 + w, y0 + h))
+        groups = [rng.randrange(4) for _ in boxes]
+        reach, tall = 5.0 * rng.randint(0, 4), 5.0 * rng.randint(1, 6)
+        got = sweep_pairs(boxes, groups, reach, tall)
+        assert len(got) == len(set(got))
+        want = {(p, q) for q, b in enumerate(boxes)
+                for p, a in enumerate(boxes)
+                if p < q and groups[p] != groups[q]
+                and b[0] <= a[2] + reach and a[0] <= b[2] + reach
+                and b[1] <= a[3] + reach and a[1] <= b[3] + reach}
+        assert {tuple(sorted(pq)) for pq in got} == want

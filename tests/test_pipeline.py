@@ -272,6 +272,8 @@ ROADMAP_PINS = [
     (dict(rows=5, cols=5, strategy="maze"), "55725edd10799e8b"),
     (dict(rows=6, cols=6, strategy="maze"), "d18ab1dcf732fad2"),
     (dict(rows=2, cols=2, flip_chip=True), "d65b462c44993dc6"),
+    # 415 indium columns, so the keep-out refuses sites across the die
+    (dict(rows=8, cols=8, flip_chip=True), "2da577fc6bf888e3"),
     (dict(rows=3, cols=5), "7af689431202bcfc"),    # left band, no right band
     (dict(rows=1, cols=7), "f41512d907804166"),    # empty bottom edge
     # the one maze flow on the opposite face

@@ -1,21 +1,30 @@
 from __future__ import annotations
 
+import bisect
 import copy
+import heapq
 import math
 import random
+from types import SimpleNamespace
 
 import process_reference
 import pytest
 
-from sqchip.components import make_airbridge, make_pad, make_xmon
+from sqchip import geometry
+from sqchip.components import (
+    make_airbridge,
+    make_indium_column,
+    make_pad,
+    make_xmon,
+)
 from sqchip.errors import SpecInfeasible, UnresolvableOverlap
 from sqchip.geometry import path_length
 from sqchip.layout import ChipLayout, DieBox
+from sqchip.pipeline import run_pipeline
 from sqchip.process import (
     PROCESS_LIBRARY,
     ProcessRules,
     Violation,
-    _bin_size,
     _check_widening,
     _crossing_pairs,
     _near_segment_pairs,
@@ -382,12 +391,18 @@ def _widening_outcome(check, lay, widened):
     return None
 
 
+def _old_bin(paths) -> float:
+    # the bin of the former BinIndex segment scan, 8x the spacing reach
+    # (160 um for 10 um traces); the clutter below is still sized by it
+    return 8.0 * (GENERIC.min_spacing + max(p.width for p in paths))
+
+
 def test_indexed_scans_match_the_all_pairs_reference_on_random_clutter():
     rng = random.Random(2025)
     on_edge = spacing = 0
     for trial in range(40):
         lay = _random_layout(rng, flip=trial % 4 == 0)
-        cell = _bin_size(GENERIC, lay.paths)
+        cell = _old_bin(lay.paths)
         on_edge += any(x % cell == 0.0 or y % cell == 0.0
                        for p in lay.paths for x, y in p.points)
         spacing += any(v.rule == "spacing" for v in drc(lay, GENERIC))
@@ -451,7 +466,7 @@ def test_near_segment_pairs_equal_the_all_pairs_oracle_in_order():
                           "same-net", "pairs"), 0)
     for _ in range(40):
         paths = _scan_clutter(rng)
-        cell = _bin_size(GENERIC, paths)
+        cell = _old_bin(paths)
         for reach in (0.0, None, 1.5 * cell):
             got = _scan_ids(_near_segment_pairs(paths, GENERIC, reach), paths)
             want = _scan_ids(process_reference.near_segment_pairs(
@@ -471,6 +486,145 @@ def test_near_segment_pairs_equal_the_all_pairs_oracle_in_order():
                                 for b in paths[i + 1:])
     # the sample really holds every shape the run index must get right
     assert all(n > 5 for n in seen.values()), seen
+
+
+def _sweep_clutter(rng: random.Random) -> list[RoutedPath]:
+    """Walks on a 10 um lattice around the origin, so coordinates go
+    negative, many segments share an x0 (every walk starts in one of three
+    columns) and many boxes sit exactly one reach apart (0, 20 and 30 um
+    are lattice steps); plus diagonal legs both taller and wider than a
+    run, and copies of paths on another net."""
+    paths = []
+    for n in range(rng.randint(6, 10)):
+        x, y = 200.0 * rng.randint(-1, 1), 10.0 * rng.randint(-40, 40)
+        pts = [(x, y)]
+        for _ in range(rng.randint(1, 4)):
+            dx, dy = (10.0 * rng.randint(2, 40) * rng.choice((-1, 1))
+                      for _ in range(2))
+            move = rng.random()
+            if move < 0.4:
+                x += dx
+            elif move < 0.8:
+                y += dy
+            else:
+                x, y = x + dx, y + dy
+            pts.append((x, y))
+        if rng.random() < 0.3:
+            pts = fillet_path(pts, GENERIC.fillet_radius)
+        paths.append(RoutedPath(f"n{n}", "control", rng.choice((2, 2, 3)),
+                                pts, 10.0))
+    for twin in rng.sample(paths, 2):
+        paths.append(RoutedPath(twin.net + "'", "control", twin.layer,
+                                list(twin.points), twin.width))
+    rng.shuffle(paths)
+    return paths
+
+
+def _gaps(s1, s2):
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = (
+        (min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1]))
+        for p, q in (s1, s2))
+    return max(bx0 - ax1, ax0 - bx1), max(by0 - ay1, ay0 - by1)
+
+
+def test_the_sweep_equals_the_all_pairs_oracle_where_a_sweep_can_slip():
+    rng = random.Random(18)
+    default = GENERIC.min_spacing + 10.0
+    seen = dict.fromkeys(("shared x0", "x gap = reach", "y gap = reach",
+                          "diagonal", "negative", "coincident"), 0)
+    for _ in range(40):
+        paths = _sweep_clutter(rng)
+        for reach in (0.0, None, 1.5 * default):
+            got = _scan_ids(_near_segment_pairs(paths, GENERIC, reach), paths)
+            want = _scan_ids(process_reference.near_segment_pairs(
+                paths, GENERIC, reach), paths)
+            assert got == want, reach
+            r = default if reach is None else reach
+            for i, j, pairs in want:
+                seen["coincident"] += paths[i].points == paths[j].points
+                for s1, s2 in pairs:
+                    gx, gy = _gaps(s1, s2)
+                    seen["x gap = reach"] += gx == r
+                    seen["y gap = reach"] += gy == r
+                    seen["negative"] += min(c for p in s1 + s2 for c in p) < 0
+                    seen["diagonal"] += any(
+                        min(abs(q[0] - p[0]), abs(q[1] - p[1])) > default
+                        for p, q in (s1, s2))
+        x0s = [min(p[0], q[0]) for path in paths
+               for p, q in zip(path.points, path.points[1:])]
+        seen["shared x0"] += max(x0s.count(x) for x in x0s) >= 4
+    # the sample really holds every case a sweep over x can get wrong
+    assert all(n > 5 for n in seen.values()), seen
+
+
+def test_the_keepout_refuses_the_sites_the_all_boxes_oracle_refuses():
+    # sites at 200, 500 and 800 um on both axes; a 10 um trace keeps out
+    # 5 + 30 + 7.5 = 42.5 um and a 15 um bump 7.5 + 37.5 = 45 um, all exact
+    # in binary, so box edges land exactly on lattice lines, or one float
+    # step to either side of them
+    rules = ProcessRules("t", 10.0, 10.0, 10.0, 40.0, 10.0, 300.0, 15.0, 30.0)
+    sites = (200.0, 500.0, 800.0)
+    rng = random.Random(18)
+    on_line = refused = 0
+    for _ in range(60):
+        lay = _bare_layout(flip=True)
+        for n in range(rng.randint(1, 6)):
+            edge = rng.choice(sites) + rng.choice((-1.0, 1.0)) * 42.5
+            at = rng.choice((edge, math.nextafter(edge, -math.inf),
+                             math.nextafter(edge, math.inf)))
+            on_line += at == edge
+            a, b = 10.0 * rng.randint(10, 90), rng.choice((0.0, 130.0, 620.0))
+            pts = [(a, at), (a + b, at)] if rng.random() < 0.5 \
+                else [(at, a), (at, a + b)]
+            lay.paths.append(RoutedPath(f"p{n}", "control", 2, pts, 10.0))
+        for n in range(rng.randint(0, 2)):
+            x, y = (rng.choice(sites) + rng.choice((-1.0, 1.0)) * 45.0
+                    for _ in range(2))
+            lay.add_component(make_indium_column(f"b{n}", (x, y), 15.0),
+                              check_overlap=False)
+        got = place_indium_columns(copy.deepcopy(lay), rules)
+        want = process_reference.place_indium_columns(copy.deepcopy(lay),
+                                                      rules)
+        assert [(c.comp_id, c.origin) for c in got] == \
+            [(c.comp_id, c.origin) for c in want]
+        refused += 9 - len(want)
+    assert on_line > 50 and refused > 100, (on_line, refused)
+
+
+def _counting_modules(counts):
+    """Stand-ins for the bisect and heapq modules geometry.sweep_pairs
+    calls. Each box enters the sweep through one heappush, and each range
+    query hands its lower end to bisect_right as lo, so the boxes queries
+    look at number bisect_right's results less lo."""
+    def bisect_right(a, x, lo=None):
+        if lo is None:
+            return bisect.bisect_right(a, x)
+        at = bisect.bisect_right(a, x, lo)
+        counts["looked at"] += at - lo
+        return at
+
+    def heappush(heap, item):
+        counts["runs"] += 1
+        heapq.heappush(heap, item)
+
+    return (SimpleNamespace(bisect_left=bisect.bisect_left,
+                            bisect_right=bisect_right, insort=bisect.insort),
+            SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+
+
+def test_scan_work_per_run_grows_at_most_half_from_16x16_to_31x31(
+        monkeypatch):
+    # box comparisons, not wall time, so the guard holds on any host; the
+    # former bin index visited 17 bins per query at 16x16 and 33 at 31x31
+    per_run = []
+    for n in (16, 31):
+        counts = {"looked at": 0, "runs": 0}
+        shims = _counting_modules(counts)
+        monkeypatch.setattr(geometry, "bisect", shims[0])
+        monkeypatch.setattr(geometry, "heapq", shims[1])
+        run_pipeline(rows=n, cols=n)
+        per_run.append(counts["looked at"] / counts["runs"])
+    assert per_run[1] <= 1.5 * per_run[0], per_run
 
 
 def test_bridges_filter_the_reach_zero_pairs_from_the_shared_scan():
