@@ -17,6 +17,7 @@ stage).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -216,17 +217,34 @@ def _cmd_stages(args) -> int:
     _, stages, needs, report = _STAGE_COMMANDS[args.command]
     doc = _load_or_new(args, needs)
     stale = []
+    sidecar = None
     if args.command == "topo":
         # a circuit or layout was derived from the topology topo replaces
         stale = [s for s in ("circuit", "layout")
                  if getattr(doc, s) is not None]
+        if doc.layout is not None:
+            sidecar = _own_sidecar(_design_path(args))
         doc = replace(doc, circuit=None, layout=None)
     doc = run_stages(doc, _config(args, doc.name), stages)
     line = report(doc, args)
     if stale:
         line += f"; dropped the old {' and '.join(stale)}"
     print(f"{line} -> {_save(doc, args)}")
+    if sidecar is not None:
+        # the new file names no sidecar, so the old mask would sit beside
+        # it for the wrong design
+        sidecar.unlink(missing_ok=True)
     return 0
+
+
+def _own_sidecar(path: Path) -> Path | None:
+    """The GDS sidecar the design file at path references, when it is the
+    one save_document writes beside it; None for any other reference."""
+    ref = json.loads(path.read_bytes()).get("layout_ref")
+    sidecar = path.with_suffix(".gds")
+    if ref is None or (path.parent / ref).resolve() != sidecar.resolve():
+        return None
+    return sidecar
 
 
 def _cmd_devmap(args) -> int:

@@ -61,7 +61,7 @@ class PlacedComponent:
     def set_footprint(self, layer: int,
                       polygons: list[list[tuple[float, float]]]) -> None:
         """The one way to change a footprint: it clears both caches and
-        tells the component's layout to re-file it in its overlap index."""
+        tells the component's layout to re-file it in its component index."""
         self.footprint[layer] = polygons
         self._bbox = None
         self._gds = None

@@ -28,6 +28,7 @@ from .circuit import CouplingParams, EquivalentCircuit, QubitElectricalParams
 from .errors import (
     CrossEntityViolation,
     MissingSubEntity,
+    NonPositiveInput,
     ParseError,
     UnknownSelector,
     UnregisteredRequest,
@@ -345,7 +346,8 @@ def load(data: bytes, base_dir: str | Path = ".",
         if name in payload:
             try:
                 setattr(doc, name, from_json(payload[name]))
-            except (AttributeError, KeyError, TypeError, ValueError) as e:
+            except (AttributeError, KeyError, TypeError, ValueError,
+                    NonPositiveInput) as e:
                 raise ParseError(f"malformed {name}: {e}", path=name) from e
     if "layout_ref" in payload:
         if not isinstance(payload["layout_ref"], str):

@@ -53,14 +53,14 @@ class DieBox:
                 and self.y0 - tol <= y <= self.y1 + tol)
 
 
-# side of the overlap index's bins, um: a qubit or pad falls in one to four
+# side of the component index's bins, um: a qubit or pad falls in one to four
 _COMPONENT_BIN = 1000.0
 
 
 class _Components(Sequence):
     """Read-only view of a layout's components. They change only through
     ChipLayout.add_component and PlacedComponent.set_footprint, which keep
-    the layout's id map and overlap index in step."""
+    the layout's id map and component index in step."""
 
     __slots__ = ("_items",)
 
@@ -101,7 +101,7 @@ class ChipLayout:
     _by_id: dict[str, PlacedComponent] = field(
         default_factory=dict, init=False, repr=False)
     # component boxes per layer, items are positions in _components: the
-    # first _filed components are in it, and each overlap check first files
+    # first _filed components are in it, and each query first files
     # the rest and re-files the positions set_footprint reports in _moved
     _boxes: BinIndex = field(default_factory=lambda: BinIndex(_COMPONENT_BIN),
                              init=False, repr=False)
@@ -137,18 +137,23 @@ class ChipLayout:
     def overlaps(self, comp: PlacedComponent, after: int = -1) -> list[int]:
         """Positions, ascending and past `after`, of the components that
         share a layer with comp and whose boxes overlap comp's box."""
-        self._catch_up()
         box = comp.bounding_box()
         layers = comp.layers()
         near = set()
         for layer in layers:
-            near |= self._boxes.query(layer, box)
+            near |= self.near(layer, box)
         return [i for i in sorted(near)
                 if i > after and self._components[i].layers() & layers
                 and boxes_overlap(box, self._components[i].bounding_box())]
 
+    def near(self, layer: int, box) -> set[int]:
+        """Positions of the components with geometry on `layer` whose box
+        meets `box`, and perhaps a few more, which an exact test drops."""
+        self._catch_up()
+        return self._boxes.query(layer, box)
+
     def _catch_up(self) -> None:
-        """Bring the overlap index in step with the components. A re-filed
+        """Bring the component index in step with the components. A re-filed
         component leaves its old entries behind: queries then return a
         candidate more, which the exact test drops."""
         if self._filed == len(self._components) and not self._moved:

@@ -108,6 +108,11 @@ def build_grid(layout, cell: float = 50.0, clearance: float = 20.0) -> GridGraph
     from .components import LAYER_QUBIT
 
     check_cell("grid cell", cell)
+    # a negative clearance shrinks the blockage and lets nets cut through
+    # qubit metal, which nothing downstream checks
+    if not 0.0 <= clearance < math.inf:
+        raise NonPositiveInput(f"clearance must be finite and >= 0, "
+                               f"got {clearance} um")
     die = layout.die
     cols = max(math.ceil(die.width / cell), 1)
     rows = max(math.ceil(die.height / cell), 1)

@@ -121,6 +121,9 @@ class PipelineConfig:
         if self.lane_pitch <= 0:
             raise NonPositiveInput(f"lane_pitch must be positive, "
                                    f"got {self.lane_pitch}")
+        if self.maze_clearance < 0:
+            raise NonPositiveInput(f"maze_clearance must be >= 0, "
+                                   f"got {self.maze_clearance}")
         # apply_rules widens routed traces but not the readout feedlines
         rules = get_process(self.process)
         if self.trace_width < rules.min_feature:

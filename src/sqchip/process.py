@@ -12,17 +12,17 @@ with its exact box test. Its result is sorted into all-pairs order (path
 i < j, then segment of i, then of j), so bridge numbering, DRC report order
 and GDS bytes match a scan over all pairs. Bridges, DRC and the widening
 check share one full-reach scan per path state, kept on the layout
-(ChipLayout.segment_pairs). The indium keep-out marks the lattice sites
-each grown box covers; deck cover and component overlap query a
-geometry.BinIndex, which suits them because decks and components arrive
-one at a time while the path scan is a batch over a finished path set.
+(ChipLayout.segment_pairs); bridges take from it the pairs that cross.
+The indium keep-out marks the lattice sites each grown box covers. Deck
+cover and component overlap ask the layout's own component index
+(ChipLayout.near), which files each component as it is added or moved.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .components import (
     LAYER_AIRBRIDGE,
@@ -31,9 +31,8 @@ from .components import (
     make_indium_column,
     make_pad,
 )
-from .errors import SpecInfeasible, UnresolvableOverlap
+from .errors import NonPositiveInput, SpecInfeasible, UnresolvableOverlap
 from .geometry import (
-    BinIndex,
     bbox,
     path_segments,
     segment_crossing_point,
@@ -54,6 +53,21 @@ class ProcessRules:
     indium_size: float        # bump square side, um
     indium_clear: float       # bump keep-out from any geometry, um
     pad_size: float = 120.0   # bond-pad square side, um
+
+    def __post_init__(self):
+        # DRC compares against these: a NaN or negative spacing passes
+        # every test, so a rules file with one would check clean
+        for f in fields(self):
+            if f.type != "float":
+                continue
+            value = getattr(self, f.name)
+            zero_ok = f.name in ("fillet_radius", "indium_clear")
+            if not (math.isfinite(value)
+                    and (value >= 0.0 if zero_ok else value > 0.0)):
+                raise NonPositiveInput(
+                    f"process rule {f.name} must be finite and "
+                    f"{'non-negative' if zero_ok else 'positive'}, "
+                    f"got {value}")
 
 
 PROCESS_LIBRARY = {
@@ -316,22 +330,6 @@ def _segment_pairs(layout, rules: ProcessRules):
     return layout.segment_pairs[1]
 
 
-def _crossing_pairs(layout, rules: ProcessRules):
-    """The reach-0 _near_segment_pairs of layout.paths, filtered from the
-    shared full-reach scan with the reach-0 scan's own box test."""
-    out = []
-    for a, b, pairs in _segment_pairs(layout, rules):
-        meet = []
-        for s1, s2 in pairs:
-            qx0, qy0, qx1, qy1 = _box(s1, _SLACK)
-            bx0, by0, bx1, by1 = _box(s2)
-            if bx0 <= qx1 and qx0 <= bx1 and by0 <= qy1 and qy0 <= by1:
-                meet.append((s1, s2))
-        if meet:
-            out.append((a, b, meet))
-    return out
-
-
 def _spacing_faults(layout, rules: ProcessRules):
     """Segment pairs of different nets on one layer that come closer than
     min_spacing plus their half widths, in all-pairs order.
@@ -358,16 +356,15 @@ def insert_air_bridges(layout, rules: ProcessRules) -> list:
     """One bridge per same-layer crossing of two routed nets.
 
     The deck is oriented along the second net's crossing segment, so the
-    earlier net passes underneath. Crossings closer than a deck length to an existing
-    bridge share it.
+    earlier net passes underneath. A crossing that an existing deck already
+    covers, one placed earlier in the same call included, shares it.
     """
     placed = []
     serial = sum(1 for c in layout.components if c.kind == "airbridge")
-    decks = _deck_index(layout, rules)
-    for pa, pb, pairs in _crossing_pairs(layout, rules):
+    for _, _, pairs in _segment_pairs(layout, rules):
         for s1, s2 in pairs:
             pt = segment_crossing_point(s1[0], s1[1], s2[0], s2[1])
-            if pt is None or _bridged(decks, pt):
+            if pt is None or _bridged(layout, pt):
                 continue
             (x1, y1), (x2, y2) = s2
             horiz = abs(x2 - x1) >= abs(y2 - y1)
@@ -375,7 +372,6 @@ def insert_air_bridges(layout, rules: ProcessRules) -> list:
                                   rules.bridge_width,
                                   "h" if horiz else "v")
             layout.add_component(comp, check_overlap=False)
-            _add_decks(decks, comp)
             placed.append(comp)
             serial += 1
     return placed
@@ -428,26 +424,15 @@ def place_indium_columns(layout, rules: ProcessRules) -> list:
     return placed
 
 
-def _deck_index(layout, rules: ProcessRules) -> BinIndex:
-    # a deck is bridge_span long, so it lands in at most two bins a side
-    decks = BinIndex(max(4.0 * rules.bridge_span, 1.0))
-    for comp in layout.components:
-        _add_decks(decks, comp)
-    return decks
-
-
-def _add_decks(decks: BinIndex, comp) -> None:
-    # layer-based so re-imported geometry still counts as bridged
-    for poly in comp.footprint.get(LAYER_AIRBRIDGE, ()):
-        box = bbox(poly)
-        decks.add(LAYER_AIRBRIDGE, box, box)
-
-
-def _bridged(decks: BinIndex, pt: tuple[float, float]) -> bool:
+def _bridged(layout, pt: tuple[float, float]) -> bool:
     x, y = pt
-    near = (x - 2e-6, y - 2e-6, x + 2e-6, y + 2e-6)
+    comps = layout.components
+    # layer-based so re-imported geometry still counts as bridged
+    decks = [bbox(poly) for i in layout.near(
+                 LAYER_AIRBRIDGE, (x - 2e-6, y - 2e-6, x + 2e-6, y + 2e-6))
+             for poly in comps[i].footprint.get(LAYER_AIRBRIDGE, ())]
     return any(x0 - 1e-6 <= x <= x1 + 1e-6 and y0 - 1e-6 <= y <= y1 + 1e-6
-               for x0, y0, x1, y1 in decks.query(LAYER_AIRBRIDGE, near))
+               for x0, y0, x1, y1 in decks)
 
 
 def drc(layout, rules: ProcessRules) -> list[Violation]:
@@ -479,7 +464,6 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
                 comp.origin, (comp.comp_id, "")))
 
     # spacing between different nets on one layer
-    decks = _deck_index(layout, rules)
     for a, b, s1, d, x in _spacing_faults(layout, rules):
         if x is None:
             out.append(Violation(
@@ -488,7 +472,7 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
                 f"{max(d - (a.width + b.width) / 2.0, 0.0):.2f} um "
                 f"apart, need {rules.min_spacing} um",
                 s1[0], (a.net, b.net)))
-        elif not _bridged(decks, x):
+        elif not _bridged(layout, x):
             out.append(Violation(
                 "unbridged-crossing",
                 f"nets {a.net} and {b.net} cross without "

@@ -82,11 +82,39 @@ def test_a_new_topology_drops_the_circuit_and_layout_of_the_old_one(
     assert "dropped the old circuit and layout" in capsys.readouterr().out
     doc = load_document(tmp_path / "chip.sqd")
     assert doc.circuit is None and doc.layout is None
+    # the file names no sidecar, and the old mask no longer sits beside it
+    assert "layout_ref" not in json.loads((tmp_path / "chip.sqd").read_bytes())
+    assert not (tmp_path / "chip.gds").exists()
     assert _run(tmp_path, "params") == 0
     capsys.readouterr()
     for command in (("drc", "--process", "generic-10um"), ("gds",)):
         assert _run(tmp_path, *command) == 2
         assert "run 'layout' first" in capsys.readouterr().err
+
+
+def test_a_design_without_a_layout_leaves_other_gds_files_alone(tmp_path):
+    (tmp_path / "chip.gds").write_bytes(b"not ours")
+    _run(tmp_path, "topo", "--rows", "1", "--cols", "2")
+    assert _run(tmp_path, "params") == 0
+    assert _run(tmp_path, "topo", "--rows", "2", "--cols", "2") == 0
+    assert (tmp_path / "chip.gds").read_bytes() == b"not ours"
+
+
+def test_drc_refuses_a_design_file_with_invalid_process_rules(tmp_path,
+                                                              capsys):
+    for command in (("topo", "--rows", "2", "--cols", "2"), ("route",),
+                    ("procmap",)):
+        _run(tmp_path, *command)
+    path = tmp_path / "chip.sqd"
+    good = json.loads(path.read_bytes())
+    for value in (-100.0, float("nan")):
+        bad = {**good, "process_rules": {**good["process_rules"],
+                                         "min_spacing": value}}
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert _run(tmp_path, "drc") == 2
+        err = capsys.readouterr().err
+        assert "process_rules" in err and "min_spacing" in err
 
 
 def test_full_flow_topo_params_layout_route_drc_gds(tmp_path, capsys):
@@ -318,6 +346,13 @@ def test_pipeline_refuses_a_negative_border_up_front(tmp_path, capsys,
                                                     monkeypatch):
     _assert_refused_up_front(tmp_path, capsys, monkeypatch, "border",
                              "--border", "-1")
+
+
+def test_pipeline_refuses_a_negative_maze_clearance_up_front(tmp_path, capsys,
+                                                            monkeypatch):
+    # a negative clearance lets maze nets run through qubit metal
+    _assert_refused_up_front(tmp_path, capsys, monkeypatch, "maze_clearance",
+                             "--strategy", "maze", "--clearance", "-200")
 
 
 def test_a_non_ascii_design_name_is_refused_at_topo(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import asdict
 
 import pytest
 
@@ -298,6 +299,11 @@ def test_load_names_the_malformed_section():
     ("flip_chip", "yes"),
     ("flip_chip", 1),
     ("flip_chip", True),             # no layout_ref to apply it to
+    # typed right, but a rule DRC could not enforce
+    ("process_rules", {**asdict(get_process("generic-10um")),
+                       "min_spacing": -100.0}),
+    ("process_rules", {**asdict(get_process("generic-10um")),
+                       "pad_size": float("nan")}),
 ])
 def test_load_rejects_a_wrongly_shaped_section_naming_it(section, value):
     payload = {"meta": {"name": "x", "version": SCHEMA_VERSION},

@@ -361,6 +361,15 @@ def test_build_grid_refuses_a_non_positive_cell(cell):
         run_pipeline(strategy="maze", maze_cell=cell)
 
 
+@pytest.mark.parametrize("clearance", [-200.0, -1e-9, float("nan")])
+def test_build_grid_refuses_a_negative_clearance(clearance):
+    # a negative clearance shrinks the blockage, so nets cut qubit metal
+    layout = place_qubits(generate_grid(1, 1), "xmon", pitch=2000.0)
+    with pytest.raises(NonPositiveInput, match="clearance"):
+        build_grid(layout, clearance=clearance)
+    assert build_grid(layout, clearance=0.0).blocked.count(True) > 0
+
+
 def test_resolve_target_finds_feedline_ends_and_qubit_ports():
     from sqchip.layout import generate_readout_bus
 

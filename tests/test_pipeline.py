@@ -149,6 +149,14 @@ def test_config_refuses_a_negative_border_up_front(monkeypatch):
     assert PipelineConfig(border=0.0)
 
 
+def test_config_refuses_a_negative_maze_clearance_up_front(monkeypatch):
+    _no_stage_may_run(monkeypatch)
+    for bad in (-200.0, -1e-9):
+        with pytest.raises(NonPositiveInput, match="maze_clearance"):
+            run_pipeline(rows=3, cols=3, strategy="maze", maze_clearance=bad)
+    assert PipelineConfig(strategy="maze", maze_clearance=0.0)
+
+
 def test_config_refuses_a_non_ascii_name_up_front(monkeypatch):
     # the name becomes the GDS library name, so no stage may start on it
     _no_stage_may_run(monkeypatch)

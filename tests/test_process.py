@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import dataclasses
 import heapq
 import math
 import random
@@ -12,12 +13,17 @@ import pytest
 
 from sqchip import geometry
 from sqchip.components import (
+    LAYER_AIRBRIDGE,
     make_airbridge,
     make_indium_column,
     make_pad,
     make_xmon,
 )
-from sqchip.errors import SpecInfeasible, UnresolvableOverlap
+from sqchip.errors import (
+    NonPositiveInput,
+    SpecInfeasible,
+    UnresolvableOverlap,
+)
 from sqchip.geometry import path_length
 from sqchip.layout import ChipLayout, DieBox
 from sqchip.pipeline import run_pipeline
@@ -26,7 +32,6 @@ from sqchip.process import (
     ProcessRules,
     Violation,
     _check_widening,
-    _crossing_pairs,
     _near_segment_pairs,
     apply_rules,
     drc,
@@ -54,6 +59,20 @@ def test_process_library_ships_the_two_named_rule_sets():
     assert get_process("generic-10um") is GENERIC
     with pytest.raises(SpecInfeasible):
         get_process("imaginary-2um")
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("min_spacing", -100.0), ("min_spacing", float("nan")),
+    ("min_feature", 0.0), ("bridge_span", float("inf")),
+    ("pad_size", -1.0), ("fillet_radius", -1.0),
+    ("indium_clear", float("nan")),
+])
+def test_process_rules_refuse_a_non_finite_or_out_of_range_rule(name, bad):
+    # DRC compares against every rule: a NaN or negative one checks clean
+    with pytest.raises(NonPositiveInput, match=name):
+        dataclasses.replace(GENERIC, **{name: bad})
+    # no rounding and bumps flush with geometry stay legal
+    assert dataclasses.replace(GENERIC, fillet_radius=0.0, indium_clear=0.0)
 
 
 def test_fillet_replaces_a_right_angle_with_a_shorter_arc():
@@ -627,16 +646,37 @@ def test_scan_work_per_run_grows_at_most_half_from_16x16_to_31x31(
     assert per_run[1] <= 1.5 * per_run[0], per_run
 
 
-def test_bridges_filter_the_reach_zero_pairs_from_the_shared_scan():
+def test_bridges_take_crossings_from_the_shared_scan_as_the_reference_does():
+    # many crossings, and many of them under a deck placed earlier in the
+    # same call, so bridge order and deck cover both show
     rng = random.Random(2025)
-    crossings = 0
+    crossings = shared = 0
     for trial in range(40):
         lay = _random_layout(rng, flip=trial % 4 == 0)
-        want = _scan_ids(_near_segment_pairs(lay.paths, GENERIC, 0.0),
-                         lay.paths)
-        assert _scan_ids(_crossing_pairs(lay, GENERIC), lay.paths) == want
-        crossings += len(want)
-    assert crossings > 40
+        _assert_scans_match_reference(lay)
+        points = [pt for i, a in enumerate(lay.paths) for b in lay.paths[i + 1:]
+                  if a.layer == b.layer and a.net != b.net
+                  for pt, _ in process_reference.path_crossings(a, b)]
+        covered = sum(process_reference.bridged(lay, pt) for pt in points)
+        crossings += len(points)
+        shared += len(points) - covered - len(insert_air_bridges(lay, GENERIC))
+    assert crossings > 40 and shared > 40
+
+
+def test_deck_cover_follows_a_deck_that_moves():
+    lay = _bare_layout(
+        RoutedPath("h", "control", 2, [(400.0, 500.0), (600.0, 500.0)], 10.0),
+        RoutedPath("v", "control", 2, [(500.0, 400.0), (500.0, 600.0)], 10.0))
+    (deck,) = insert_air_bridges(lay, GENERIC)
+    assert drc(lay, GENERIC) == []
+    home = deck.footprint[LAYER_AIRBRIDGE]
+    deck.set_footprint(LAYER_AIRBRIDGE,
+                       [[(x + 300.0, y) for x, y in poly] for poly in home])
+    got = _violations(drc(lay, GENERIC))
+    assert [v[0] for v in got] == ["unbridged-crossing"]
+    assert got == _violations(process_reference.drc(lay, GENERIC))
+    deck.set_footprint(LAYER_AIRBRIDGE, home)
+    assert drc(lay, GENERIC) == []
 
 
 def _unmemoized_drc(lay, rules):
