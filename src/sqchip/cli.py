@@ -17,7 +17,6 @@ stage).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -222,8 +221,10 @@ def _cmd_stages(args) -> int:
         # a circuit or layout was derived from the topology topo replaces
         stale = [s for s in ("circuit", "layout")
                  if getattr(doc, s) is not None]
-        if doc.layout is not None:
-            sidecar = _own_sidecar(_design_path(args))
+        # only <design>.gds, the sidecar save writes, is ours to remove
+        own = _design_path(args).with_suffix(".gds")
+        if doc.layout is not None and doc.layout.path.resolve() == own.resolve():
+            sidecar = own
         doc = replace(doc, circuit=None, layout=None)
     doc = run_stages(doc, _config(args, doc.name), stages)
     line = report(doc, args)
@@ -235,16 +236,6 @@ def _cmd_stages(args) -> int:
         # it for the wrong design
         sidecar.unlink(missing_ok=True)
     return 0
-
-
-def _own_sidecar(path: Path) -> Path | None:
-    """The GDS sidecar the design file at path references, when it is the
-    one save_document writes beside it; None for any other reference."""
-    ref = json.loads(path.read_bytes()).get("layout_ref")
-    sidecar = path.with_suffix(".gds")
-    if ref is None or (path.parent / ref).resolve() != sidecar.resolve():
-        return None
-    return sidecar
 
 
 def _cmd_devmap(args) -> int:

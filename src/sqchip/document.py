@@ -58,9 +58,11 @@ class DesignDocument:
 @dataclass
 class LayoutSidecar:
     """A layout carried unread: the GDS sidecar bytes a design file was
-    loaded from, and the flip_chip flag the file keeps beside them."""
+    loaded from, the flip_chip flag the file keeps beside them, and the
+    path its layout_ref resolved to (not compared: equal bytes, equal layout)."""
     data: bytes
     flip_chip: bool = False
+    path: Path | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -363,7 +365,7 @@ def load(data: bytes, base_dir: str | Path = ".",
             raise ParseError(f"layout sidecar {ref} cannot be read: {e}",
                              path="layout_ref") from e
         doc.layout = (layout_from_gds(data) if import_layout
-                      else LayoutSidecar(data))
+                      else LayoutSidecar(data, path=ref))
     if "flip_chip" in payload:
         if not isinstance(payload["flip_chip"], bool) or doc.layout is None:
             raise ParseError("flip_chip must be true or false, next to a "

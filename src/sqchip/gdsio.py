@@ -213,16 +213,23 @@ def _name(payload: bytes, pos: int) -> str:
                            f"{payload!r}") from None
 
 
-# payload bytes of the fixed-size element records the reader decodes
-_PAYLOAD_SIZE = {LAYER: 2, DATATYPE: 2, PATHTYPE: 2, WIDTH: 4}
+# element-opening records -> element kind; fixed-size element records ->
+# (attribute, payload format); WIDTH is in database units
+_OPENS = {BOUNDARY: "boundary", PATH: "path", SREF: "sref", AREF: "aref"}
+_FIELDS = {LAYER: ("layer", struct.Struct(">h")),
+           DATATYPE: ("datatype", struct.Struct(">h")),
+           PATHTYPE: ("pathtype", struct.Struct(">h")),
+           WIDTH: ("width", struct.Struct(">i"))}
 
 
 def read_gds(src) -> GdsLibrary:
     """Parse a stream (bytes) or a file path into a GdsLibrary.
 
-    A malformed stream raises BadMagic, TruncatedRecord or OddLength; the
-    last two carry the offending record's offset. A name the writer would
-    refuse raises NonAsciiName.
+    Element records decode through ``_OPENS`` and ``_FIELDS``; a record
+    outside a structure is skipped unless it names the library, sets its
+    units or opens a structure. A malformed stream raises BadMagic,
+    TruncatedRecord or OddLength; the last two carry the offending record's
+    offset. A name the writer would refuse raises NonAsciiName.
     """
     if isinstance(src, (str, Path)):
         data = Path(src).read_bytes()
@@ -239,13 +246,8 @@ def read_gds(src) -> GdsLibrary:
     cur: GdsStructure | None = None
     el: GdsElement | None = None
     struct_start = -1
-    header_end = -1
     scale = 1.0 / DB_PER_UM
     for pos, rectype, payload in _iter_records(data):
-        if rectype == HEADER:
-            continue
-        if rectype == BGNLIB:
-            continue
         if rectype == LIBNAME:
             lib.name = _name(payload, pos)
         elif rectype == UNITS:
@@ -253,67 +255,53 @@ def read_gds(src) -> GdsLibrary:
                 raise TruncatedRecord(f"UNITS record at offset {pos} malformed", pos)
             lib.unit_user = excess64_decode(payload[:8])
             lib.unit_meters = excess64_decode(payload[8:])
-            header_end = pos + 4 + len(payload)
-            lib.raw_header = data[:header_end]
+            lib.raw_header = data[:pos + 4 + len(payload)]
             # geometry below converts via meters per database unit
             scale = lib.unit_meters / 1e-6
         elif rectype == BGNSTR:
             cur = GdsStructure("")
             struct_start = pos
             el = None
+        elif cur is None:
+            continue
         elif rectype == STRNAME:
-            if cur is not None:
-                cur.name = _name(payload, pos)
+            cur.name = _name(payload, pos)
         elif rectype == ENDSTR:
-            if cur is not None:
-                cur.raw = data[struct_start:pos + 4]
-                lib.structures.append(cur)
-                cur = None
-        elif rectype == ENDLIB:
-            break
-        elif cur is not None:
-            if rectype == BOUNDARY:
-                el = GdsElement("boundary")
-            elif rectype == PATH:
-                el = GdsElement("path")
-            elif rectype == SREF:
-                el = GdsElement("sref")
-            elif rectype == AREF:
-                el = GdsElement("aref")
-            elif rectype == ENDEL:
-                if el is not None:
-                    if not el.xy:
-                        raise TruncatedRecord(
-                            f"{el.kind} element ending at offset {pos} "
-                            f"has no XY", pos)
-                    cur.elements.append(el)
-                el = None
-            elif el is not None:
-                size = _PAYLOAD_SIZE.get(rectype, len(payload))
-                if len(payload) != size:
+            cur.raw = data[struct_start:pos + 4]
+            lib.structures.append(cur)
+            cur = el = None
+        elif rectype in _OPENS:
+            el = GdsElement(_OPENS[rectype])
+        elif rectype == ENDEL:
+            if el is not None:
+                if not el.xy:
                     raise TruncatedRecord(
-                        f"record {rectype:#06x} at offset {pos} has "
-                        f"{len(payload)} payload bytes, expects {size}", pos)
-                if rectype == LAYER:
-                    el.layer = struct.unpack(">h", payload)[0]
-                elif rectype == DATATYPE:
-                    el.datatype = struct.unpack(">h", payload)[0]
-                elif rectype == WIDTH:
-                    el.width = struct.unpack(">i", payload)[0] * scale
-                elif rectype == PATHTYPE:
-                    el.pathtype = struct.unpack(">h", payload)[0]
-                elif rectype == SNAME:
-                    el.sname = _name(payload, pos)
-                elif rectype == STRANS:
-                    el.strans = True
-                elif rectype == XY:
-                    if len(payload) % 8:
-                        raise OddLength(
-                            f"XY record at offset {pos} has {len(payload)} "
-                            f"payload bytes, not whole (x, y) pairs", pos)
-                    vals = struct.unpack(f">{len(payload) // 4}i", payload)
-                    el.xy = [(vals[i] * scale, vals[i + 1] * scale)
-                             for i in range(0, len(vals), 2)]
+                        f"{el.kind} element ending at offset {pos} "
+                        f"has no XY", pos)
+                cur.elements.append(el)
+            el = None
+        elif el is None:
+            continue
+        elif rectype in _FIELDS:
+            attr, fmt = _FIELDS[rectype]
+            if len(payload) != fmt.size:
+                raise TruncatedRecord(
+                    f"record {rectype:#06x} at offset {pos} has "
+                    f"{len(payload)} payload bytes, expects {fmt.size}", pos)
+            value = fmt.unpack(payload)[0]
+            setattr(el, attr, value * scale if rectype == WIDTH else value)
+        elif rectype == XY:
+            if len(payload) % 8:
+                raise OddLength(
+                    f"XY record at offset {pos} has {len(payload)} "
+                    f"payload bytes, not whole (x, y) pairs", pos)
+            vals = struct.unpack(f">{len(payload) // 4}i", payload)
+            el.xy = [(vals[i] * scale, vals[i + 1] * scale)
+                     for i in range(0, len(vals), 2)]
+        elif rectype == SNAME:
+            el.sname = _name(payload, pos)
+        elif rectype == STRANS:
+            el.strans = True
     return lib
 
 
@@ -447,7 +435,8 @@ def layout_from_gds(src):
     (an SREF at an offset, an SREF with a STRANS transform, any AREF) is
     refused with ParseError, rather than imported misplaced. The import's
     render memo holds the source stream re-emitted, so an unedited import
-    writes back verbatim.
+    writes back verbatim. The stream records no die, so the die is the
+    content's bounding box.
     """
     from .components import PlacedComponent
     from .geometry import bbox
@@ -479,7 +468,7 @@ def layout_from_gds(src):
                        f"at {el.xy}, not at the origin")
                 raise ParseError(f"structure {s.name!r} places {el.sname!r} "
                                  f"{how}, which cannot import")
-    layout.expand_die_to_content(0.0)
+    layout.die = DieBox(*layout.content_bbox())
     layout.rendered = (_geometry(layout), write_library(lib))
     return layout
 

@@ -309,6 +309,9 @@ def generate_readout_bus(layout: ChipLayout, row_qubits: list[str],
     """
     if not row_qubits:
         raise NonPositiveInput("empty qubit row")
+    if g <= 0 or coupling_length <= 0:
+        raise NonPositiveInput(f"gap g and coupling_length must be positive, "
+                               f"got g={g}, coupling_length={coupling_length}")
     comps = [layout.component_by_id(q) for q in row_qubits]
     ports = [c.ports["north"] for c in comps]
     xs = [p.position[0] for p in ports]

@@ -118,9 +118,11 @@ class PipelineConfig:
             check_selector(name, getattr(self, name), allowed)
         if self.border < 0:
             raise NonPositiveInput(f"border must be >= 0, got {self.border}")
-        if self.lane_pitch <= 0:
-            raise NonPositiveInput(f"lane_pitch must be positive, "
-                                   f"got {self.lane_pitch}")
+        # a zero gap shorts each resonator to its qubit and its feedline
+        for name in ("lane_pitch", "trace_gap", "coupling_length"):
+            if getattr(self, name) <= 0:
+                raise NonPositiveInput(f"{name} must be positive, "
+                                       f"got {getattr(self, name)}")
         if self.maze_clearance < 0:
             raise NonPositiveInput(f"maze_clearance must be >= 0, "
                                    f"got {self.maze_clearance}")

@@ -21,10 +21,6 @@ class RoutedPath:
     corner_count: int = 0
     crossing_count: int = 0
 
-    def length(self) -> float:
-        from .geometry import path_length
-        return path_length(self.points)
-
 
 @dataclass
 class Pin:

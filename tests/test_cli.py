@@ -7,6 +7,7 @@ import csv
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import fields
 
 import gds_reference
@@ -98,6 +99,22 @@ def test_a_design_without_a_layout_leaves_other_gds_files_alone(tmp_path):
     assert _run(tmp_path, "params") == 0
     assert _run(tmp_path, "topo", "--rows", "2", "--cols", "2") == 0
     assert (tmp_path / "chip.gds").read_bytes() == b"not ours"
+
+
+def test_topo_leaves_a_sidecar_the_design_file_does_not_own(tmp_path):
+    # a layout_ref naming any file but <design>.gds is someone else's mask
+    for step in (("topo", "--rows", "2", "--cols", "2"), ("layout",)):
+        assert _run(tmp_path, *step) == 0, step
+    (tmp_path / "chip.gds").rename(tmp_path / "other.gds")
+    (tmp_path / "chip.gds").write_bytes(b"not ours")
+    design = tmp_path / "chip.sqd"
+    design.write_bytes(design.read_bytes().replace(b'"chip.gds"',
+                                                   b'"other.gds"'))
+    sidecar = load_document(design, import_layout=False).layout
+    assert sidecar.path == tmp_path / "other.gds"
+    assert _run(tmp_path, "topo", "--rows", "1", "--cols", "2") == 0
+    assert (tmp_path / "chip.gds").read_bytes() == b"not ours"
+    assert (tmp_path / "other.gds").read_bytes() == sidecar.data
 
 
 def test_drc_refuses_a_design_file_with_invalid_process_rules(tmp_path,
@@ -355,6 +372,14 @@ def test_pipeline_refuses_a_negative_maze_clearance_up_front(tmp_path, capsys,
                              "--strategy", "maze", "--clearance", "-200")
 
 
+@pytest.mark.parametrize("field, flag, bad", [
+    ("trace_gap", "--trace-gap", "0"),
+    ("coupling_length", "--coupling-length", "-50")])
+def test_pipeline_refuses_a_non_positive_gap_or_coupling_up_front(
+        tmp_path, capsys, monkeypatch, field, flag, bad):
+    _assert_refused_up_front(tmp_path, capsys, monkeypatch, field, flag, bad)
+
+
 def test_a_non_ascii_design_name_is_refused_at_topo(tmp_path, capsys):
     # every staged command builds its config from the design name, so the
     # first one refuses it before a design file exists
@@ -502,3 +527,37 @@ def test_pipeline_command_writes_what_run_pipeline_builds(tmp_path, capsys):
     (tmp_path / "api").mkdir()
     api = save_document(result.document, tmp_path / "api" / "chip.sqd")
     assert (tmp_path / "chip.sqd").read_bytes() == api.read_bytes()
+
+
+def test_the_staged_mask_is_the_one_shot_mask_flattened_into_one_cell(
+        tmp_path, capsys):
+    # the staged flow keeps its layout as a GDS sidecar and imports it flat,
+    # so its 4x4 mask holds the one-shot mask's paths, in order, and its
+    # polygons, but all of them in one IMPORTED cell
+    for step in (("topo", "--rows", "4", "--cols", "4"), ("params",),
+                 ("layout",), ("route",), ("procmap",), ("gds",)):
+        assert _run(tmp_path, *step) == 0, step
+    capsys.readouterr()
+    staged = gdsio.read_gds(tmp_path / "chip.gds")
+    one_shot = gdsio.read_gds(run_pipeline(rows=4, cols=4).gds_bytes)
+
+    def elements(lib, kind):
+        return [(s.name, e) for s in lib.structures for e in s.elements
+                if e.kind == kind]
+
+    def paths(lib):
+        return [(e.xy, e.width, e.layer) for _, e in elements(lib, "path")]
+
+    def cells(lib):
+        return Counter(name for name, _ in elements(lib, "boundary"))
+
+    def polygons(lib):
+        return sorted((e.layer, e.datatype, e.xy)
+                      for _, e in elements(lib, "boundary"))
+
+    assert len(paths(staged)) == 28
+    assert paths(staged) == paths(one_shot)
+    assert len(polygons(staged)) == 216
+    assert polygons(staged) == polygons(one_shot)
+    assert cells(staged) == {"IMPORTED": 216}
+    assert cells(one_shot) == {"PAD": 24, "RESONATOR": 160, "XMON": 32}

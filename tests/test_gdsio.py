@@ -44,7 +44,7 @@ from sqchip.gdsio import (
     write_library,
 )
 from sqchip.geometry import rect
-from sqchip.layout import place_qubits
+from sqchip.layout import ChipLayout, DieBox, place_qubits
 from sqchip.pipeline import run_pipeline
 from sqchip.routing import RoutedPath
 from sqchip.topology import generate_grid
@@ -382,6 +382,20 @@ def test_layout_import_splits_polygons_into_components():
     assert len(back.components) == n_polys
     assert back.die.width > 0 and back.die.height > 0
     assert back.rendered[1] == source       # the import is its own render
+
+
+def test_an_imported_die_is_the_content_box():
+    # a foreign stream whose one pad sits far from the origin: the die
+    # used to grow from (0, 0) and so held 2,147 times the content's area
+    layout = ChipLayout("pad", DieBox(0.0, 0.0, 6000.0, 6000.0))
+    layout.add_component(make_pad("p", (5500.0, 5500.0)))
+    back = layout_from_gds(write_gds(layout))
+    assert back.content_bbox() == (5440.0, 5440.0, 5560.0, 5560.0)
+    assert (back.die.x0, back.die.y0, back.die.x1, back.die.y1) == (
+        5440.0, 5440.0, 5560.0, 5560.0)
+    # sqchip's own 1x1 mask starts at y = 490, not at the origin
+    back = layout_from_gds(run_pipeline(rows=1, cols=1).gds_bytes)
+    assert back.die.y0 == back.content_bbox()[1] == 490.0
 
 
 def test_write_gds_to_file_round_trips(tmp_path):

@@ -281,6 +281,17 @@ def test_readout_bus_refuses_an_unordered_row_with_a_typed_error():
         generate_readout_bus(layout, ["q1", "q0"], 6.535e9, 7.246e9)
 
 
+@pytest.mark.parametrize("knobs", [{"g": 0.0}, {"g": -6.0},
+                                   {"coupling_length": 0.0},
+                                   {"coupling_length": -50.0}])
+def test_readout_bus_refuses_a_non_positive_gap_or_coupling_length(knobs):
+    layout = place_qubits(generate_grid(1, 2), "xmon", pitch=2000.0)
+    name, bad = next(iter(knobs.items()))
+    with pytest.raises(NonPositiveInput, match=f"{name}={bad}"):
+        generate_readout_bus(layout, ["q0", "q1"], 6.535e9, 7.246e9, **knobs)
+    assert not layout.paths
+
+
 def test_frequency_allocation_is_a_checkerboard_on_grids():
     topo = generate_grid(3, 3)
     out = allocate_frequencies(topo, [4.3e9, 4.8e9])

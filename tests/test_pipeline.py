@@ -174,6 +174,20 @@ def test_config_refuses_a_non_positive_lane_pitch_up_front(monkeypatch,
         run_pipeline(rows=3, cols=3, strategy=strategy, lane_pitch=bad)
 
 
+@pytest.mark.parametrize("name, bad", [("trace_gap", 0.0),
+                                       ("trace_gap", -6.0),
+                                       ("coupling_length", 0.0),
+                                       ("coupling_length", -50.0)])
+def test_config_refuses_a_non_positive_gap_or_coupling_length_up_front(
+        monkeypatch, name, bad):
+    # a zero gap shorts each resonator to its qubit arm and its feedline,
+    # and DRC saw neither; a negative coupling run failed mid-run
+    _no_stage_may_run(monkeypatch)
+    with pytest.raises(NonPositiveInput, match=f"{name} must be positive, "
+                                                f"got {bad}"):
+        run_pipeline(rows=2, cols=2, **{name: bad})
+
+
 # the pattern lane pitch limit is trace_width + min_spacing
 @pytest.mark.parametrize("below", [False, True])
 @pytest.mark.parametrize("process, trace_width, limit", [
