@@ -160,8 +160,11 @@ def _bundle_digest(bundle: ParameterBundle) -> str:
         if isinstance(value, LayoutSidecar):
             h.update(value.data)
         elif name == "layout" and value is not None:
-            from .gdsio import write_gds
-            h.update(write_gds(value))
+            # the pieces of the layout's GDS stream: hashing them in turn
+            # hashes the stream without joining it
+            from .gdsio import stream_pieces
+            for piece in stream_pieces(value):
+                h.update(piece)
         else:
             data = None if value is None else _CODECS[name][0](value)
             h.update(json.dumps(data, sort_keys=True).encode())

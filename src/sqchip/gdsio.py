@@ -2,16 +2,20 @@
 
 The writer is canonical: fixed record order, pinned timestamps, one
 structure per component kind plus a TOP structure of references, so equal
-layouts produce byte-identical streams. It packs each thing once. A
-component keeps the bytes of its BOUNDARY records from its first render
-until ``set_footprint`` changes it, and a layout keeps its last render
-(``ChipLayout.rendered``), which ``write_gds`` returns for as long as the
-layout holds the geometry it was rendered from. Both caches rely on one
-rule: footprints change only through ``PlacedComponent.set_footprint``.
+layouts produce byte-identical streams. It renders a layout as an ordered
+list of byte pieces (``stream_pieces``): ``write_gds`` joins them, and a
+provenance digest hashes them in turn, so both share one render. Each
+piece is packed once per value: a component keeps its BOUNDARY records
+until ``PlacedComponent.set_footprint`` changes its footprint (footprints
+change only through it), and a path keeps its PATH record next to a copy
+of the layer, width and points it was packed from.
 
 The reader keeps the raw byte slice of every structure it parses, and
-``layout_from_gds`` stores those slices re-emitted as the import's render,
-which makes write -> read -> write a fixpoint by construction.
+``layout_from_gds`` stores those slices re-emitted as the import's render
+memo (``ChipLayout.rendered``), which the writer returns while the import
+holds the geometry it was read with. That makes write -> read -> write a
+fixpoint by construction. Only imports have the memo: a re-render of an
+import is not its source, while a fresh layout's canonical render is.
 
 Database unit is 1 nm (1e-3 user units of 1 um, 1e-9 m).
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .components import stroke_centerline
@@ -337,9 +342,16 @@ def _render_element(el: GdsElement) -> bytes:
                      _record(XY, _xy(el.xy)), _ENDEL))
 
 
+def _bgnstr(name: str) -> bytes:
+    return _record(BGNSTR, _times()) + _record(STRNAME, _ascii(name))
+
+
+_ENDSTR = _record(ENDSTR)
+_ENDLIB = _record(ENDLIB)
+
+
 def _frame(name: str, body: bytes) -> bytes:
-    return b"".join((_record(BGNSTR, _times()), _record(STRNAME, _ascii(name)),
-                     body, _record(ENDSTR)))
+    return b"".join((_bgnstr(name), body, _ENDSTR))
 
 
 def _render_structure(s: GdsStructure) -> bytes:
@@ -348,18 +360,21 @@ def _render_structure(s: GdsStructure) -> bytes:
     return _frame(s.name, b"".join(_render_element(el) for el in s.elements))
 
 
-def write_library(lib: GdsLibrary) -> bytes:
-    out = []
+def _header(lib: GdsLibrary) -> bytes:
+    """HEADER through UNITS: the parsed slice, else packed from lib."""
     if lib.raw_header is not None:
-        out.append(lib.raw_header)
-    else:
-        out.append(_record(HEADER, struct.pack(">h", GDS_VERSION)))
-        out.append(_record(BGNLIB, _times()))
-        out.append(_record(LIBNAME, _ascii(lib.name)))
-        out.append(_record(UNITS, excess64_encode(lib.unit_user)
-                           + excess64_encode(lib.unit_meters)))
+        return lib.raw_header
+    return b"".join((_record(HEADER, struct.pack(">h", GDS_VERSION)),
+                     _record(BGNLIB, _times()),
+                     _record(LIBNAME, _ascii(lib.name)),
+                     _record(UNITS, excess64_encode(lib.unit_user)
+                             + excess64_encode(lib.unit_meters))))
+
+
+def write_library(lib: GdsLibrary) -> bytes:
+    out = [_header(lib)]
     out.extend(_render_structure(s) for s in lib.structures)
-    out.append(_record(ENDLIB))
+    out.append(_ENDLIB)
     return b"".join(out)
 
 
@@ -378,33 +393,63 @@ def _boundaries(comp) -> bytes:
     return comp._gds
 
 
-def build_library(layout) -> GdsLibrary:
-    """Canonical library: one structure per component kind, TOP references all.
+def _path_record(p) -> bytes:
+    """p's PATH record, packed again only when p's layer, width or points
+    differ from those it was last packed from. The points are kept as a
+    copy, so an in-place edit shows."""
+    memo = p._gds
+    if (memo is None or memo[0] != p.layer or memo[1] != p.width
+            or memo[2] != p.points):
+        memo = p._gds = (p.layer, p.width, list(p.points), _render_element(
+            GdsElement("path", layer=p.layer, xy=p.points, width=p.width)))
+    return memo[3]
 
-    A component structure is built as its raw bytes, from each member's
-    cached BOUNDARY records; TOP keeps its elements.
+
+def stream_pieces(layout) -> list[bytes]:
+    """The layout's GDS stream as byte pieces in stream order; their join
+    is the stream. write_gds joins them, and a provenance digest hashes
+    them one by one, which equals hashing the join.
+
+    An import that still holds the geometry it was read with is one piece,
+    its source re-emitted. Otherwise the pieces are the canonical render:
+    the library header; per component kind, a structure framing its
+    members' BOUNDARY records; then TOP, one SREF per kind cell and one
+    PATH record per path. Component and path records come from their
+    caches, so a render packs only what changed since the last one.
     """
+    if layout.rendered is not None:
+        if layout.rendered[0] == _geometry(layout):
+            return [layout.rendered[1]]
+        layout.rendered = None          # edited: no longer its source
+    cells: dict[str, str] = {}          # kind -> cell name
     groups: dict[str, list] = {}
     for comp in layout.components:
-        groups.setdefault(_cell_name(comp.kind), []).append(comp)
-
-    lib = GdsLibrary(layout.name or "chip")
-    top = GdsStructure("TOP")
+        cell = cells.get(comp.kind)
+        if cell is None:
+            cell = cells[comp.kind] = _cell_name(comp.kind)
+        groups.setdefault(cell, []).append(comp)
+    # the cells are packed before the header, so a layout with more than
+    # one fault raises the same error first as it always has
+    body = []
     for cell in sorted(groups):
-        members = sorted(groups[cell], key=lambda c: c.comp_id)
-        lib.structures.append(GdsStructure(cell, raw=_frame(
-            cell, b"".join(_boundaries(c) for c in members))))
-        top.elements.append(GdsElement("sref", sname=cell, xy=[(0.0, 0.0)]))
-    for p in layout.paths:
-        top.elements.append(GdsElement("path", layer=p.layer, xy=p.points,
-                                       width=p.width))
-    lib.structures.append(top)
-    return lib
+        members = [_boundaries(c)
+                   for c in sorted(groups[cell], key=attrgetter("comp_id"))]
+        body.append(_bgnstr(cell))
+        body.extend(members)
+        body.append(_ENDSTR)
+    pieces = [_header(GdsLibrary(layout.name or "chip")), *body,
+              _bgnstr("TOP")]
+    pieces.extend(_render_element(GdsElement("sref", sname=cell,
+                                             xy=[(0.0, 0.0)]))
+                  for cell in sorted(groups))
+    pieces.extend(_path_record(p) for p in layout.paths)
+    pieces.append(_ENDSTR + _ENDLIB)
+    return pieces
 
 
 def _geometry(layout) -> tuple:
-    """What build_library reads of a layout, as a value to compare: the key
-    of the layout's render memo.
+    """What the canonical render reads of a layout, as a value to compare:
+    the key of an import's render memo.
 
     Path points are copied, so an in-place edit of a path shows. Footprints
     are not: like the bounding-box and BOUNDARY-bytes caches, this relies
@@ -417,11 +462,8 @@ def _geometry(layout) -> tuple:
 
 
 def write_gds(layout, path=None) -> bytes:
-    """The layout's GDS stream, rendered at most once per layout state."""
-    key = _geometry(layout)
-    if layout.rendered is None or layout.rendered[0] != key:
-        layout.rendered = (key, write_library(build_library(layout)))
-    data = layout.rendered[1]
+    """The layout's GDS stream, joined from its stream_pieces."""
+    data = b"".join(stream_pieces(layout))
     if path is not None:
         Path(path).write_bytes(data)
     return data

@@ -87,9 +87,9 @@ class ChipLayout:
     applied_rules: str | None = None
     flip_chip: bool = False
     pin_plan: object | None = None     # escape-routing plan, not persisted
-    # (geometry, GDS bytes) of the last render or of the GDS import:
-    # write_gds returns the bytes while gdsio._geometry(layout) equals the
-    # key, which holds while footprints change only through set_footprint
+    # (geometry, source stream) of a GDS import, which write_gds re-emits
+    # while gdsio._geometry(layout) equals the key (footprints change only
+    # through set_footprint); a fresh layout renders canonically instead
     rendered: tuple | None = field(default=None, repr=False)
     # (key, pairs) of the last full-reach segment-pair scan of the paths,
     # which bridges and DRC share; process._segment_pairs keys it on the

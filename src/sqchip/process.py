@@ -138,8 +138,32 @@ def _fillet_corner(a, b, c, radius: float):
     while sweep < -math.pi:
         sweep += 2.0 * math.pi
     n = max(2, round(_SEGS_PER_QUARTER * abs(sweep) / (math.pi / 2.0)))
-    return [(ox + r * math.cos(a1 + sweep * i / n),
-             oy + r * math.sin(a1 + sweep * i / n)) for i in range(n + 1)]
+    return [(ox + dx, oy + dy) for dx, dy in _arc_offsets(r, a1, sweep, n)]
+
+
+# (r, a1, sweep, n, their signs) -> _arc(r, a1, sweep, n); a build has few
+# distinct arcs. The signs tell -0.0 from 0.0, which == and hash do not.
+_ARCS: dict[tuple, list[tuple[float, float]]] = {}
+_ARCS_MAX = 4096
+
+
+def _arc(r: float, a1: float, sweep: float, n: int):
+    """Offsets from the center of n + 1 points spaced evenly along an arc
+    of radius r from angle a1 through sweep."""
+    return [(r * math.cos(a1 + sweep * i / n),
+             r * math.sin(a1 + sweep * i / n)) for i in range(n + 1)]
+
+
+def _arc_offsets(r: float, a1: float, sweep: float, n: int):
+    """_arc(r, a1, sweep, n), computed once per exact argument value."""
+    key = (r, a1, sweep, n, math.copysign(1.0, r), math.copysign(1.0, a1),
+           math.copysign(1.0, sweep))
+    offsets = _ARCS.get(key)
+    if offsets is None:
+        if len(_ARCS) >= _ARCS_MAX:
+            _ARCS.clear()
+        offsets = _ARCS[key] = _arc(r, a1, sweep, n)
+    return offsets
 
 
 def fillet_path(points: list[tuple[float, float]], radius: float,

@@ -20,6 +20,10 @@ class RoutedPath:
     width: float                   # um
     corner_count: int = 0
     crossing_count: int = 0
+    # (layer, width, copy of points, PATH record) of the last render: gdsio
+    # packs the record again when the path's layer, width or points differ
+    _gds: tuple | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass

@@ -2,10 +2,14 @@
 
 They compare every segment pair (and every component pair), so they are
 slow but obviously complete; the index-backed scans in `sqchip.process`
-must reproduce their results exactly, order included.
+must reproduce their results exactly, order included. ``fillet_path``
+computes every arc point afresh, with no memo of arcs; the memoized one
+in `sqchip.process` must reproduce its floats bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 from sqchip.components import LAYER_AIRBRIDGE, make_airbridge, make_indium_column
 from sqchip.errors import UnresolvableOverlap
@@ -15,7 +19,59 @@ from sqchip.geometry import (
     segment_crossing_point,
     segment_distance,
 )
-from sqchip.process import _SLACK, Violation, _endpoint_touch
+from sqchip.process import _SEGS_PER_QUARTER, _SLACK, Violation, _endpoint_touch
+
+
+def fillet_corner(a, b, c, radius: float):
+    """Corner b replaced by its arc, each arc point computed afresh."""
+    ax, ay = a[0] - b[0], a[1] - b[1]
+    cx, cy = c[0] - b[0], c[1] - b[1]
+    la = math.hypot(ax, ay)
+    lc = math.hypot(cx, cy)
+    if la < 1e-9 or lc < 1e-9:
+        return [b]
+    ax, ay = ax / la, ay / la
+    cx, cy = cx / lc, cy / lc
+    cosang = max(-1.0, min(1.0, ax * cx + ay * cy))
+    theta = math.pi - math.acos(cosang)
+    if theta < 1e-6 or abs(math.pi - theta) < 1e-6:
+        return [b]
+    setback = radius / math.tan((math.pi - theta) / 2.0)
+    r = radius
+    limit = min(la, lc) / 2.0
+    if setback > limit:
+        r = radius * limit / setback
+        setback = limit
+    if r < 0.5:
+        return [b]
+    p1 = (b[0] + ax * setback, b[1] + ay * setback)
+    p2 = (b[0] + cx * setback, b[1] + cy * setback)
+    bis = (ax + cx, ay + cy)
+    lb = math.hypot(*bis)
+    if lb < 1e-9:
+        return [b]
+    d = r / math.sin((math.pi - theta) / 2.0)
+    ox, oy = b[0] + bis[0] / lb * d, b[1] + bis[1] / lb * d
+    a1 = math.atan2(p1[1] - oy, p1[0] - ox)
+    a2 = math.atan2(p2[1] - oy, p2[0] - ox)
+    sweep = a2 - a1
+    while sweep > math.pi:
+        sweep -= 2.0 * math.pi
+    while sweep < -math.pi:
+        sweep += 2.0 * math.pi
+    n = max(2, round(_SEGS_PER_QUARTER * abs(sweep) / (math.pi / 2.0)))
+    return [(ox + r * math.cos(a1 + sweep * i / n),
+             oy + r * math.sin(a1 + sweep * i / n)) for i in range(n + 1)]
+
+
+def fillet_path(points, radius: float) -> list:
+    if len(points) < 3 or radius <= 0:
+        return list(points)
+    out = [points[0]]
+    for a, b, c in zip(points, points[1:], points[2:]):
+        out.extend(fillet_corner(a, b, c, radius))
+    out.append(points[-1])
+    return out
 
 
 def bridged(layout, pt) -> bool:

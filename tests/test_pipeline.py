@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ import gds_reference
 import process_reference
 import pytest
 
+from sqchip import document, gdsio, process
 from sqchip.document import DesignDocument, save
 from sqchip.errors import (
     DegenerateGrid,
@@ -338,6 +340,95 @@ def test_gds_digests_match_the_roadmap_pins():
     assert [(v.rule, v.message, v.where, v.subjects)
             for v in result.drc_report] == \
         [(v.rule, v.message, v.where, v.subjects) for v in want]
+
+
+def test_the_31x31_mask_and_design_file_match_their_pins():
+    # the largest chip that routes, where the cached records see the most
+    # reuse; the .sqd pin covers every stage's provenance digest at scale
+    doc = run_pipeline(rows=31, cols=31).document
+    assert _sha(gdsio.write_gds(doc.layout)) == "09cdc1cb800fa00f"
+    assert _sha(save(doc, layout_ref="chip.gds")) == "bd8e92a929672c1c"
+
+
+# the sections each stage injects, by stage name
+_STAGE_SECTIONS = {
+    "topology": ("topology",), "params": ("circuit",), "layout": ("layout",),
+    "readout": ("layout",), "route": ("layout",),
+    "procmap": ("layout", "process_rules"), "bridges": ("layout",)}
+
+
+def _digest_by_hand(doc, sections) -> str:
+    """A provenance digest from its definition: the sorted section names,
+    each followed by the element-by-element GDS render of the layout or
+    the canonical JSON of any other section."""
+    h = hashlib.sha256()
+    for name in sorted(sections):
+        h.update(name.encode())
+        value = getattr(doc, name)
+        if name == "layout":
+            h.update(gds_reference.write_gds(value))
+        else:
+            data = document._CODECS[name][0](value)
+            h.update(json.dumps(data, sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(rows=4, cols=4), dict(rows=3, cols=3, strategy="maze"),
+    dict(rows=2, cols=2, flip_chip=True),
+    dict(rows=3, cols=3, qubit_style="transmon"),
+    dict(rows=5, cols=5, process="fine-4um", lane_pitch=20.0)])
+def test_each_stage_digest_hashes_what_the_stage_injected(kwargs):
+    cfg = PipelineConfig(**kwargs)
+    doc = DesignDocument(cfg.name)
+    for stage in pipeline.selected_stages(cfg):
+        doc = pipeline.run_stages(doc, cfg, names=[stage.name])
+        record = doc.provenance_log[-1]
+        assert record["operation"] == stage.key.operation
+        assert record["digest"] == \
+            _digest_by_hand(doc, _STAGE_SECTIONS[stage.name]), stage.name
+    whole = run_pipeline(cfg).document.provenance_log
+    assert doc.provenance_log == whole[:len(doc.provenance_log)]
+
+
+def test_a_build_packs_each_polygon_path_state_and_arc_once(monkeypatch):
+    # counted with stand-ins, not timed, so the guard holds on any host
+    packed, states, arcs = [], Counter(), Counter()
+    boundary, render, arc = (gdsio._boundary, gdsio._render_element,
+                             process._arc)
+
+    def counting_boundary(layer, datatype, points):
+        packed.append(points)
+        return boundary(layer, datatype, points)
+
+    def counting_render(el):
+        if el.kind == "path":
+            states[el.layer, el.width, tuple(el.xy)] += 1
+        return render(el)
+
+    def counting_arc(r, a1, sweep, n):
+        arcs[r.hex(), a1.hex(), sweep.hex(), n] += 1
+        return arc(r, a1, sweep, n)
+
+    monkeypatch.setattr(gdsio, "_boundary", counting_boundary)
+    monkeypatch.setattr(gdsio, "_render_element", counting_render)
+    monkeypatch.setattr(process, "_arc", counting_arc)
+    monkeypatch.setattr(process, "_ARCS", {})
+    result = run_pipeline(rows=8, cols=8)
+    layout = result.document.layout
+    polygons = [poly for c in layout.components
+                for polys in c.footprint.values() for poly in polys]
+    # every component polygon is packed, and none twice
+    assert len(packed) == len(polygons)
+    assert {id(p) for p in packed} == {id(p) for p in polygons}
+    # a path's record is packed once per state it is rendered in, though
+    # each stage's digest renders every path
+    assert set(states.values()) == {1}
+    assert {(p.layer, p.width, tuple(p.points))
+            for p in layout.paths} <= set(states)
+    # each exact arc's trig runs once, however many corners share it
+    assert set(arcs.values()) == {1}
+    assert len(arcs) < result.routing.total_corners / 10
 
 
 def test_sqchip_runs_without_numpy():

@@ -6,12 +6,13 @@ import dataclasses
 import heapq
 import math
 import random
+import struct
 from types import SimpleNamespace
 
 import process_reference
 import pytest
 
-from sqchip import geometry
+from sqchip import geometry, process
 from sqchip.components import (
     LAYER_AIRBRIDGE,
     make_airbridge,
@@ -102,6 +103,60 @@ def test_fillet_shrinks_the_radius_on_short_legs_and_keeps_straights():
     assert fillet_path(tiny, 10.0) == tiny
     assert fillet_path([(0.0, 0.0), (100.0, 0.0)], 10.0) == \
         [(0.0, 0.0), (100.0, 0.0)]
+
+
+def _bits(points) -> list[bytes]:
+    """Each coordinate's IEEE bits, so -0.0 and 0.0 differ."""
+    return [struct.pack(">dd", x, y) for x, y in points]
+
+
+def _random_polyline(rng) -> list[tuple[float, float]]:
+    """Axis-aligned and oblique legs, legs short enough to shrink the
+    radius, U-turns and straight runs; a zero coordinate is a signed zero
+    of either sign."""
+    pts = [(0.0, 0.0)]
+    step = (100.0, 0.0)
+    for _ in range(rng.randint(2, 9)):
+        length = rng.choice((1.5, 4.0, 7.5, 40.0, 250.0))
+        kind = rng.randrange(6)
+        if kind == 0:
+            step = (rng.choice((length, -length)), 0.0)
+        elif kind == 1:
+            step = (0.0, rng.choice((length, -length)))
+        elif kind == 2:
+            angle = rng.uniform(-math.pi, math.pi)
+            step = (length * math.cos(angle), length * math.sin(angle))
+        elif kind == 3:
+            step = (-step[0], -step[1])                     # U-turn
+        x, y = pts[-1]                                      # else straight
+        pts.append((x + step[0], y + step[1]))
+    return [tuple(rng.choice((0.0, -0.0)) if v == 0.0 else v for v in pt)
+            for pt in pts]
+
+
+def test_fillet_arcs_from_the_memo_are_bit_exact(monkeypatch):
+    monkeypatch.setattr(process, "_ARCS", {})
+    rng = random.Random(1906)
+    arcs = 0
+    for _ in range(300):
+        pts = _random_polyline(rng)
+        dx, dy = rng.choice((0.0, -0.0, 300.0)), rng.choice((0.0, -0.0, -70.0))
+        # the same polyline again, moved: its corners hit the memo
+        for poly in (pts, [(x + dx, y + dy) for x, y in pts]):
+            for radius in (10.0, 25.0):
+                want = process_reference.fillet_path(poly, radius)
+                assert _bits(fillet_path(poly, radius)) == _bits(want), poly
+                arcs += sum(
+                    len(process_reference.fillet_corner(a, b, c, radius)) > 1
+                    for a, b, c in zip(poly, poly[1:], poly[2:]))
+    assert len(process._ARCS) < arcs / 2, (len(process._ARCS), arcs)
+    # an arc that starts at a signed zero angle and turns clockwise, so its
+    # first offset is (10.0, a1): the memo tells the signs apart, though
+    # -0.0 == 0.0 and both hash alike
+    for a1 in (0.0, -0.0, 0.0, -0.0):
+        want = [(10.0 * math.cos(a1 + -1.0 * i / 4),
+                 10.0 * math.sin(a1 + -1.0 * i / 4)) for i in range(5)]
+        assert _bits(process._arc_offsets(10.0, a1, -1.0, 4)) == _bits(want)
 
 
 def test_apply_rules_widens_sub_minimum_traces():
