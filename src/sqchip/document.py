@@ -198,6 +198,7 @@ def register(key: RequestKey, handler) -> None:
 
 
 def registered_requests() -> list[RequestKey]:
+    from . import pipeline  # noqa: F401  (loading it registers the stages)
     return sorted(_REGISTRY, key=lambda k: (k.category, k.operation))
 
 
@@ -205,9 +206,14 @@ def dispatch(key: RequestKey, doc: DesignDocument, **args) -> DesignDocument:
     """Route a request to its registered handler (extract-process-inject).
 
     The argument names must match the key's parameter signature: a different
-    combination is a different request and is refused.
+    combination is a different request and is refused. A key with no handler
+    yet loads ``sqchip.pipeline``, whose import registers every stage, before
+    it is refused.
     """
     handler = _REGISTRY.get(key)
+    if handler is None:
+        from . import pipeline  # noqa: F401  (loading it registers the stages)
+        handler = _REGISTRY.get(key)
     if handler is None:
         raise UnregisteredRequest(f"no handler for {key}")
     if tuple(sorted(args)) != key.parameter_signature:
