@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages and operate on a design file
-(--design, canonical .sqd plus a GDS sidecar). Each stage subcommand
-builds one PipelineConfig from its flags and runs its slice of the
-pipeline's stage table through ``pipeline.run_stages``; its flags are the
-PipelineConfig fields those stages read, so ``pipeline`` reaches every
-field. Geometry-producing stages regenerate placement deterministically
-from the document's semantic sections, so a reloaded design never goes
-stale. Only the commands that read the layout (``procmap``, ``drc`` and
-``gds``) import the GDS sidecar; every other command replaces the layout or
-carries the sidecar through as the bytes it read. Exit codes: 0 success,
-2 validation error or missing prerequisite, 3 stage failure (naming the
-stage).
+(--design, a .sqd). Each stage subcommand builds one PipelineConfig and
+runs its slice of the pipeline's stage table through
+``pipeline.run_stages``; its flags are the PipelineConfig fields those
+stages read (``pipeline`` reaches every field), and an unset one takes the
+value the design's stages last ran with since ``topo``, else the default.
+The file keeps no layout: a command that needs one rebuilds it from the
+stage records (``pipeline.rebuild``), and a layout-making command exports
+it to ``<design>.gds``, which nothing reads. A design stored through
+``document.save_document`` is used and saved back as stored. Exit codes:
+0 success, 2 validation error or missing prerequisite, 3 stage failure
+(naming the stage).
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .pipeline import (
     STAGES,
     PipelineConfig,
     config_fields,
+    rebuild,
+    stage_records,
     run_pipeline,
     run_stages,
     summarize_routing,
@@ -47,33 +49,32 @@ from .pipeline import (
 from .process import drc, get_process
 
 
-def _route_report(doc, args) -> str:
-    summary = summarize_routing(doc.layout, args.strategy)
+def _route_report(doc, cfg) -> str:
+    summary = summarize_routing(doc.layout, cfg.strategy)
     return (f"routed {summary.nets_routed} nets, {summary.total_corners} "
             f"corners, {summary.total_crossings} crossings")
 
 
-def _procmap_report(doc, args) -> str:
+def _procmap_report(doc, cfg) -> str:
     bridges = sum(1 for c in doc.layout.components if c.kind == "airbridge")
-    return f"process {args.process}, {bridges} air bridges"
+    return f"process {cfg.process}, {bridges} air bridges"
 
 
 # stage subcommand -> its help, the stages of pipeline.STAGES it runs, the
-# design section those stages need (a command that needs the layout is one
-# that reads it, so only then is the sidecar imported), and its report
-# line; pipeline has its own handler
+# design section those stages need, and its report line; pipeline has its
+# own handler
 _STAGE_COMMANDS = {
     "topo": ("create a grid topology", ("topology",), None,
-             lambda doc, args: f"topology {args.rows}x{args.cols} "
-                               f"({len(doc.topology.qubits)} qubits, "
-                               f"{len(doc.topology.edges)} couplings)"),
+             lambda doc, cfg: f"topology {cfg.rows}x{cfg.cols} "
+                              f"({len(doc.topology.qubits)} qubits, "
+                              f"{len(doc.topology.edges)} couplings)"),
     "params": ("solve the equivalent circuit", ("params",), "topology",
-               lambda doc, args: f"equivalent circuit for "
-                                 f"{len(doc.circuit.qubits)} qubits"),
+               lambda doc, cfg: f"equivalent circuit for "
+                                f"{len(doc.circuit.qubits)} qubits"),
     "layout": ("place qubits and the readout bus", ("layout", "readout"),
                "topology",
-               lambda doc, args: f"layout with {len(doc.layout.components)} "
-                                 f"components"),
+               lambda doc, cfg: f"layout with {len(doc.layout.components)} "
+                                f"components"),
     "route": ("escape-route all nets (regenerates placement)",
               ("layout", "readout", "route"), "topology", _route_report),
     "procmap": ("apply process rules and air bridges", ("procmap", "bridges"),
@@ -97,7 +98,8 @@ def _floats(text: str) -> tuple[float, ...]:
 def _add_stage_command(sub, common, command: str,
                        required: bool = False) -> None:
     """A stage subcommand with one flag per PipelineConfig field its stages
-    read; the design name comes from --design instead."""
+    read; the design name comes from --design instead. Only ``pipeline``
+    defaults its flags: _config fills any other unset one."""
     help_text, stages, _, _ = _STAGE_COMMANDS[command]
     q = sub.add_parser(command, help=help_text, parents=[common])
     read = config_fields(stages) - {"name"}
@@ -111,7 +113,8 @@ def _add_stage_command(sub, common, command: str,
             kind = {"type": _floats if isinstance(f.default, tuple)
                     else type(f.default),
                     "choices": SELECTORS.get(f.name)}
-        q.add_argument(flag, dest=f.name, default=f.default,
+        default = f.default if command == "pipeline" else argparse.SUPPRESS
+        q.add_argument(flag, dest=f.name, default=default,
                        required=required, help=_HELP.get(f.name), **kind)
 
 
@@ -175,24 +178,35 @@ def _design_path(args) -> Path:
     return p if p.is_absolute() else Path(args.out) / p
 
 
-def _load_or_new(args, needs: str | None = None) -> DesignDocument:
+def _load_or_new(args, needs: str | None = None, rebuilt=None
+                 ) -> tuple[DesignDocument, bool]:
     """The design file's document, or a new one, holding the section needs
-    names. The layout is imported only when it is the section needed;
-    otherwise it stays the sidecar bytes it was loaded from."""
+    names, and whether the file stores a layout; a needed layout it does
+    not store is rebuilt (only the stages in ``rebuilt``, when given)."""
     path = _design_path(args)
     if path.exists():
-        doc = doc_mod.load_document(path, import_layout=needs == "layout")
+        doc = doc_mod.load_document(path)
     else:
         doc = DesignDocument(path.stem)
+    stored = doc.layout is not None
+    if needs == "layout" and not stored:
+        doc = rebuild(doc, rebuilt)
     if needs is not None:
         _require(doc, needs)
-    return doc
+    return doc, stored
 
 
-def _save(doc: DesignDocument, args) -> Path:
+def _save(doc: DesignDocument, args, stored: bool = False) -> Path:
+    """Write the design file, with a stored layout as its sidecar; any
+    other is left to its records and only exported to <design>.gds."""
     path = _design_path(args)
     path.parent.mkdir(parents=True, exist_ok=True)
-    return doc_mod.save_document(doc, path)
+    if stored:
+        return doc_mod.save_document(doc, path)
+    path.write_bytes(doc_mod.save(replace(doc, layout=None)))
+    if doc.layout is not None:
+        write_gds(doc.layout, path.with_suffix(".gds"))
+    return path
 
 
 # design section -> the subcommand that makes it
@@ -205,36 +219,42 @@ def _require(doc: DesignDocument, section: str):
                                f"run '{_MADE_BY[section]}' first")
 
 
-def _config(args, name: str) -> PipelineConfig:
-    return PipelineConfig(name=name, **{f.name: getattr(args, f.name)
-                                        for f in fields(PipelineConfig)
-                                        if hasattr(args, f.name)})
+def _config(args, name: str, recorded=None) -> PipelineConfig:
+    """Each field from its flag, else from ``recorded``, else its default."""
+    given = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+             if hasattr(args, f.name)}
+    return PipelineConfig(**{**(recorded or {}), **given, "name": name})
 
 
 def _cmd_stages(args) -> int:
     """Run the subcommand's slice of the stage table on the design file."""
     _, stages, needs, report = _STAGE_COMMANDS[args.command]
-    doc = _load_or_new(args, needs)
-    stale = []
-    sidecar = None
+    # procmap, the one that needs a layout, replays the stages before its own
+    doc, stored = _load_or_new(args, needs,
+                               [s.name for s in STAGES if s.name not in stages])
+    cfg = _config(args, doc.name, stage_records(doc)[1])
+    stale, mask = [], None
     if args.command == "topo":
+        if not stored:
+            doc = rebuild(doc)
         # a circuit or layout was derived from the topology topo replaces
         stale = [s for s in ("circuit", "layout")
                  if getattr(doc, s) is not None]
-        # only <design>.gds, the sidecar save writes, is ours to remove
+        # <design>.gds is ours to remove only if it holds the dropped mask
         own = _design_path(args).with_suffix(".gds")
-        if doc.layout is not None and doc.layout.path.resolve() == own.resolve():
-            sidecar = own
+        if (doc.layout is not None and own.is_file()
+                and own.read_bytes() == write_gds(doc.layout)):
+            mask = own
         doc = replace(doc, circuit=None, layout=None)
-    doc = run_stages(doc, _config(args, doc.name), stages)
-    line = report(doc, args)
+    doc = run_stages(doc, cfg, stages)
+    line = report(doc, cfg)
     if stale:
         line += f"; dropped the old {' and '.join(stale)}"
-    print(f"{line} -> {_save(doc, args)}")
-    if sidecar is not None:
-        # the new file names no sidecar, so the old mask would sit beside
-        # it for the wrong design
-        sidecar.unlink(missing_ok=True)
+    # a layout placed anew is one its records rebuild
+    print(f"{line} -> {_save(doc, args, stored and 'layout' not in stages)}")
+    if mask is not None:
+        # the old mask would sit beside the new design for the wrong chip
+        mask.unlink()
     return 0
 
 
@@ -245,19 +265,20 @@ def _cmd_devmap(args) -> int:
                                "needs them unless --qubit is given")
     evaluator = make_evaluator(args.evaluator)
     if args.qubit is not None:
-        doc = _load_or_new(args, "topology")
-        # mapping needs parametric components, and an imported layout holds
-        # only flat geometry, so solve on a fresh placement and persist just
-        # the provenance record; the design's layout is never imported and
-        # its sidecar bytes are written back as they were read
+        doc, stored = _load_or_new(args, "topology")
+        # solve on the design's own placement, or the default one before
+        # 'layout'; only the provenance record is persisted
+        cfg = _config(args, doc.name, stage_records(doc)[1])
+        layout = place_qubits(doc.topology, cfg.qubit_style, cfg.pitch,
+                              cfg.border, cfg.name)
         result = map_qubit_capacitance(
-            place_qubits(doc.topology), args.qubit, args.target,
+            layout, args.qubit, args.target,
             evaluator=evaluator, dimension=args.param,
             bounds=None if args.lo is None else (args.lo, args.hi),
             tolerance=args.tolerance, max_iterations=args.max_iterations)
         doc = inject(doc, ParameterBundle(doc.version, {}),
                      operation=f"devmap:{args.qubit}")
-        _save(doc, args)
+        _save(doc, args, stored)
     else:
         problem = MappingProblem(args.param, args.lo, args.hi, args.target,
                                  args.tolerance, args.max_iterations)
@@ -268,7 +289,7 @@ def _cmd_devmap(args) -> int:
 
 
 def _cmd_drc(args) -> int:
-    doc = _load_or_new(args, "layout")
+    doc, _ = _load_or_new(args, "layout")
     if args.process is not None:
         rules = get_process(args.process)
     elif doc.process_rules is not None:
@@ -284,7 +305,7 @@ def _cmd_drc(args) -> int:
 
 
 def _cmd_gds(args) -> int:
-    doc = _load_or_new(args, "layout")
+    doc, _ = _load_or_new(args, "layout")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gds_path = out / f"{doc.name}.gds"

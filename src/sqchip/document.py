@@ -6,14 +6,13 @@ which re-validates cross-entity references, appends to the provenance log
 and returns a new document. ``extract`` hands an outside tool a deep copy
 to work on. The pipeline's stage work instead edits the run's one layout
 in place before injecting it, so a document passed to a stage must not be
-used again. Persistence is canonical sorted-key JSON; GDS payloads live in
-a sidecar file referenced by path.
+used again. Persistence is canonical sorted-key JSON.
 
-A layout is imported from its sidecar only when the caller will read it
-(``load(..., import_layout=False)`` skips the import). An unread layout
-travels as a ``LayoutSidecar``: the sidecar bytes it was loaded from, which
-``inject`` keeps unless a bundle brings a layout and ``save_document``
-writes back verbatim. A document's layout is one or the other, never both.
+A stage's provenance record keeps the arguments the stage ran with, so a
+file may leave its layout out and have ``sqchip.pipeline.rebuild`` replay
+it; that is how the CLI keeps a design. ``save_document`` instead stores
+the layout, as a GDS sidecar referenced by path, which ``load`` imports:
+the one way to keep a layout no record can rebuild, such as an import.
 """
 
 from __future__ import annotations
@@ -50,19 +49,9 @@ class DesignDocument:
     version: str = SCHEMA_VERSION
     topology: Topology | None = None
     circuit: EquivalentCircuit | None = None
-    layout: object | None = None          # ChipLayout or LayoutSidecar
+    layout: object | None = None          # ChipLayout
     process_rules: ProcessRules | None = None
     provenance_log: list[dict] = field(default_factory=list)
-
-
-@dataclass
-class LayoutSidecar:
-    """A layout carried unread: the GDS sidecar bytes a design file was
-    loaded from, the flip_chip flag the file keeps beside them, and the
-    path its layout_ref resolved to (not compared: equal bytes, equal layout)."""
-    data: bytes
-    flip_chip: bool = False
-    path: Path | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -97,9 +86,7 @@ def validate_references(topology, circuit, layout) -> None:
         if stray:
             raise CrossEntityViolation(
                 f"circuit references unknown qubits {sorted(stray)}")
-    # an unread sidecar names no qubits: importing it yields only
-    # kind="imported" components
-    if layout is not None and not isinstance(layout, LayoutSidecar):
+    if layout is not None:
         stray = _layout_qubit_ids(layout) - known
         if stray:
             raise CrossEntityViolation(
@@ -122,11 +109,13 @@ def extract(doc: DesignDocument, selector: str) -> ParameterBundle:
 
 
 def inject(doc: DesignDocument, bundle: ParameterBundle,
-           operation: str = "inject") -> DesignDocument:
+           operation: str = "inject", args: dict | None = None
+           ) -> DesignDocument:
     """Replace the bundle's sub-entities atomically; returns a new document.
 
     The input document is never modified, so any validation error leaves
-    the caller's state exactly as it was.
+    the caller's state exactly as it was. A stage passes the arguments it
+    ran with as ``args``, which the record keeps for a replay.
     """
     if bundle.version != doc.version:
         raise VersionMismatch(
@@ -144,6 +133,8 @@ def inject(doc: DesignDocument, bundle: ParameterBundle,
         "timestamp": _EPOCH_ISO,
         "digest": _bundle_digest(bundle),
     }
+    if args is not None:
+        record["args"] = dict(args)
     return DesignDocument(
         doc.name, doc.version,
         merged["topology"], merged["circuit"], merged["layout"],
@@ -157,9 +148,7 @@ def _bundle_digest(bundle: ParameterBundle) -> str:
     for name in sorted(bundle.sections):
         h.update(name.encode())
         value = bundle.sections[name]
-        if isinstance(value, LayoutSidecar):
-            h.update(value.data)
-        elif name == "layout" and value is not None:
+        if name == "layout" and value is not None:
             # the pieces of the layout's GDS stream: hashing them in turn
             # hashes the stream without joining it
             from .gdsio import stream_pieces
@@ -255,19 +244,26 @@ def _topology_from_json(d: dict) -> Topology:
                     _pair(dims, int, "grid_dims") if dims else None)
 
 
-_LEAF_TYPES = {"float": (int, float), "str": (str,)}
+_LEAF_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
+               "bool": (bool,)}
 
 
-def _record(cls, data: dict, where: str = ""):
-    """cls(**data), refusing a value of the wrong type in a float or str
-    field; where prefixes the field name in the message."""
+def check_leaves(cls, data: dict, where: str = "") -> None:
+    """Refuse, as a TypeError, a value of the wrong type in a float, int,
+    str or bool field of cls (a bool fits only a bool field); where
+    prefixes the field name in the message."""
     for f in fields(cls):
         value = data.get(f.name)
         kinds = _LEAF_TYPES.get(f.type)
-        if f.name in data and kinds and (isinstance(value, bool)
-                                         or not isinstance(value, kinds)):
+        if f.name in data and kinds and (isinstance(value, bool) != (
+                kinds == (bool,)) or not isinstance(value, kinds)):
             raise TypeError(f"{where}{f.name} must be {f.type}, "
                             f"got {value!r}")
+
+
+def _record(cls, data: dict, where: str = ""):
+    """cls(**data), once check_leaves passes it."""
+    check_leaves(cls, data, where)
     return cls(**data)
 
 
@@ -330,13 +326,9 @@ def save(doc: DesignDocument, layout_ref: str | None = None) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
-def load(data: bytes, base_dir: str | Path = ".",
-         import_layout: bool = True) -> DesignDocument:
-    """Parse .sqd bytes; a layout_ref is resolved relative to base_dir.
-
-    Without import_layout the sidecar is read but not parsed: the layout
-    is its LayoutSidecar, so a malformed sidecar is not reported here.
-    """
+def load(data: bytes, base_dir: str | Path = ".") -> DesignDocument:
+    """Parse .sqd bytes; a layout_ref is resolved relative to base_dir and
+    its sidecar imported."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
@@ -360,6 +352,12 @@ def load(data: bytes, base_dir: str | Path = ".",
             except (AttributeError, KeyError, TypeError, ValueError,
                     NonPositiveInput) as e:
                 raise ParseError(f"malformed {name}: {e}", path=name) from e
+    # the layout fields are checked before the sidecar is read
+    flip_chip = payload.get("flip_chip", False)
+    if not isinstance(flip_chip, bool) or (
+            "flip_chip" in payload and "layout_ref" not in payload):
+        raise ParseError("flip_chip must be true or false, next to a "
+                         "layout_ref", path="flip_chip")
     if "layout_ref" in payload:
         if not isinstance(payload["layout_ref"], str):
             raise ParseError("layout_ref must be a file name",
@@ -373,13 +371,8 @@ def load(data: bytes, base_dir: str | Path = ".",
         except (OSError, ValueError) as e:     # missing, a directory, a NUL
             raise ParseError(f"layout sidecar {ref} cannot be read: {e}",
                              path="layout_ref") from e
-        doc.layout = (layout_from_gds(data) if import_layout
-                      else LayoutSidecar(data, path=ref))
-    if "flip_chip" in payload:
-        if not isinstance(payload["flip_chip"], bool) or doc.layout is None:
-            raise ParseError("flip_chip must be true or false, next to a "
-                             "layout_ref", path="flip_chip")
-        doc.layout.flip_chip = payload["flip_chip"]
+        doc.layout = layout_from_gds(data)
+        doc.layout.flip_chip = flip_chip
     provenance = payload.get("provenance", [])
     if not (isinstance(provenance, list)
             and all(isinstance(r, dict) for r in provenance)):
@@ -397,19 +390,14 @@ def save_document(doc: DesignDocument, path: str | Path) -> Path:
     path = Path(path)
     ref = None
     if doc.layout is not None:
+        from .gdsio import write_gds
         sidecar = path.with_suffix(".gds")
-        if isinstance(doc.layout, LayoutSidecar):
-            sidecar.write_bytes(doc.layout.data)
-        else:
-            from .gdsio import write_gds
-            write_gds(doc.layout, sidecar)
+        write_gds(doc.layout, sidecar)
         ref = sidecar.name
     path.write_bytes(save(doc, layout_ref=ref))
     return path
 
 
-def load_document(path: str | Path, import_layout: bool = True
-                  ) -> DesignDocument:
+def load_document(path: str | Path) -> DesignDocument:
     path = Path(path)
-    return load(path.read_bytes(), base_dir=path.parent,
-                import_layout=import_layout)
+    return load(path.read_bytes(), base_dir=path.parent)

@@ -2,27 +2,30 @@
 
 Each stage is a registered request handler that does its work and injects
 the sections it produced, so a full run leaves one provenance record per
-stage and any failure carries the stage name. Stage work edits the run's
-one layout in place rather than a copy: ``run_stages`` consumes the
-document it is given, and the caller keeps only the one it returns.
-Identical configs produce byte-identical outputs; there is no wall-clock
-or randomness anywhere in the flow.
+stage, holding the arguments the stage ran with, and any failure carries
+the stage name. Stage work edits the run's one layout in place rather than
+a copy: ``run_stages`` consumes the document it is given, and the caller
+keeps only the one it returns. Identical configs produce byte-identical
+outputs; there is no wall-clock or randomness anywhere in the flow.
 
-``STAGES`` is the flow's one stage table and ``run_stages`` its one runner;
-``run_pipeline``, the CLI subcommands and the bench all go through them.
+``STAGES`` is the flow's one stage table and ``run_stages`` its one runner,
+the only one that writes records; ``run_pipeline``, the CLI subcommands
+and the bench all go through them. ``rebuild`` replays a document's layout
+records through the same stage work, so the CLI's design files keep none.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .circuit import EquivalentCircuit, inverse_solve
 from .document import (
     DesignDocument,
     ParameterBundle,
     RequestKey,
+    check_leaves,
     dispatch,
     inject,
     register,
@@ -34,6 +37,7 @@ from .errors import (
     NoPath,
     NonAsciiName,
     NonPositiveInput,
+    ParseError,
     SpecInfeasible,
     SqchipError,
     StageError,
@@ -284,7 +288,7 @@ class Stage:
         """The registered request handler: inject what ``work`` produces."""
         sections = self.work(doc, **args)
         return inject(doc, ParameterBundle(doc.version, sections),
-                      operation=self.key.operation)
+                      operation=self.key.operation, args=args)
 
 
 def _fn(operation: str, *fields: str) -> RequestKey:
@@ -357,6 +361,68 @@ def run_stages(doc: DesignDocument, cfg: PipelineConfig, names=None
     for stage in selected_stages(cfg, names):
         with _as_stage(stage.name):
             doc = dispatch(stage.key, doc, **stage.arguments(cfg))
+    return doc
+
+
+# ---- replay ----------------------------------------------------------------
+
+_BY_OPERATION = {s.key.operation: s for s in STAGES}
+# the stages that build the layout, each on the ones before it
+LAYOUT_STAGES = ("layout", "readout", "route", "procmap", "bridges")
+
+
+def stage_records(doc: DesignDocument) -> tuple[list, dict]:
+    """The (stage, args) of each stage record since the last topology
+    record, and the PipelineConfig fields they last set (a route record
+    sets the strategy too). A record's args are checked as ``load`` checks
+    section leaves, and the fields by PipelineConfig; a bad one raises
+    ParseError."""
+    found, fields_set = [], {}
+    for i, record in enumerate(doc.provenance_log):
+        stage = _BY_OPERATION.get(record.get("operation"))
+        if stage is None or "args" not in record:
+            continue            # devmap, drc, gds and outside injections
+        if stage.name == "topology":
+            found, fields_set = [], {}
+        args, names = record["args"], list(stage.key.parameter_signature)
+        try:
+            if not isinstance(args, dict) or sorted(args) != names:
+                raise TypeError(f"args {args!r} must name {names}")
+            check_leaves(PipelineConfig, args)
+        except TypeError as e:
+            raise ParseError(f"provenance record {i} ({stage.key.operation})"
+                             f": {e}", path=f"provenance[{i}]") from e
+        # JSON has no tuple: qubit_frequencies comes back a list
+        args = {k: tuple(v) if isinstance(v, list) else v
+                for k, v in args.items()}
+        found.append((stage, args))
+        fields_set.update(args)
+        if stage.strategy is not None:
+            fields_set["strategy"] = stage.strategy
+    try:
+        PipelineConfig(**fields_set)
+    except (SqchipError, TypeError) as e:
+        raise ParseError(f"provenance records since the last topology: {e}",
+                         path="provenance") from e
+    return found, fields_set
+
+
+def rebuild(doc: DesignDocument, names=None) -> DesignDocument:
+    """doc with the layout its stage records built, rebuilt by the same
+    stage work (only the stages in ``names``, when given) without a
+    dispatch, so no record is appended. A later record of a stage replaces
+    the earlier one and the ones built on it, as the command that wrote it
+    did; so the replay starts at the last placement."""
+    chain: list = []
+    for stage, args in stage_records(doc)[0]:
+        if stage.name in LAYOUT_STAGES:
+            at = LAYOUT_STAGES.index(stage.name)
+            chain = [r for r in chain if LAYOUT_STAGES.index(r[0].name) < at]
+            chain.append((stage, args))
+    for stage, args in chain:
+        if names is None or stage.name in names:
+            with _as_stage(stage.name):
+                doc = replace(doc, **stage.work(doc, **args))
     return doc
 
 

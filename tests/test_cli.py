@@ -7,19 +7,19 @@ import csv
 import hashlib
 import json
 import re
-from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import gds_reference
 import pytest
+from test_pipeline import assert_rebuild_reproduces_the_digests
 
 from sqchip import gdsio
 from sqchip.cli import _parser, main
 from sqchip.components import LAYER_INDIUM
-from sqchip.document import load_document, save_document
-from sqchip.errors import SqchipError
+from sqchip.document import load_document, save, save_document
+from sqchip.errors import ParseError, SqchipError
 from sqchip.gdsio import write_gds
-from sqchip.pipeline import PipelineConfig, run_pipeline, run_stages
+from sqchip.pipeline import PipelineConfig, rebuild, run_pipeline, run_stages
 
 
 def _run(tmp_path, *argv: str) -> int:
@@ -102,19 +102,22 @@ def test_a_design_without_a_layout_leaves_other_gds_files_alone(tmp_path):
 
 
 def test_topo_leaves_a_sidecar_the_design_file_does_not_own(tmp_path):
-    # a layout_ref naming any file but <design>.gds is someone else's mask
-    for step in (("topo", "--rows", "2", "--cols", "2"), ("layout",)):
-        assert _run(tmp_path, *step) == 0, step
-    (tmp_path / "chip.gds").rename(tmp_path / "other.gds")
+    # topo removes <design>.gds only when it holds the mask of the layout
+    # topo drops: not when the design stores its layout in another file
+    stored = save_document(run_pipeline(rows=2, cols=2).document,
+                           tmp_path / "other.sqd")
+    mask = (tmp_path / "other.gds").read_bytes()
+    (tmp_path / "chip.sqd").write_bytes(stored.read_bytes())
     (tmp_path / "chip.gds").write_bytes(b"not ours")
-    design = tmp_path / "chip.sqd"
-    design.write_bytes(design.read_bytes().replace(b'"chip.gds"',
-                                                   b'"other.gds"'))
-    sidecar = load_document(design, import_layout=False).layout
-    assert sidecar.path == tmp_path / "other.gds"
     assert _run(tmp_path, "topo", "--rows", "1", "--cols", "2") == 0
     assert (tmp_path / "chip.gds").read_bytes() == b"not ours"
-    assert (tmp_path / "other.gds").read_bytes() == sidecar.data
+    assert (tmp_path / "other.gds").read_bytes() == mask
+    # nor when another file took the place of the mask a command exported
+    for step in (("topo", "--rows", "2", "--cols", "2"), ("layout",)):
+        assert _run(tmp_path, *step) == 0, step
+    (tmp_path / "chip.gds").write_bytes(b"not ours")
+    assert _run(tmp_path, "topo", "--rows", "1", "--cols", "2") == 0
+    assert (tmp_path / "chip.gds").read_bytes() == b"not ours"
 
 
 def test_drc_refuses_a_design_file_with_invalid_process_rules(tmp_path,
@@ -147,7 +150,7 @@ def test_full_flow_topo_params_layout_route_drc_gds(tmp_path, capsys):
     assert _run(tmp_path, "gds", "--svg") == 0
     assert (tmp_path / "chip.gds").exists()
     assert (tmp_path / "chip.svg").exists()
-    doc = load_document(tmp_path / "chip.sqd")
+    doc = rebuild(load_document(tmp_path / "chip.sqd"))
     assert doc.circuit is not None and doc.layout is not None
 
 
@@ -166,9 +169,9 @@ def test_procmap_refreshes_the_sidecar(tmp_path, capsys):
 def test_staged_flip_chip_procmap_places_indium_after_the_reload(tmp_path):
     _run(tmp_path, "topo", "--rows", "2", "--cols", "2")
     assert _run(tmp_path, "route", "--flip-chip") == 0
-    assert load_document(tmp_path / "chip.sqd").layout.flip_chip
+    assert rebuild(load_document(tmp_path / "chip.sqd")).layout.flip_chip
     assert _run(tmp_path, "procmap") == 0
-    doc = load_document(tmp_path / "chip.sqd")
+    doc = rebuild(load_document(tmp_path / "chip.sqd"))
     assert sum(LAYER_INDIUM in c.footprint
                for c in doc.layout.components) > 0
 
@@ -245,12 +248,11 @@ def test_devmap_refuses_a_qubit_or_param_it_cannot_tune(tmp_path, capsys,
 def test_devmap_keeps_a_flip_chip_design_flip_chip(tmp_path, capsys):
     _run(tmp_path, "topo", "--rows", "2", "--cols", "2")
     assert _run(tmp_path, "route", "--flip-chip") == 0
-    sidecar = (tmp_path / "chip.gds").read_bytes()
+    mask = (tmp_path / "chip.gds").read_bytes()
     assert _run(tmp_path, *_DEVMAP_Q0) == 0
     capsys.readouterr()
-    assert json.loads((tmp_path / "chip.sqd").read_bytes())["flip_chip"]
-    assert (tmp_path / "chip.gds").read_bytes() == sidecar
-    assert load_document(tmp_path / "chip.sqd").layout.flip_chip
+    assert (tmp_path / "chip.gds").read_bytes() == mask
+    assert rebuild(load_document(tmp_path / "chip.sqd")).layout.flip_chip
 
 
 def _placed_design(tmp_path):
@@ -260,7 +262,7 @@ def _placed_design(tmp_path):
 
 
 def _garbled_design(tmp_path):
-    """A placed 2x2 design whose sidecar is no GDS stream."""
+    """A placed 2x2 design whose exported mask is no GDS stream."""
     _placed_design(tmp_path)
     (tmp_path / "chip.gds").write_bytes(b"garbage")
 
@@ -268,7 +270,9 @@ def _garbled_design(tmp_path):
 @pytest.mark.parametrize("command", [("procmap",), ("drc",), ("gds",)])
 def test_a_command_that_reads_a_garbled_sidecar_refuses_it(tmp_path, capsys,
                                                            command):
-    _garbled_design(tmp_path)
+    # a design that stores its layout in a sidecar, which is then garbled
+    save_document(run_pipeline(rows=2, cols=2).document, tmp_path / "chip.sqd")
+    (tmp_path / "chip.gds").write_bytes(b"garbage")
     with pytest.raises(SqchipError) as refused:
         load_document(tmp_path / "chip.sqd")
     capsys.readouterr()
@@ -282,7 +286,7 @@ def test_devmap_leaves_a_garbled_sidecar_as_it_found_it(tmp_path, capsys):
     assert _run(tmp_path, *_DEVMAP_Q0) == 0
     assert "arm_length = " in capsys.readouterr().out
     assert (tmp_path / "chip.gds").read_bytes() == b"garbage"
-    doc = load_document(tmp_path / "chip.sqd", import_layout=False)
+    doc = load_document(tmp_path / "chip.sqd")
     assert doc.provenance_log[-1]["operation"] == "devmap:q0"
 
 
@@ -297,9 +301,9 @@ def test_route_replaces_a_garbled_sidecar(tmp_path, capsys):
         assert (garbled / name).read_bytes() == (clean / name).read_bytes()
 
 
-def test_staged_flow_imports_the_sidecar_only_where_the_layout_is_read(
-        tmp_path, capsys, monkeypatch):
-    imports = []        # the command running at each sidecar import
+def test_a_staged_flow_never_imports_its_own_mask(tmp_path, capsys,
+                                                  monkeypatch):
+    imports = []        # the command running at each import
     real = gdsio.layout_from_gds
 
     def counting(src):
@@ -314,7 +318,7 @@ def test_staged_flow_imports_the_sidecar_only_where_the_layout_is_read(
     for step in steps:
         assert _run(tmp_path, *step) == 0, step
     capsys.readouterr()
-    assert imports == ["procmap", "drc", "gds"]
+    assert imports == []
 
 
 def test_pipeline_command_runs_end_to_end(tmp_path, capsys):
@@ -436,13 +440,13 @@ def test_unknown_strategy_is_rejected_by_the_parser(tmp_path):
 def test_devmap_leaves_routed_geometry_in_the_design_file(tmp_path, capsys):
     _run(tmp_path, "topo", "--rows", "3", "--cols", "4")
     _run(tmp_path, "route", "--strategy", "maze")
-    before = load_document(tmp_path / "chip.sqd")
+    before = rebuild(load_document(tmp_path / "chip.sqd"))
     assert len(before.layout.paths) > 0
     assert _run(tmp_path, "devmap", "--qubit", "q0", "--param", "arm_length",
                 "--target", "1e-15", "--evaluator",
                 "stub:pad-capacitance") == 0
     capsys.readouterr()
-    after = load_document(tmp_path / "chip.sqd")
+    after = rebuild(load_document(tmp_path / "chip.sqd"))
     assert after.provenance_log[-1]["operation"] == "devmap:q0"
     assert len(after.layout.paths) == len(before.layout.paths)
 
@@ -466,42 +470,54 @@ def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
+_MAZE_FLAGS = ("--strategy", "maze", "--cell", "60", "--clearance", "25",
+               "--corner-penalty", "1.5", "--cross-penalty", "3")
+# the same route, as run_pipeline overrides
+_MAZE_FIELDS = dict(strategy="maze", maze_cell=60.0, maze_clearance=25.0,
+                    corner_penalty=1.5, cross_penalty=3.0)
+
 # sha256 prefixes of the staged flow's mask and design file under the default
 # design name; route flags vary per case
 STAGED_PINS = [
-    ((4, 4), (), "1612b0f68e6b88e0", "3be754e91f8d86fa"),
-    ((3, 3), ("--strategy", "maze", "--cell", "60", "--clearance", "25",
-              "--corner-penalty", "1.5", "--cross-penalty", "3"),
-     "aa65d9f03c82d487", "e3d18bfecb2b8358"),
+    pytest.param((4, 4), (), "ebbe28f9d02edd8d", "1759a805cb64d8cb",
+                 id="pattern-4x4"),
+    pytest.param((3, 3), _MAZE_FLAGS, "ae1d7a8adde9e3e6", "9433fc255507ba9e",
+                 id="maze-3x3"),
 ]
+
+
+def _staged_steps(dims, route=()):
+    return [("topo", "--rows", str(dims[0]), "--cols", str(dims[1])),
+            ("params",), ("layout",), ("route", *route),
+            ("devmap", "--qubit", "q0", "--param", "arm_length",
+             "--target", "3.64e-16", "--evaluator", "stub:pad-capacitance"),
+            ("procmap",), ("drc",), ("gds",)]
 
 
 @pytest.mark.parametrize("dims, route, gds_pin, sqd_pin", STAGED_PINS)
 def test_staged_flow_bytes_are_pinned(tmp_path, capsys, dims, route, gds_pin,
                                       sqd_pin):
-    steps = [("topo", "--rows", str(dims[0]), "--cols", str(dims[1])),
-             ("params",), ("layout",), ("route", *route),
-             ("devmap", "--qubit", "q0", "--param", "arm_length",
-              "--target", "3.64e-16", "--evaluator", "stub:pad-capacitance"),
-             ("procmap",), ("drc",), ("gds",)]
-    for step in steps:
+    for step in _staged_steps(dims, route):
         assert main(["--out", str(tmp_path), *step]) == 0, step
     capsys.readouterr()
     assert _digest(tmp_path / "design.gds") == gds_pin
     assert _digest(tmp_path / "design.sqd") == sqd_pin
+    # a rebuild reproduces every layout digest the design file records
+    assert_rebuild_reproduces_the_digests(
+        load_document(tmp_path / "design.sqd"))
 
 
 def test_a_reloaded_staged_layout_renders_as_the_reference(tmp_path):
     for step in (("topo", "--rows", "3", "--cols", "3"), ("params",),
                  ("layout",), ("route",)):
         assert _run(tmp_path, *step) == 0, step
-    sidecar = (tmp_path / "chip.gds").read_bytes()
-    doc = load_document(tmp_path / "chip.sqd")
-    assert write_gds(doc.layout) == sidecar     # unedited: verbatim
+    mask = (tmp_path / "chip.gds").read_bytes()
+    doc = rebuild(load_document(tmp_path / "chip.sqd"))
+    assert write_gds(doc.layout) == mask
     doc = run_stages(doc, PipelineConfig(rows=3, cols=3),
                      ("procmap", "bridges"))
     edited = write_gds(doc.layout)
-    assert edited != sidecar
+    assert edited != mask
     assert edited == gds_reference.write_gds(doc.layout)
     # the staged procmap writes the same bytes from the same reload
     assert _run(tmp_path, "procmap") == 0
@@ -524,40 +540,108 @@ def test_pipeline_command_writes_what_run_pipeline_builds(tmp_path, capsys):
         strategy="maze", maze_cell=100.0, qubit_frequencies=(4.4e9, 4.9e9),
         qubit_capacitance=70e-15))
     assert (tmp_path / "chip.gds").read_bytes() == result.gds_bytes
-    (tmp_path / "api").mkdir()
-    api = save_document(result.document, tmp_path / "api" / "chip.sqd")
-    assert (tmp_path / "chip.sqd").read_bytes() == api.read_bytes()
+    # the design file is the run's document, less the layout its records
+    # rebuild
+    assert (tmp_path / "chip.sqd").read_bytes() == \
+        save(replace(result.document, layout=None))
 
 
-def test_the_staged_mask_is_the_one_shot_mask_flattened_into_one_cell(
-        tmp_path, capsys):
-    # the staged flow keeps its layout as a GDS sidecar and imports it flat,
-    # so its 4x4 mask holds the one-shot mask's paths, in order, and its
-    # polygons, but all of them in one IMPORTED cell
+def test_the_staged_mask_is_the_one_shot_mask(tmp_path, capsys):
     for step in (("topo", "--rows", "4", "--cols", "4"), ("params",),
                  ("layout",), ("route",), ("procmap",), ("gds",)):
         assert _run(tmp_path, *step) == 0, step
     capsys.readouterr()
-    staged = gdsio.read_gds(tmp_path / "chip.gds")
-    one_shot = gdsio.read_gds(run_pipeline(rows=4, cols=4).gds_bytes)
+    assert (tmp_path / "chip.gds").read_bytes() == \
+        run_pipeline(rows=4, cols=4, name="chip").gds_bytes
 
-    def elements(lib, kind):
-        return [(s.name, e) for s in lib.structures for e in s.elements
-                if e.kind == kind]
 
-    def paths(lib):
-        return [(e.xy, e.width, e.layer) for _, e in elements(lib, "path")]
+def test_a_staged_process_map_resizes_the_pads_as_the_one_shot_one(
+        tmp_path, capsys):
+    for step in (("topo", "--rows", "3", "--cols", "3"), ("params",),
+                 ("layout",), ("route",), ("procmap", "--process", "fine-4um"),
+                 ("drc",)):
+        assert _run(tmp_path, *step) == 0, step
+    assert "0 violations against fine-4um" in capsys.readouterr().out
+    assert (tmp_path / "chip.gds").read_bytes() == run_pipeline(
+        rows=3, cols=3, process="fine-4um", name="chip").gds_bytes
 
-    def cells(lib):
-        return Counter(name for name, _ in elements(lib, "boundary"))
 
-    def polygons(lib):
-        return sorted((e.layer, e.datatype, e.xy)
-                      for _, e in elements(lib, "boundary"))
+def test_the_staged_maze_drc_reports_the_one_shot_count(tmp_path, capsys):
+    # a chip this size crosses enough for the count to be more than zero
+    for step in (("topo", "--rows", "4", "--cols", "4"), ("params",),
+                 ("layout",), ("route", *_MAZE_FLAGS), ("procmap",)):
+        assert _run(tmp_path, *step) == 0, step
+    capsys.readouterr()
+    assert _run(tmp_path, "drc") == 0
+    count = len(run_pipeline(rows=4, cols=4, **_MAZE_FIELDS).drc_report)
+    assert count > 0
+    assert capsys.readouterr().out.endswith(
+        f"\n{count} violations against generic-10um\n")
 
-    assert len(paths(staged)) == 28
-    assert paths(staged) == paths(one_shot)
-    assert len(polygons(staged)) == 216
-    assert polygons(staged) == polygons(one_shot)
-    assert cells(staged) == {"IMPORTED": 216}
-    assert cells(one_shot) == {"PAD": 24, "RESONATOR": 160, "XMON": 32}
+
+def test_an_unset_flag_takes_the_value_the_design_last_ran_with(tmp_path):
+    def q1_x():
+        doc = rebuild(load_document(tmp_path / "chip.sqd"))
+        return doc.layout.component_by_id("q1").origin[0]
+
+    for step in (("topo", "--rows", "2", "--cols", "2"),
+                 ("layout", "--pitch", "2500")):
+        assert _run(tmp_path, *step) == 0, step
+    assert q1_x() == 3250.0
+    assert _run(tmp_path, "route") == 0
+    assert q1_x() == 3250.0
+    # a new topology starts from the defaults again
+    for step in (("topo", "--rows", "2", "--cols", "2"), ("route",)):
+        assert _run(tmp_path, *step) == 0, step
+    assert q1_x() == 2750.0
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda args: args.update(spacing=3.0), "'spacing'"),
+    (lambda args: args.update(pitch="wide"), "pitch must be float"),
+    (lambda args: args.update(flip_chip=1), "flip_chip must be bool"),
+])
+def test_drc_refuses_a_record_with_bad_args_naming_it(tmp_path, capsys, edit,
+                                                      named):
+    for step in (("topo", "--rows", "2", "--cols", "2"), ("route",)):
+        assert _run(tmp_path, *step) == 0, step
+    path = tmp_path / "chip.sqd"
+    design = json.loads(path.read_bytes())
+    k, record = next((k, r) for k, r in enumerate(design["provenance"])
+                     if r["operation"] == "layout.place-qubits")
+    edit(record["args"])
+    path.write_text(json.dumps(design))
+    with pytest.raises(ParseError):
+        rebuild(load_document(path))
+    capsys.readouterr()
+    assert _run(tmp_path, "drc", "--process", "generic-10um") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: provenance record {k} "
+                          f"(layout.place-qubits): ")
+    assert named in err
+
+
+def test_drc_refuses_recorded_args_the_config_refuses(tmp_path, capsys):
+    for step in (("topo", "--rows", "2", "--cols", "2"), ("route",)):
+        assert _run(tmp_path, *step) == 0, step
+    path = tmp_path / "chip.sqd"
+    path.write_bytes(path.read_bytes().replace(b'"pitch": 2000.0',
+                                               b'"pitch": NaN'))
+    capsys.readouterr()
+    assert _run(tmp_path, "drc", "--process", "generic-10um") == 2
+    assert "pitch must be finite" in capsys.readouterr().err
+
+
+def test_a_design_stored_through_the_api_stays_stored(tmp_path, capsys):
+    design = save_document(run_pipeline(rows=2, cols=2, name="chip").document,
+                           tmp_path / "chip.sqd")
+    assert _run(tmp_path, "procmap") == 0
+    assert _run(tmp_path, "drc") == 0
+    assert "0 violations against generic-10um" in capsys.readouterr().out
+    assert main(["--out", str(tmp_path / "export"), "--design", str(design),
+                 "gds"]) == 0
+    design = json.loads((tmp_path / "chip.sqd").read_bytes())
+    assert design["layout_ref"] == "chip.gds"
+    stored = (tmp_path / "chip.gds").read_bytes()
+    assert (tmp_path / "export" / "chip.gds").read_bytes() == stored
+    assert write_gds(load_document(tmp_path / "chip.sqd").layout) == stored

@@ -1,5 +1,5 @@
 """Design-document tests: extract/inject atomicity, request dispatch, and
-.sqd persistence with the GDS sidecar."""
+.sqd persistence, with or without a stored GDS sidecar."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from sqchip.circuit import CouplingParams, EquivalentCircuit, QubitElectricalPar
 from sqchip.document import (
     SCHEMA_VERSION,
     DesignDocument,
-    LayoutSidecar,
     ParameterBundle,
     RequestKey,
     dispatch,
@@ -31,7 +30,6 @@ from sqchip.errors import (
     CrossEntityViolation,
     MissingSubEntity,
     ParseError,
-    SqchipError,
     UnknownSelector,
     UnregisteredRequest,
     VersionMismatch,
@@ -355,48 +353,6 @@ def test_flip_chip_survives_the_sidecar_round_trip(tmp_path):
     assert load_document(flip).layout.flip_chip is True
 
 
-@pytest.mark.parametrize("flip", [False, True])
-def test_an_unimported_layout_travels_as_its_sidecar_bytes(tmp_path, flip):
-    topo = generate_grid(2, 2)
-    layout = place_qubits(topo)
-    layout.flip_chip = flip
-    path = save_document(DesignDocument("s", topology=topo, layout=layout),
-                         tmp_path / "a.sqd")
-    sidecar = (tmp_path / "a.gds").read_bytes()
-    doc = load_document(path, import_layout=False)
-    assert doc.layout == LayoutSidecar(sidecar, flip)
-    doc = inject(doc, ParameterBundle(doc.version, {}), operation="touch")
-    assert doc.layout == LayoutSidecar(sidecar, flip)
-    assert inject(doc, extract(doc, "layout")).layout == doc.layout
-    save_document(doc, tmp_path / "b.sqd")
-    assert (tmp_path / "b.gds").read_bytes() == sidecar
-    # the same .sqd bytes as the imported document's
-    imported = inject(load_document(path), ParameterBundle(doc.version, {}),
-                      operation="touch")
-    assert save(doc, "b.gds") == save(imported, "b.gds")
-
-
-def test_a_bundle_layout_replaces_an_unimported_one(tmp_path):
-    topo = generate_grid(1, 2)
-    path = save_document(DesignDocument("s", topology=topo,
-                                        layout=place_qubits(topo)),
-                         tmp_path / "a.sqd")
-    doc = load_document(path, import_layout=False)
-    fresh = place_qubits(topo)
-    doc = inject(doc, ParameterBundle(doc.version, {"layout": fresh}))
-    assert doc.layout is fresh
-
-
-def test_load_without_import_keeps_a_malformed_sidecar_unread(tmp_path):
-    (tmp_path / "chip.gds").write_bytes(b"garbage")
-    data = json.dumps({"meta": {"name": "x", "version": SCHEMA_VERSION},
-                       "layout_ref": "chip.gds"}).encode()
-    assert load(data, tmp_path, import_layout=False).layout == LayoutSidecar(
-        b"garbage")
-    with pytest.raises(SqchipError):
-        load(data, tmp_path)
-
-
 @pytest.mark.parametrize("extra, path", [
     ({"layout_ref": 3}, "layout_ref"),
     ({"layout_ref": "gone.gds"}, "layout_ref"),
@@ -405,8 +361,9 @@ def test_load_without_import_keeps_a_malformed_sidecar_unread(tmp_path):
 ])
 def test_load_without_import_still_checks_the_layout_fields(tmp_path, extra,
                                                             path):
+    # the fields are checked before the sidecar, garbage here, is imported
     (tmp_path / "chip.gds").write_bytes(b"garbage")
     payload = {"meta": {"name": "x", "version": SCHEMA_VERSION}, **extra}
     with pytest.raises(ParseError) as err:
-        load(json.dumps(payload).encode(), tmp_path, import_layout=False)
+        load(json.dumps(payload).encode(), tmp_path)
     assert err.value.path == path

@@ -310,11 +310,12 @@ ROADMAP_PINS = [
 
 
 # sha256 prefixes of save(run_pipeline(...).document, layout_ref="chip.gds");
-# they cover each stage's provenance digest, a render of the layout it injected
+# they cover each stage's provenance digest, a render of the layout it
+# injected, and the arguments the stage ran with
 SQD_PINS = [
-    (dict(rows=4, cols=4), "7b5d72730aa1aa0f"),
-    (dict(rows=3, cols=3, strategy="maze"), "ab3009ecb8083ea9"),
-    (dict(rows=2, cols=2, flip_chip=True), "f3a0088d3bd1d4ed"),
+    (dict(rows=4, cols=4), "0269b69c7346d318"),
+    (dict(rows=3, cols=3, strategy="maze"), "26fce661e9ad1597"),
+    (dict(rows=2, cols=2, flip_chip=True), "7ceb9985024d8e0b"),
 ]
 
 
@@ -347,7 +348,7 @@ def test_the_31x31_mask_and_design_file_match_their_pins():
     # reuse; the .sqd pin covers every stage's provenance digest at scale
     doc = run_pipeline(rows=31, cols=31).document
     assert _sha(gdsio.write_gds(doc.layout)) == "09cdc1cb800fa00f"
-    assert _sha(save(doc, layout_ref="chip.gds")) == "bd8e92a929672c1c"
+    assert _sha(save(doc, layout_ref="chip.gds")) == "479a58430cd4351a"
 
 
 # the sections each stage injects, by stage name
@@ -387,8 +388,30 @@ def test_each_stage_digest_hashes_what_the_stage_injected(kwargs):
         assert record["operation"] == stage.key.operation
         assert record["digest"] == \
             _digest_by_hand(doc, _STAGE_SECTIONS[stage.name]), stage.name
-    whole = run_pipeline(cfg).document.provenance_log
-    assert doc.provenance_log == whole[:len(doc.provenance_log)]
+    whole = run_pipeline(cfg).document
+    assert doc.provenance_log == whole.provenance_log[:len(doc.provenance_log)]
+    assert_rebuild_reproduces_the_digests(whole)
+
+
+_STAGE_NAMES = {s.key.operation: s.name for s in pipeline.STAGES}
+
+
+def assert_rebuild_reproduces_the_digests(doc):
+    """Rebuilding doc's layout up to each replayed record's stage gives the
+    digest that record holds, computed by hand; nothing is dispatched."""
+    log = doc.provenance_log
+    start = max(i for i, r in enumerate(log)
+                if r["operation"] == "layout.place-qubits")
+    bare = dataclasses.replace(doc, layout=None, process_rules=None)
+    for record in log[start:]:
+        name = _STAGE_NAMES.get(record["operation"])
+        if name is None:            # drc, gds and devmap records
+            continue
+        at = pipeline.LAYOUT_STAGES.index(name)
+        rebuilt = pipeline.rebuild(bare, pipeline.LAYOUT_STAGES[:at + 1])
+        assert rebuilt.provenance_log == log
+        assert record["digest"] == \
+            _digest_by_hand(rebuilt, _STAGE_SECTIONS[name]), name
 
 
 def test_a_build_packs_each_polygon_path_state_and_arc_once(monkeypatch):
