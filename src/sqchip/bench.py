@@ -14,7 +14,7 @@ import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .document import DesignDocument
 from .errors import SqchipError, check_selector
@@ -114,8 +114,7 @@ def bench_scaling(sizes: list[tuple[int, int]],
     return out
 
 
-CSV_COLUMNS = ("strategy", "m", "n", "qubits", "median_s", "min_s", "max_s",
-               "nets", "crossings")
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def write_csv(records: list[BenchRecord], path) -> None:

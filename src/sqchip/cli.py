@@ -5,13 +5,14 @@ Subcommands mirror the pipeline stages and operate on a design file
 runs its slice of the pipeline's stage table through
 ``pipeline.run_stages``; its flags are the PipelineConfig fields those
 stages read (``pipeline`` reaches every field), and an unset one takes the
-value the design's stages last ran with since ``topo``, else the default.
-The file keeps no layout: a command that needs one rebuilds it from the
-stage records (``pipeline.rebuild``), and a layout-making command exports
-it to ``<design>.gds``, which nothing reads. A design stored through
-``document.save_document`` is used and saved back as stored. Exit codes:
-0 success, 2 validation error or missing prerequisite, 3 stage failure
-(naming the stage).
+value the design's stages last ran with since ``topo``, which starts over,
+else the default. The file keeps no layout: a command that needs one
+rebuilds it from the stage records (``pipeline.rebuild``). Only ``gds``
+and ``pipeline`` write a mask, to ``<out>/<name>.gds``. A design stored
+through ``document.save_document`` is used and saved back as stored; a
+command that drops its layout removes ``<design>.gds`` while that holds
+it. Exit codes: 0 success, 2 validation error, missing prerequisite or
+unusable path, 3 stage failure (naming the stage).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from . import bench as bench_mod
 from . import document as doc_mod
 from .devmap import MappingProblem, make_evaluator, map_qubit_capacitance, solve
 from .document import DesignDocument, ParameterBundle, inject
@@ -36,11 +36,13 @@ from .errors import (
 from .gdsio import export_svg, write_gds
 from .layout import place_qubits
 from .pipeline import (
+    LAYOUT_STAGES,
     SELECTORS,
     STAGES,
     PipelineConfig,
     config_fields,
     rebuild,
+    recorded_stages,
     stage_records,
     run_pipeline,
     run_stages,
@@ -178,45 +180,42 @@ def _design_path(args) -> Path:
     return p if p.is_absolute() else Path(args.out) / p
 
 
+# design section -> the subcommand that makes it
+_MADE_BY = {"topology": "topo", "layout": "layout"}
+
+
 def _load_or_new(args, needs: str | None = None, rebuilt=None
                  ) -> tuple[DesignDocument, bool]:
     """The design file's document, or a new one, holding the section needs
     names, and whether the file stores a layout; a needed layout it does
     not store is rebuilt (only the stages in ``rebuilt``, when given)."""
     path = _design_path(args)
-    if path.exists():
-        doc = doc_mod.load_document(path)
-    else:
-        doc = DesignDocument(path.stem)
+    doc = (doc_mod.load_document(path) if path.exists()
+           else DesignDocument(path.stem))
     stored = doc.layout is not None
     if needs == "layout" and not stored:
         doc = rebuild(doc, rebuilt)
-    if needs is not None:
-        _require(doc, needs)
+    if needs is not None and getattr(doc, needs) is None:
+        raise MissingSubEntity(f"design has no {needs}; "
+                               f"run '{_MADE_BY[needs]}' first")
     return doc, stored
 
 
 def _save(doc: DesignDocument, args, stored: bool = False) -> Path:
     """Write the design file, with a stored layout as its sidecar; any
-    other is left to its records and only exported to <design>.gds."""
+    other is left to its records."""
     path = _design_path(args)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if stored:
-        return doc_mod.save_document(doc, path)
-    path.write_bytes(doc_mod.save(replace(doc, layout=None)))
-    if doc.layout is not None:
-        write_gds(doc.layout, path.with_suffix(".gds"))
+    return doc_mod.save_document(doc if stored else replace(doc, layout=None),
+                                 path)
+
+
+def _write_mask(args, name: str, data: bytes) -> Path:
+    """Write a mask to <out>/<name>.gds, the one file a mask goes to."""
+    path = Path(args.out) / f"{name}.gds"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
     return path
-
-
-# design section -> the subcommand that makes it
-_MADE_BY = {"topology": "topo", "layout": "layout"}
-
-
-def _require(doc: DesignDocument, section: str):
-    if getattr(doc, section) is None:
-        raise MissingSubEntity(f"design has no {section}; "
-                               f"run '{_MADE_BY[section]}' first")
 
 
 def _config(args, name: str, recorded=None) -> PipelineConfig:
@@ -232,29 +231,30 @@ def _cmd_stages(args) -> int:
     # procmap, the one that needs a layout, replays the stages before its own
     doc, stored = _load_or_new(args, needs,
                                [s.name for s in STAGES if s.name not in stages])
-    cfg = _config(args, doc.name, stage_records(doc)[1])
-    stale, mask = [], None
-    if args.command == "topo":
-        if not stored:
-            doc = rebuild(doc)
-        # a circuit or layout was derived from the topology topo replaces
-        stale = [s for s in ("circuit", "layout")
-                 if getattr(doc, s) is not None]
-        # <design>.gds is ours to remove only if it holds the dropped mask
-        own = _design_path(args).with_suffix(".gds")
-        if (doc.layout is not None and own.is_file()
-                and own.read_bytes() == write_gds(doc.layout)):
-            mask = own
+    topo = args.command == "topo"
+    # a stored layout this command places anew, or drops with its topology
+    dropped = doc.layout if stored and (topo or "layout" in stages) else None
+    # a new topology starts over: the old one's records set no field
+    cfg = _config(args, doc.name, None if topo else stage_records(doc)[1])
+    stale = []
+    if topo:
+        # what the old topology derived goes; no record's args are read
+        laid_out = any(s.name in LAYOUT_STAGES
+                       for _, s, _ in recorded_stages(doc))
+        stale = [s for s, made in (("circuit", doc.circuit is not None),
+                                   ("layout", stored or laid_out)) if made]
         doc = replace(doc, circuit=None, layout=None)
     doc = run_stages(doc, cfg, stages)
     line = report(doc, cfg)
     if stale:
         line += f"; dropped the old {' and '.join(stale)}"
-    # a layout placed anew is one its records rebuild
-    print(f"{line} -> {_save(doc, args, stored and 'layout' not in stages)}")
-    if mask is not None:
-        # the old mask would sit beside the new design for the wrong chip
-        mask.unlink()
+    # once its stored layout is dropped, the design's records hold its layout
+    print(f"{line} -> {_save(doc, args, stored and dropped is None)}")
+    own = _design_path(args).with_suffix(".gds")
+    if (dropped is not None and own.is_file()
+            and own.read_bytes() == write_gds(dropped)):
+        # the sidecar would sit beside the design for a layout it dropped
+        own.unlink()
     return 0
 
 
@@ -306,13 +306,11 @@ def _cmd_drc(args) -> int:
 
 def _cmd_gds(args) -> int:
     doc, _ = _load_or_new(args, "layout")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    gds_path = out / f"{doc.name}.gds"
-    data = write_gds(doc.layout, gds_path)
+    data = write_gds(doc.layout)
+    gds_path = _write_mask(args, doc.name, data)
     print(f"{len(data)} bytes -> {gds_path}")
     if args.svg:
-        svg_path = out / f"{doc.name}.svg"
+        svg_path = gds_path.with_suffix(".svg")
         svg_path.write_text(export_svg(doc.layout))
         print(f"preview -> {svg_path}")
     return 0
@@ -321,6 +319,7 @@ def _cmd_gds(args) -> int:
 def _cmd_pipeline(args) -> int:
     result = run_pipeline(_config(args, _design_path(args).stem))
     path = _save(result.document, args)
+    _write_mask(args, result.document.name, result.gds_bytes)
     print(f"pipeline complete: {len(result.document.topology.qubits)} qubits, "
           f"{result.routing.nets_routed} nets "
           f"({result.routing.total_crossings} crossings), "
@@ -329,6 +328,8 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # loaded here: only this command needs it, and statistics and csv
+    from . import bench as bench_mod
     sizes = []
     for chunk in args.sizes.split(","):
         m, _, n = chunk.lower().partition("x")
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
             setattr(args, dest, value)
     try:
         return _COMMANDS[args.command](args)
-    except SqchipError as exc:
+    except (SqchipError, OSError) as exc:    # OSError: an unusable path
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, StageError) else 2
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import LengthMismatch, MeanderDoesNotFit
-from .geometry import bbox, bbox_union, path_length, rect
+from .geometry import BinIndex, bbox, bbox_union, path_length, rect
 
 # Layer plan. Numbers are GDS layer numbers; roles are what drc and the
 # writers key on.
@@ -45,9 +45,8 @@ class PlacedComponent:
     # the footprint's GDS BOUNDARY records, packed once by gdsio
     _gds: bytes | None = field(
         default=None, init=False, repr=False, compare=False)
-    # (moved list, position) once a ChipLayout holds the component: the
-    # layout re-files the positions set_footprint appends to the list
-    _slot: tuple[list[int], int] | None = field(
+    # (component index, position) once a ChipLayout holds the component
+    _slot: tuple[BinIndex, int] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
@@ -61,13 +60,19 @@ class PlacedComponent:
     def set_footprint(self, layer: int,
                       polygons: list[list[tuple[float, float]]]) -> None:
         """The one way to change a footprint: it clears both caches and
-        tells the component's layout to re-file it in its component index."""
+        files the new box in the component index of its layout."""
         self.footprint[layer] = polygons
         self._bbox = None
         self._gds = None
-        if self._slot is not None:
-            moved, i = self._slot
-            moved.append(i)
+        self._file()
+
+    def _file(self) -> None:
+        """File the box under each layer in the index _slot names, if any."""
+        if self._slot is not None and any(self.footprint.values()):
+            boxes, i = self._slot
+            box = self.bounding_box()
+            for layer in self.footprint:
+                boxes.add(layer, box, i)
 
     def layers(self) -> set[int]:
         return set(self.footprint)

@@ -374,9 +374,10 @@ def load(data: bytes, base_dir: str | Path = ".") -> DesignDocument:
         doc.layout = layout_from_gds(data)
         doc.layout.flip_chip = flip_chip
     provenance = payload.get("provenance", [])
-    if not (isinstance(provenance, list)
-            and all(isinstance(r, dict) for r in provenance)):
-        raise ParseError("provenance must be a list of records",
+    if not (isinstance(provenance, list) and all(
+            isinstance(r, dict) and isinstance(r.get("operation"), str)
+            for r in provenance)):
+        raise ParseError("provenance must be a list of operation records",
                          path="provenance")
     doc.provenance_log = provenance
     validate_references(doc.topology, doc.circuit, doc.layout)

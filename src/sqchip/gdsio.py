@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
-from .components import stroke_centerline
+from .components import PlacedComponent, stroke_centerline
 from .errors import (
     BadMagic,
     CoordinateOverflow,
@@ -38,6 +38,7 @@ from .errors import (
     TruncatedRecord,
     check_selector,
 )
+from .geometry import bbox
 
 # record type bytes (rectype, datatype)
 HEADER = 0x0002
@@ -165,8 +166,7 @@ class GdsElement:
 class GdsStructure:
     name: str
     elements: list[GdsElement] = field(default_factory=list)
-    # the structure's bytes, written in place of its elements: the verbatim
-    # slice when parsed, the cached component records when built
+    # the verbatim slice of a parsed structure, written in its elements' place
     raw: bytes | None = None
 
 
@@ -480,8 +480,6 @@ def layout_from_gds(src):
     writes back verbatim. The stream records no die, so the die is the
     content's bounding box.
     """
-    from .components import PlacedComponent
-    from .geometry import bbox
     from .layout import ChipLayout, DieBox
     from .routing import RoutedPath
 

@@ -100,13 +100,11 @@ class ChipLayout:
     # id -> the first component with it
     _by_id: dict[str, PlacedComponent] = field(
         default_factory=dict, init=False, repr=False)
-    # component boxes per layer, items are positions in _components: the
-    # first _filed components are in it, and each query first files
-    # the rest and re-files the positions set_footprint reports in _moved
+    # component boxes per layer, items are positions in _components; a
+    # component re-filed by set_footprint leaves its old entries behind,
+    # so a query may return a candidate more, which the exact test drops
     _boxes: BinIndex = field(default_factory=lambda: BinIndex(_COMPONENT_BIN),
                              init=False, repr=False)
-    _filed: int = field(default=0, init=False, repr=False)
-    _moved: list[int] = field(default_factory=list, init=False, repr=False)
 
     @property
     def components(self) -> Sequence[PlacedComponent]:
@@ -130,7 +128,8 @@ class ChipLayout:
             raise PlacementOverlap(
                 f"{comp.comp_id} overlaps {self._components[hits[0]].comp_id} "
                 f"on a shared layer")
-        comp._slot = (self._moved, len(self._components))
+        comp._slot = (self._boxes, len(self._components))
+        comp._file()
         self._components.append(comp)
         self._by_id.setdefault(comp.comp_id, comp)
 
@@ -149,25 +148,7 @@ class ChipLayout:
     def near(self, layer: int, box) -> set[int]:
         """Positions of the components with geometry on `layer` whose box
         meets `box`, and perhaps a few more, which an exact test drops."""
-        self._catch_up()
         return self._boxes.query(layer, box)
-
-    def _catch_up(self) -> None:
-        """Bring the component index in step with the components. A re-filed
-        component leaves its old entries behind: queries then return a
-        candidate more, which the exact test drops."""
-        if self._filed == len(self._components) and not self._moved:
-            return
-        moved = [i for i in self._moved if i < self._filed]
-        self._moved.clear()
-        moved.extend(range(self._filed, len(self._components)))
-        self._filed = len(self._components)
-        for i in moved:
-            comp = self._components[i]
-            if any(comp.footprint.values()):
-                box = comp.bounding_box()
-                for layer in comp.footprint:
-                    self._boxes.add(layer, box, i)
 
     def content_bbox(self) -> tuple[float, float, float, float]:
         boxes = [c.bounding_box() for c in self.components]

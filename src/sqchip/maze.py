@@ -23,6 +23,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+from .components import LAYER_QUBIT
 from .errors import (
     BlockedEndpoint,
     DegenerateGrid,
@@ -30,6 +31,7 @@ from .errors import (
     NonPositiveInput,
     check_selector,
 )
+from .geometry import count_corners, merge_collinear
 from .layout import feedline_ends
 from .routing import RoutedPath, RoutingResult
 
@@ -105,8 +107,6 @@ def build_grid(layout, cell: float = 50.0, clearance: float = 20.0) -> GridGraph
     stay open as net terminals. A flip-chip layout routes on the opposite
     face, so nothing on the qubit face blocks it.
     """
-    from .components import LAYER_QUBIT
-
     check_cell("grid cell", cell)
     # a negative clearance shrinks the blockage and lets nets cut through
     # qubit metal, which nothing downstream checks
@@ -161,16 +161,6 @@ def check_penalty(name: str, value: float) -> None:
     if not 0.0 <= value < math.inf:
         raise NonPositiveInput(f"{name} must be finite and non-negative, "
                                f"got {value}")
-
-
-def count_corners(cells: list[tuple[int, int]]) -> int:
-    turns = 0
-    for (a, b, c) in zip(cells, cells[1:], cells[2:]):
-        d1 = (b[0] - a[0], b[1] - a[1])
-        d2 = (c[0] - b[0], c[1] - b[1])
-        if d1 != d2:
-            turns += 1
-    return turns
 
 
 def count_crossings(grid: GridGraph, cells: list[tuple[int, int]]) -> int:
@@ -298,7 +288,6 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
 def cells_to_points(grid: GridGraph, cells: list[tuple[int, int]],
                     ) -> list[tuple[float, float]]:
     """Cell centers with collinear runs merged."""
-    from .geometry import merge_collinear
     return merge_collinear([grid.cell_center(c, r) for c, r in cells])
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .components import make_pad
 from .errors import CorridorExhausted, SpecInfeasible
-from .geometry import merge_collinear
+from .geometry import count_corners, merge_collinear
 from .layout import DieBox, bus_name, feedline_ends
 from .routing import Pin, RoutedPath, RoutingResult
 from .topology import Topology
@@ -443,17 +443,9 @@ def route_pattern(layout, width: float = 10.0) -> RoutingResult:
                     _point(e, net.entry_u, lane)]
             pts = merge_collinear(head + net.approach)
             path = RoutedPath(net.net_id, net.role, layer, pts, width,
-                              corner_count=_bends(pts), crossing_count=0)
+                              corner_count=count_corners(pts),
+                              crossing_count=0)
             result.paths.append(path)
     layout.paths.extend(result.paths)
     return result
 
-
-def _bends(pts: list[tuple[float, float]]) -> int:
-    bends = 0
-    for a, b, c in zip(pts, pts[1:], pts[2:]):
-        d1 = (b[0] - a[0], b[1] - a[1])
-        d2 = (c[0] - b[0], c[1] - b[1])
-        if d1[0] * d2[1] - d1[1] * d2[0] != 0:
-            bends += 1
-    return bends

@@ -371,20 +371,28 @@ _BY_OPERATION = {s.key.operation: s for s in STAGES}
 LAYOUT_STAGES = ("layout", "readout", "route", "procmap", "bridges")
 
 
-def stage_records(doc: DesignDocument) -> tuple[list, dict]:
-    """The (stage, args) of each stage record since the last topology
-    record, and the PipelineConfig fields they last set (a route record
-    sets the strategy too). A record's args are checked as ``load`` checks
-    section leaves, and the fields by PipelineConfig; a bad one raises
-    ParseError."""
-    found, fields_set = [], {}
+def recorded_stages(doc: DesignDocument) -> list:
+    """(position, stage, unchecked args) per record since the last topology."""
+    records = []
     for i, record in enumerate(doc.provenance_log):
         stage = _BY_OPERATION.get(record.get("operation"))
         if stage is None or "args" not in record:
             continue            # devmap, drc, gds and outside injections
         if stage.name == "topology":
-            found, fields_set = [], {}
-        args, names = record["args"], list(stage.key.parameter_signature)
+            records = []
+        records.append((i, stage, record["args"]))
+    return records
+
+
+def stage_records(doc: DesignDocument) -> tuple[list, dict]:
+    """The (stage, args) of each stage record since the last topology
+    record, and the PipelineConfig fields they last set (a route record
+    sets the strategy too). Their args are checked as ``load`` checks
+    section leaves, and the fields by PipelineConfig; a bad one raises
+    ParseError."""
+    found, fields_set = [], {}
+    for i, stage, args in recorded_stages(doc):
+        names = list(stage.key.parameter_signature)
         try:
             if not isinstance(args, dict) or sorted(args) != names:
                 raise TypeError(f"args {args!r} must name {names}")

@@ -8,16 +8,19 @@ output. Wall-clock rails are generous sanity bounds, not benchmarks.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import struct
 import time
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sqchip.bench import bench_scaling
+from sqchip import maze
+from sqchip.bench import bench_cell, bench_scaling
 from sqchip.circuit import (
     charging_energy,
     critical_current,
@@ -206,7 +209,12 @@ def test_corner_and_crossing_counters_match_independent_recounts():
 # ---- scaling separation ------------------------------------------------------
 
 def _loglog_fit(records) -> tuple[float, float]:
-    pts = sorted({(r.qubits, r.median_s) for r in records})
+    return _fit({(r.qubits, r.median_s) for r in records})
+
+
+def _fit(pts) -> tuple[float, float]:
+    """Least-squares slope of log(y) on log(x) over (x, y) points, and r^2."""
+    pts = sorted(pts)
     xs = np.log([q for q, _ in pts])
     ys = np.log([t for _, t in pts])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -233,6 +241,24 @@ def test_staircase_scaling_stays_flat_while_maze_scaling_blows_up():
         own_slope, _ = result.exponents[name]
         assert abs(own_slope - slope) < 1e-9
     assert time.perf_counter() - t0 < 300.0
+
+
+def test_maze_search_work_grows_faster_than_quadratically(monkeypatch):
+    # A* heap pops, not wall time, so the maze half of the gate above holds
+    # on any host
+    pts = []
+    for n in (2, 3, 4, 6, 8):
+        pops = []
+
+        def heappop(heap):
+            pops.append(None)
+            return heapq.heappop(heap)
+        monkeypatch.setattr(maze, "heapq", SimpleNamespace(
+            heappush=heapq.heappush, heappop=heappop))
+        bench_cell("maze", n, n, repetitions=1)
+        pts.append((n * n, len(pops)))
+    slope, r2 = _fit(pts)
+    assert slope >= 1.6 and r2 >= 0.9, pts
 
 
 # ---- electrical chain --------------------------------------------------------

@@ -112,7 +112,7 @@ def test_topo_leaves_a_sidecar_the_design_file_does_not_own(tmp_path):
     assert _run(tmp_path, "topo", "--rows", "1", "--cols", "2") == 0
     assert (tmp_path / "chip.gds").read_bytes() == b"not ours"
     assert (tmp_path / "other.gds").read_bytes() == mask
-    # nor when another file took the place of the mask a command exported
+    # nor beside a design whose records rebuild its layout
     for step in (("topo", "--rows", "2", "--cols", "2"), ("layout",)):
         assert _run(tmp_path, *step) == 0, step
     (tmp_path / "chip.gds").write_bytes(b"not ours")
@@ -154,14 +154,17 @@ def test_full_flow_topo_params_layout_route_drc_gds(tmp_path, capsys):
     assert doc.circuit is not None and doc.layout is not None
 
 
-def test_procmap_refreshes_the_sidecar(tmp_path, capsys):
+def _rebuilt_mask(tmp_path) -> bytes:
+    return write_gds(rebuild(load_document(tmp_path / "chip.sqd")).layout)
+
+
+def test_procmap_changes_the_layout_the_design_rebuilds(tmp_path, capsys):
     _run(tmp_path, "topo", "--rows", "2", "--cols", "2")
     _run(tmp_path, "route")
-    before = (tmp_path / "chip.gds").read_bytes()
+    before = _rebuilt_mask(tmp_path)
     assert _run(tmp_path, "procmap", "--process", "generic-10um") == 0
     assert "air bridges" in capsys.readouterr().out
-    after = (tmp_path / "chip.gds").read_bytes()
-    assert after != before       # fillets landed in the persisted geometry
+    assert _rebuilt_mask(tmp_path) != before    # the fillets are recorded
     doc = load_document(tmp_path / "chip.sqd")
     assert doc.process_rules.name == "generic-10um"
 
@@ -248,10 +251,10 @@ def test_devmap_refuses_a_qubit_or_param_it_cannot_tune(tmp_path, capsys,
 def test_devmap_keeps_a_flip_chip_design_flip_chip(tmp_path, capsys):
     _run(tmp_path, "topo", "--rows", "2", "--cols", "2")
     assert _run(tmp_path, "route", "--flip-chip") == 0
-    mask = (tmp_path / "chip.gds").read_bytes()
+    mask = _rebuilt_mask(tmp_path)
     assert _run(tmp_path, *_DEVMAP_Q0) == 0
     capsys.readouterr()
-    assert (tmp_path / "chip.gds").read_bytes() == mask
+    assert _rebuilt_mask(tmp_path) == mask
     assert rebuild(load_document(tmp_path / "chip.sqd")).layout.flip_chip
 
 
@@ -262,7 +265,8 @@ def _placed_design(tmp_path):
 
 
 def _garbled_design(tmp_path):
-    """A placed 2x2 design whose exported mask is no GDS stream."""
+    """A placed 2x2 design with a file that is no GDS stream at
+    <design>.gds."""
     _placed_design(tmp_path)
     (tmp_path / "chip.gds").write_bytes(b"garbage")
 
@@ -290,17 +294,6 @@ def test_devmap_leaves_a_garbled_sidecar_as_it_found_it(tmp_path, capsys):
     assert doc.provenance_log[-1]["operation"] == "devmap:q0"
 
 
-def test_route_replaces_a_garbled_sidecar(tmp_path, capsys):
-    clean, garbled = tmp_path / "clean", tmp_path / "garbled"
-    _placed_design(clean)
-    _garbled_design(garbled)
-    for out in (clean, garbled):
-        assert _run(out, "route") == 0
-    capsys.readouterr()
-    for name in ("chip.sqd", "chip.gds"):
-        assert (garbled / name).read_bytes() == (clean / name).read_bytes()
-
-
 def test_a_staged_flow_never_imports_its_own_mask(tmp_path, capsys,
                                                   monkeypatch):
     imports = []        # the command running at each import
@@ -319,6 +312,73 @@ def test_a_staged_flow_never_imports_its_own_mask(tmp_path, capsys,
         assert _run(tmp_path, *step) == 0, step
     capsys.readouterr()
     assert imports == []
+
+
+def test_only_gds_writes_the_mask_of_a_staged_design(tmp_path, capsys):
+    for step in (("topo", "--rows", "3", "--cols", "3"), ("params",),
+                 ("layout",), ("route",), ("procmap",)):
+        assert _run(tmp_path, *step) == 0, step
+        assert not (tmp_path / "chip.gds").exists(), step
+    assert _run(tmp_path, "gds") == 0
+    capsys.readouterr()
+    assert (tmp_path / "chip.gds").read_bytes() == run_pipeline(
+        rows=3, cols=3, name="chip").gds_bytes
+
+
+def test_a_gds_file_beside_the_design_survives_the_staged_commands(
+        tmp_path, capsys):
+    # it is no sidecar of the design, so no command may write or remove it
+    (tmp_path / "chip.gds").write_bytes(b"not ours")
+    for step in (("topo", "--rows", "2", "--cols", "2"), ("layout",),
+                 ("route",), ("procmap",), ("topo", "--rows", "1", "--cols",
+                                            "2")):
+        assert _run(tmp_path, *step) == 0, step
+        assert (tmp_path / "chip.gds").read_bytes() == b"not ours", step
+
+
+def test_a_command_that_drops_a_stored_layout_removes_its_sidecar(tmp_path,
+                                                                  capsys):
+    doc = run_pipeline(rows=2, cols=2, name="chip").document
+    for command in (("topo", "--rows", "1", "--cols", "2"), ("layout",),
+                    ("route",)):
+        out = tmp_path / command[0]
+        out.mkdir()
+        save_document(doc, out / "chip.sqd")
+        assert _run(out, *command) == 0, command
+        assert not (out / "chip.gds").exists(), command
+        assert "layout_ref" not in json.loads((out / "chip.sqd").read_bytes())
+        # a design stored with another sidecar leaves both files alone
+        other = save_document(doc, out / "other.sqd")
+        (out / "chip.sqd").write_bytes(other.read_bytes())
+        (out / "chip.gds").write_bytes(b"not ours")
+        assert _run(out, *command) == 0, command
+        assert (out / "chip.gds").read_bytes() == b"not ours", command
+        assert (out / "other.gds").read_bytes() == write_gds(doc.layout)
+    capsys.readouterr()
+
+
+def test_topo_resets_a_design_whose_old_records_do_not_rebuild(
+        tmp_path, capsys, monkeypatch):
+    for step in (("topo", "--rows", "2", "--cols", "2"), ("route",)):
+        assert _run(tmp_path, *step) == 0, step
+    path = tmp_path / "chip.sqd"
+    design = json.loads(path.read_bytes())
+    next(r for r in design["provenance"] if r["operation"]
+         == "layout.place-qubits")["args"]["pitch"] = "wide"
+    path.write_text(json.dumps(design))
+
+    def replay(*args, **kwargs):
+        raise AssertionError("topo replayed the design it replaces")
+    with monkeypatch.context() as patch:
+        patch.setattr("sqchip.cli.rebuild", replay)
+        capsys.readouterr()
+        assert _run(tmp_path, "topo", "--rows", "1", "--cols", "2") == 0
+    assert "dropped the old layout" in capsys.readouterr().out
+    # the records before the new topology no longer count
+    for step in (("route",), ("procmap",), ("gds",)):
+        assert _run(tmp_path, *step) == 0, step
+    assert (tmp_path / "chip.gds").read_bytes() == run_pipeline(
+        rows=1, cols=2, name="chip").gds_bytes
 
 
 def test_pipeline_command_runs_end_to_end(tmp_path, capsys):
@@ -392,6 +452,31 @@ def test_a_non_ascii_design_name_is_refused_at_topo(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'chip\u00e9'" in err
     assert not (tmp_path / "chip\u00e9.sqd").exists()
+
+
+def _assert_refused_path(capsys, named: str):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_a_directory_given_as_the_design_exits_2(tmp_path, capsys):
+    (tmp_path / "chip.sqd").mkdir()
+    assert _run(tmp_path, "topo", "--rows", "1", "--cols", "1") == 2
+    _assert_refused_path(capsys, str(tmp_path / "chip.sqd"))
+
+
+def test_a_file_given_as_the_output_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "out").write_bytes(b"")
+    assert main(["--out", str(tmp_path / "out"), "topo", "--rows", "1",
+                 "--cols", "1"]) == 2
+    _assert_refused_path(capsys, str(tmp_path / "out"))
+
+
+def test_bench_with_a_csv_in_a_missing_directory_exits_2(tmp_path, capsys):
+    assert _run(tmp_path, "bench", "--sizes", "2x2", "--strategies",
+                "pattern", "--repetitions", "3", "--csv",
+                "no/such/x.csv") == 2
+    _assert_refused_path(capsys, "no/such/x.csv")
 
 
 @pytest.mark.parametrize("flag, value, named", [
@@ -511,6 +596,7 @@ def test_a_reloaded_staged_layout_renders_as_the_reference(tmp_path):
     for step in (("topo", "--rows", "3", "--cols", "3"), ("params",),
                  ("layout",), ("route",)):
         assert _run(tmp_path, *step) == 0, step
+    assert _run(tmp_path, "gds") == 0
     mask = (tmp_path / "chip.gds").read_bytes()
     doc = rebuild(load_document(tmp_path / "chip.sqd"))
     assert write_gds(doc.layout) == mask
@@ -519,8 +605,9 @@ def test_a_reloaded_staged_layout_renders_as_the_reference(tmp_path):
     edited = write_gds(doc.layout)
     assert edited != mask
     assert edited == gds_reference.write_gds(doc.layout)
-    # the staged procmap writes the same bytes from the same reload
-    assert _run(tmp_path, "procmap") == 0
+    # the staged procmap records the same edit to the same rebuild
+    for step in (("procmap",), ("gds",)):
+        assert _run(tmp_path, *step) == 0, step
     assert (tmp_path / "chip.gds").read_bytes() == edited
 
 
@@ -559,7 +646,7 @@ def test_a_staged_process_map_resizes_the_pads_as_the_one_shot_one(
         tmp_path, capsys):
     for step in (("topo", "--rows", "3", "--cols", "3"), ("params",),
                  ("layout",), ("route",), ("procmap", "--process", "fine-4um"),
-                 ("drc",)):
+                 ("drc",), ("gds",)):
         assert _run(tmp_path, *step) == 0, step
     assert "0 violations against fine-4um" in capsys.readouterr().out
     assert (tmp_path / "chip.gds").read_bytes() == run_pipeline(

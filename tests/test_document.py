@@ -302,6 +302,8 @@ def test_load_names_the_malformed_section():
                        "min_spacing": -100.0}),
     ("process_rules", {**asdict(get_process("generic-10um")),
                        "pad_size": float("nan")}),
+    # an operation every command looks up by name
+    ("provenance", [{"operation": ["layout.place-qubits"]}]),
 ])
 def test_load_rejects_a_wrongly_shaped_section_naming_it(section, value):
     payload = {"meta": {"name": "x", "version": SCHEMA_VERSION},

@@ -103,6 +103,12 @@ def test_an_import_loads_only_the_modules_it_needs(statement, loaded):
     assert set(got) == loaded
 
 
+def test_the_cli_loads_the_bench_module_only_for_its_command():
+    loaded = _fresh("import json, sys\nimport sqchip.cli\n"
+                    "print(json.dumps(sorted(sys.modules)))\n")
+    assert "sqchip.bench" not in loaded and "statistics" not in loaded
+
+
 @pytest.mark.parametrize("source", ["sqchip", "sqchip.document"])
 def test_dispatch_reaches_every_stage_in_a_fresh_interpreter(source):
     # stage requests register when sqchip.pipeline loads, which neither
