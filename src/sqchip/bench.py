@@ -48,6 +48,9 @@ class BenchResult:
 def bench_cell(strategy: str, m: int, n: int, repetitions: int = 3
                ) -> BenchRecord:
     """Median routing time for one (strategy, size) cell."""
+    if repetitions < 1:
+        raise SqchipError(f"need at least 1 repetition to time a cell, "
+                          f"got {repetitions}")
     cfg = PipelineConfig(rows=m, cols=n, strategy=strategy,
                          maze_cell=MAZE_CELL)
     doc = run_stages(DesignDocument(cfg.name), cfg,

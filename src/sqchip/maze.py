@@ -11,10 +11,17 @@ steps + k_corner * corners + k_cross * crossings exactly, and both penalties
 must be finite and non-negative. ``route_net`` is a pure search;
 ``route_all`` is the only writer of ``GridGraph.occupied``.
 
-The search prunes dominated states: a state whose cell already holds an
-expanded sibling direction that offered every neighbour at least as cheaply
-is neither pushed nor expanded (see ``route_net``). The pruning is exact,
-so the routed cells are those of the unpruned search.
+The search skips three kinds of work that cannot change its result (see
+``route_net``), so the routed cells, and the order in which states pop, are
+those of the plain search:
+
+- a state whose cell already holds an expanded sibling direction that
+  offered every neighbour at least as cheaply is neither pushed nor
+  expanded (dominance prune);
+- a state never steps back into the cell it came from, while the float
+  bound ``(5 * cols * rows)**2 * (1 + k_corner + k_cross) < 2**48`` holds;
+- the least entry an expansion pushes is held out of the heap and taken
+  next when it sorts below the heap's top.
 """
 
 from __future__ import annotations
@@ -197,6 +204,36 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     ``best``, no ``came`` and no heap order, and the cells are exactly
     those of the unpruned search. The goal check runs before the prune and
     the goal cell is never expanded, so a goal state is never pruned.
+
+    No reverse step: a state (p, d) never relaxes the state (q, reverse d)
+    of the cell q it came from. (p, d) was relaxed, at g >= g' + 1, from a
+    state (q, d') expanded at g', so e_q <= g'; the step back turns, so it
+    would give ng >= g' + 2 + k_corner (+ k_cross into a busy q).
+    (i) That clears both halves of the prune at q by at least 2, so the
+    state would be recorded and never pushed. (ii) It never lowers the best
+    of a state u expanded at q, whose g_u <= g' + k_corner: if u expanded
+    after (q, d'), because its pop passed the prune against e_q <= g'; if
+    before, because the heuristic is consistent (a straight step never
+    drops a forced turn, a turn pays k_corner), so states pop in
+    nondecreasing f and the two directions' h differ by at most k_corner.
+    The skipped relax thus touches only ``best``/``came`` of a state that
+    is not expanded and never pushed at that cost, and any later relax or
+    heap entry of it at a cost as high is pruned too (the prune test is
+    monotone in g): every push, pop and ``came`` of an expanded state is
+    unchanged. Rounding: every margin above is 2 in exact arithmetic. An
+    expanded g is the cost of a walk of distinct states (a state expands
+    only at g <= best, best only falls, and g grows along the walk), so
+    with N = 5 * cols * rows states and steps of at most
+    c = 1 + k_corner + k_cross, no sum exceeds 2 * N * c and each rounds by
+    at most 2**-53 of that. The few sums per push, chained over at most N
+    pushes, then drift by under 10 * N**2 * c * 2**-53 < 1/2 when
+    N**2 * c < 2**48. Past that bound the step back is kept.
+
+    No heap round trip: the least entry an expansion pushes is held out of
+    ``open_q`` and taken next when it sorts below ``open_q[0]``, else it is
+    pushed. Entries are totally ordered (a state is pushed again only at a
+    strictly lower g), so it is the entry ``heappop`` would have returned
+    and the pop order is unchanged.
     """
     check_penalty("k_corner", k_corner)
     check_penalty("k_cross", k_cross)
@@ -216,11 +253,18 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     # 1 + k_corner + k_cross so every g is bit-identical to adding in steps
     straight = (1.0, 1.0 + k_cross)
     turning = (1.0 + k_corner, 1.0 + k_corner + k_cross)
-    # per direction: (d + 1, dc, dr, cell index offset)
-    moves = [(nd + 1, sx, sy, sy * cols + sx)
-             for nd, (sx, sy) in enumerate(_STEPS)]
     free_step, busy_step = straight
     free_turn, busy_turn = turning
+    # past this float bound a state keeps its step back into the cell it
+    # came from (see the docstring)
+    step_back = (5 * cols * rows) ** 2 * busy_turn >= 2.0 ** 48
+    # moves[d + 1]: (nd + 1, dc, dr, cell index offset, step cost) for each
+    # step out of a state that came in along d (d = -1 at the start)
+    moves = [tuple((nd + 1, sx, sy, sy * cols + sx,
+                    straight if d1 in (0, nd + 1) else turning)
+                   for nd, (sx, sy) in enumerate(_STEPS)
+                   if step_back or d1 == 0 or nd != (d1 - 1) ^ 1)
+             for d1 in range(5)]
     s = (start[1] * cols + start[0]) * 5
     h0 = heuristic(start, goal, -1, k_corner)
     best = {s: 0.0}
@@ -228,12 +272,20 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     # cell index -> least g of a state expanded there; the goal cell is
     # never expanded, so it is never entered here and never pruned
     expanded = {}
-    open_q = [(h0, h0, s, 0.0)]
+    open_q = []
+    # the least entry pushed by the last expansion, held out of open_q
+    # while it sorts below open_q[0]: it is the entry heappop would return
+    nxt = (h0, h0, s, 0.0)
     heappop, heappush = heapq.heappop, heapq.heappush
     best_get, expanded_get = best.get, expanded.get
     inf = math.inf
-    while open_q:
-        _, _, s, g = heappop(open_q)
+    while True:
+        if nxt is None:
+            if not open_q:
+                raise NoPath(f"no route from {start} to {goal}")
+            nxt = heappop(open_q)
+        _, _, s, g = nxt
+        nxt = None
         if g > best[s]:
             continue
         i, d1 = divmod(s, 5)
@@ -245,7 +297,7 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
             continue        # a sibling offered every move as cheaply
         if g < e:
             expanded[i] = g
-        for nd1, sx, sy, di in moves:
+        for nd1, sx, sy, di, cost in moves[d1]:
             nc = c + sx
             nr = r + sy
             if not (0 <= nc < cols and 0 <= nr < rows):
@@ -253,7 +305,6 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
             ni = i + di
             if blocked[ni]:
                 continue
-            cost = turning if d1 and nd1 != d1 else straight
             ng = g + cost[occupied[ni] > 0]
             ns = ni * 5 + nd1
             if ng < best_get(ns, inf) - 1e-12:
@@ -272,9 +323,17 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
                     nh = abs(dx) + abs(dy) + k_corner
                 else:
                     nh = abs(dx) + abs(dy) + 0.0    # a float, as heuristic()
-                heappush(open_q, (ng + nh, nh, ns, ng))
-    else:
-        raise NoPath(f"no route from {start} to {goal}")
+                entry = (ng + nh, nh, ns, ng)
+                if nxt is None:
+                    nxt = entry
+                elif entry < nxt:
+                    heappush(open_q, nxt)
+                    nxt = entry
+                else:
+                    heappush(open_q, entry)
+        if nxt is not None and open_q and open_q[0] < nxt:
+            heappush(open_q, nxt)
+            nxt = None
 
     cells = []
     while s >= 0:

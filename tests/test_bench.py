@@ -62,6 +62,16 @@ def test_bench_cell_times_one_size():
     assert rec.crossings == 0
 
 
+@pytest.mark.parametrize("repetitions", [0, -2])
+def test_bench_cell_refuses_fewer_than_one_repetition(repetitions, monkeypatch):
+    # refused before any stage runs, not a median of no times
+    def no_stages(*args):
+        raise AssertionError("bench_cell ran stages before checking repetitions")
+    monkeypatch.setattr(bench, "run_stages", no_stages)
+    with pytest.raises(SqchipError, match=f"got {repetitions}"):
+        bench_cell("maze", 2, 2, repetitions=repetitions)
+
+
 @pytest.mark.parametrize("strategy, size, overrides", [
     ("pattern", 4, {}),
     ("maze", 3, {"maze_cell": 100.0}),

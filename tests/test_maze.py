@@ -158,6 +158,58 @@ def test_pruned_search_returns_the_reference_cells_under_extreme_penalties():
     assert outcomes == {list, NoPath, BlockedEndpoint}
 
 
+def test_search_keeps_the_step_back_and_the_reference_cells_past_the_float_bound():
+    # from about 1e15 on, sums of g lose the margin that makes skipping the
+    # step back into the previous cell exact, so the search keeps that step
+    rng = random.Random(25)
+    huge = (1e15, 2.0 ** 52, 1e17, 1e300)
+    others = (0.0, 0.5, 3.7) + huge
+    outcomes = set()
+    for _ in range(400):
+        cols, rows = rng.randint(1, 16), rng.randint(1, 16)
+        grid = GridGraph(cols, rows, (0.0, 0.0), 50.0)
+        p_block, p_busy = rng.random() * 0.4, rng.random() * 0.6
+        for i in range(cols * rows):
+            grid.blocked[i] = rng.random() < p_block
+            grid.occupied[i] = rng.randint(1, 3) if rng.random() < p_busy else 0
+        start = (rng.randrange(cols), rng.randrange(rows))
+        goal = (rng.randrange(cols), rng.randrange(rows))
+        penalties = [rng.choice(huge), rng.choice(others)]
+        rng.shuffle(penalties)
+        k_corner, k_cross = penalties
+        want = _reference_outcome(maze_reference.route_net, grid, start, goal,
+                                  k_corner, k_cross)
+        got = _reference_outcome(route_net, grid, start, goal,
+                                 k_corner, k_cross)
+        assert got == want, (cols, rows, start, goal, k_corner, k_cross)
+        outcomes.add(want if isinstance(want, type) else list)
+    assert outcomes == {list, NoPath, BlockedEndpoint}
+
+
+class _CountingCells(list):
+    def __init__(self, cells):
+        super().__init__(cells)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_search_steps_back_into_the_previous_cell_only_past_the_float_bound():
+    # along a one-row corridor each state can step on or back; the search
+    # reads the cell behind it only where the bound keeps the step back
+    reads = {}
+    for k_corner in (1.0, 1e15):
+        grid = GridGraph(10, 1, (0.0, 0.0), 50.0)
+        grid.blocked = _CountingCells(grid.blocked)
+        cells = route_net(grid, (0, 0), (9, 0), k_corner, 0.0)
+        assert cells == [(c, 0) for c in range(10)]
+        reads[k_corner] = grid.blocked.reads
+    # 2 endpoint checks, 1 step from the start, 8 steps on, 8 steps back
+    assert reads == {1.0: 2 + 1 + 8, 1e15: 2 + 1 + 8 + 8}
+
+
 def _counting_heapq(counts, key):
     def heappop(heap):
         counts[key] += 1
