@@ -182,6 +182,10 @@ def _metal_area(kind: str, params: dict, x: float) -> float:
 
 TUNABLE_DIMENSION = {"xmon": "arm_length", "transmon": "pad_width"}
 
+# the port a control line lands on, per qubit kind; a transmon's north port
+# carries its readout resonator
+CONTROL_PORT = {"xmon": "east", "transmon": "south"}
+
 
 def capacitance_evaluator(kind: str, params: dict) -> Evaluator:
     """Tunable-dimension -> self-capacitance stub, linear in metal area."""

@@ -2,14 +2,19 @@
 
 Search states are (cell, incoming direction) pairs so the corner cost is part
 of the optimization, not a post-hoc tiebreak. Each state is packed into one
-int, ``(r * cols + c) * 5 + (d + 1)``, and ``best``/``came`` are dicts keyed
-by it; the packing orders states exactly as (cell index, direction) tuples
-would, so heap ties break the same way and the routed cells do not depend
-on the encoding. There is one cost model: every penalty goes into the
-accumulated cost, so the returned path minimizes
+int, ``(r * cols + c) * 5 + (d + 1)``; the packing orders states exactly as
+(cell index, direction) tuples would, so heap ties break the same way and
+the routed cells do not depend on the encoding. There is one cost model:
+every penalty goes into the accumulated cost, so the returned path minimizes
 steps + k_corner * corners + k_cross * crossings exactly, and both penalties
 must be finite and non-negative. ``route_net`` is a pure search;
 ``route_all`` is the only writer of ``GridGraph.occupied``.
+
+The search keeps its tables on the grid and reuses them for every net: a
+flat ``best`` list per state, ``expanded`` per cell and a one-byte ``came``
+back pointer per state, made by a grid's first search (about 6 pointers and
+5 bytes per cell) and put back to ``inf`` after each search, whether it
+returns or raises. A grid therefore serves one search at a time.
 
 The search skips three kinds of work that cannot change its result (see
 ``route_net``), so the routed cells, and the order in which states pop, are
@@ -31,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 from .components import LAYER_QUBIT
+from .devmap import CONTROL_PORT
 from .errors import (
     BlockedEndpoint,
     DegenerateGrid,
@@ -62,6 +68,10 @@ class GridGraph:
     cell: float                       # um per cell
     blocked: list[bool] = field(default=None)   # cell (c, r) at r * cols + c
     occupied: list[int] = field(default=None)   # net count, same index
+    # route_net's search tables (best, came, expanded), made by the first
+    # search of this grid and clean again after each one
+    _tables: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         if self.cols < 1 or self.rows < 1:
@@ -182,8 +192,9 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
 
     Each step costs 1, plus k_corner when it turns and k_cross when it enters
     an occupied cell, so the path is optimal for that combined objective.
-    Both penalties must pass ``check_penalty``. The grid is only read:
-    marking the path is the caller's job.
+    Both penalties must pass ``check_penalty``. The grid is only read,
+    apart from its search tables, which each search leaves as it found
+    them: marking the path is the caller's job.
 
     A search state (cell (c, r), incoming direction d) is the one int
     ``(r * cols + c) * 5 + (d + 1)``, with d = -1 before the first step.
@@ -192,6 +203,32 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     keyed by (f, h, cell index, d), and the search returns the same cells.
     The heuristic is ``heuristic()`` inlined, with the same float
     expression, so every f is bit-identical too.
+
+    Entries carry the state's coordinates, ``(f, h, s, g, i, c, r, d1)``
+    with i the cell index and d1 = d + 1, so a pop needs no ``divmod``.
+    No two entries agree on (f, h, s, g): a state is pushed again only at
+    a g below ``best - 1e-12``, and ``best`` only falls, so its entries
+    have strictly decreasing g. Tuple comparison is therefore decided
+    within the first four fields, the trailing ones are never compared,
+    and entries pop exactly as ``(f, h, s, g)`` entries would.
+
+    Tables: ``best`` (a list of 5 * cols * rows floats, by state),
+    ``expanded`` (cols * rows floats, by cell) and ``came`` (a bytearray,
+    by state) are made by the grid's first search and kept on it, about
+    6 pointers plus 5 bytes per cell, where dicts would grow only with
+    the states a search touches but cost a hash lookup per read. Every
+    state and cell whose entry leaves ``inf`` is listed, and a
+    ``finally`` puts those entries back, so every search starts on clean
+    tables, after ``NoPath`` or any other exception too. The tables are
+    shared, so a grid serves one search at a time.
+
+    Back pointer: ``came[ns]`` is the slot d1 of the state ns was relaxed
+    from, one byte. That state's cell is ns's cell less the step that ns's
+    own slot names, so the walk back needs no state number. Only the start
+    state has slot 0, which ends the walk. ``came`` is never reset: a state
+    pops only at g <= ``best``, and ``best`` is ``inf`` when a search
+    starts, so the goal state and, by induction, every state the walk
+    reaches was relaxed, and its ``came`` written, during this search.
 
     Dominance pruning: let e be the least g of a state already expanded in
     cell i. A state (i, d) with cost g is skipped at pop, and a relaxed
@@ -265,83 +302,106 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
                    for nd, (sx, sy) in enumerate(_STEPS)
                    if step_back or d1 == 0 or nd != (d1 - 1) ^ 1)
              for d1 in range(5)]
+    inf = math.inf
+    tables = grid._tables
+    if tables is None:
+        tables = grid._tables = ([inf] * (5 * cols * rows),
+                                 bytearray(5 * cols * rows),
+                                 [inf] * (cols * rows))
+    best, came, expanded = tables
     s = (start[1] * cols + start[0]) * 5
     h0 = heuristic(start, goal, -1, k_corner)
-    best = {s: 0.0}
-    came = {s: -1}
-    # cell index -> least g of a state expanded there; the goal cell is
-    # never expanded, so it is never entered here and never pruned
-    expanded = {}
+    # the states and cells whose entries leave inf, put back by the
+    # finally; the goal cell is never expanded, so its expanded entry
+    # stays inf and a goal state is never pruned
+    touched_states = [s]
+    touched_cells = []
     open_q = []
     # the least entry pushed by the last expansion, held out of open_q
     # while it sorts below open_q[0]: it is the entry heappop would return
-    nxt = (h0, h0, s, 0.0)
+    nxt = (h0, h0, s, 0.0, s // 5, *start, 0)
     heappop, heappush = heapq.heappop, heapq.heappush
-    best_get, expanded_get = best.get, expanded.get
-    inf = math.inf
-    while True:
-        if nxt is None:
-            if not open_q:
-                raise NoPath(f"no route from {start} to {goal}")
-            nxt = heappop(open_q)
-        _, _, s, g = nxt
-        nxt = None
-        if g > best[s]:
-            continue
-        i, d1 = divmod(s, 5)
-        r, c = divmod(i, cols)
-        if c == gc and r == gr:
-            break
-        e = expanded_get(i, inf)
-        if g + free_step >= e + free_turn and g + busy_step >= e + busy_turn:
-            continue        # a sibling offered every move as cheaply
-        if g < e:
-            expanded[i] = g
-        for nd1, sx, sy, di, cost in moves[d1]:
-            nc = c + sx
-            nr = r + sy
-            if not (0 <= nc < cols and 0 <= nr < rows):
-                continue
-            ni = i + di
-            if blocked[ni]:
-                continue
-            ng = g + cost[occupied[ni] > 0]
-            ns = ni * 5 + nd1
-            if ng < best_get(ns, inf) - 1e-12:
-                best[ns] = ng
-                came[ns] = s
-                e = expanded_get(ni, inf)
-                if ng + free_step >= e + free_turn \
-                        and ng + busy_step >= e + busy_turn:
-                    continue    # it would be popped only to be pruned
-                dx = gc - nc
-                dy = gr - nr
-                if dx == 0 and dy == 0:
-                    nh = 0.0
-                elif dx * sy != dy * sx or dx * sx + dy * sy < 0:
-                    # off-axis or behind: one forced turn
-                    nh = abs(dx) + abs(dy) + k_corner
-                else:
-                    nh = abs(dx) + abs(dy) + 0.0    # a float, as heuristic()
-                entry = (ng + nh, nh, ns, ng)
-                if nxt is None:
-                    nxt = entry
-                elif entry < nxt:
-                    heappush(open_q, nxt)
-                    nxt = entry
-                else:
-                    heappush(open_q, entry)
-        if nxt is not None and open_q and open_q[0] < nxt:
-            heappush(open_q, nxt)
+    add_state, add_cell = touched_states.append, touched_cells.append
+    try:
+        best[s] = 0.0
+        while True:
+            if nxt is None:
+                if not open_q:
+                    raise NoPath(f"no route from {start} to {goal}")
+                nxt = heappop(open_q)
+            _, _, s, g, i, c, r, d1 = nxt
             nxt = None
+            if g > best[s]:
+                continue
+            if c == gc and r == gr:
+                break
+            e = expanded[i]
+            if g + free_step >= e + free_turn \
+                    and g + busy_step >= e + busy_turn:
+                continue        # a sibling offered every move as cheaply
+            if g < e:
+                if e == inf:
+                    add_cell(i)
+                expanded[i] = g
+            for nd1, sx, sy, di, cost in moves[d1]:
+                nc = c + sx
+                nr = r + sy
+                if not (0 <= nc < cols and 0 <= nr < rows):
+                    continue
+                ni = i + di
+                if blocked[ni]:
+                    continue
+                ng = g + cost[occupied[ni] > 0]
+                ns = ni * 5 + nd1
+                b = best[ns]
+                if ng < b - 1e-12:
+                    if b == inf:
+                        add_state(ns)
+                    best[ns] = ng
+                    came[ns] = d1
+                    e = expanded[ni]
+                    if ng + free_step >= e + free_turn \
+                            and ng + busy_step >= e + busy_turn:
+                        continue    # it would be popped only to be pruned
+                    dx = gc - nc
+                    dy = gr - nr
+                    if dx == 0 and dy == 0:
+                        nh = 0.0
+                    elif dx * sy != dy * sx or dx * sx + dy * sy < 0:
+                        # off-axis or behind: one forced turn
+                        nh = abs(dx) + abs(dy) + k_corner
+                    else:
+                        # + 0.0: a float, as heuristic() returns
+                        nh = abs(dx) + abs(dy) + 0.0
+                    entry = (ng + nh, nh, ns, ng, ni, nc, nr, nd1)
+                    if nxt is None:
+                        nxt = entry
+                    elif entry < nxt:
+                        heappush(open_q, nxt)
+                        nxt = entry
+                    else:
+                        heappush(open_q, entry)
+            if nxt is not None and open_q and open_q[0] < nxt:
+                heappush(open_q, nxt)
+                nxt = None
+    finally:
+        for ns in touched_states:
+            best[ns] = inf
+        for ni in touched_cells:
+            expanded[ni] = inf
 
-    cells = []
-    while s >= 0:
-        r, c = divmod(s // 5, cols)
-        cells.append((c, r))
-        s = came[s]
-    cells.reverse()
-    return cells
+    # walk back: the slot d1 of state s names the step that entered its
+    # cell, and came[s] the slot of the state s was relaxed from
+    offsets = [0] + [sy * cols + sx for sx, sy in _STEPS]
+    path = [(c, r)]
+    while d1:
+        i -= offsets[d1]
+        d1 = came[s]
+        s = i * 5 + d1
+        r, c = divmod(i, cols)
+        path.append((c, r))
+    path.reverse()
+    return path
 
 
 def cells_to_points(grid: GridGraph, cells: list[tuple[int, int]],
@@ -377,7 +437,8 @@ def route_all(grid: GridGraph, nets: list[tuple[str, tuple[int, int], tuple[int,
 def resolve_target(layout, target: str, standoff: float,
                    ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Net-target position plus a free approach point outside the metal
-    keep-out. Targets are qubit ids or "<feedline>@west" / "@east"."""
+    keep-out. Targets are qubit ids, reached at their kind's control port
+    (``devmap.CONTROL_PORT``), or "<feedline>@west" / "@east"."""
     if "@" in target:
         bus, _, side = target.partition("@")
         check_selector(f"target {target!r}: feedline side", side,
@@ -389,7 +450,11 @@ def resolve_target(layout, target: str, standoff: float,
         direction = (-1.0, 0.0) if side == "west" else (1.0, 0.0)
     else:
         comp = layout.component_by_id(target)
-        port = comp.ports.get("east") or next(iter(comp.ports.values()))
+        name = CONTROL_PORT.get(comp.kind)
+        if name is None:
+            raise NoPath(f"target {target!r} is a {comp.kind!r}, which has "
+                         f"no control port")
+        port = comp.ports[name]
         pos = port.position
         direction = port.direction
     off = (pos[0] + direction[0] * standoff, pos[1] + direction[1] * standoff)

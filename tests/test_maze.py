@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import re
 from collections import deque
@@ -183,6 +184,91 @@ def test_search_keeps_the_step_back_and_the_reference_cells_past_the_float_bound
                                  k_corner, k_cross)
         assert got == want, (cols, rows, start, goal, k_corner, k_cross)
         outcomes.add(want if isinstance(want, type) else list)
+    assert outcomes == {list, NoPath, BlockedEndpoint}
+
+
+def _tables_are_clean(grid) -> bool:
+    if grid._tables is None:
+        return True
+    best, _, expanded = grid._tables
+    return all(v == math.inf for v in best) \
+        and all(v == math.inf for v in expanded)
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupting_heapq(after):
+    # a heapq whose calls raise from the after-th on, to stop a search
+    # midway with an error the router does not know
+    calls = [0]
+
+    def tick():
+        calls[0] += 1
+        if calls[0] >= after:
+            raise _Interrupted
+
+    def heappush(heap, item):
+        tick()
+        heapq.heappush(heap, item)
+
+    def heappop(heap):
+        tick()
+        return heapq.heappop(heap)
+    return SimpleNamespace(heappush=heappush, heappop=heappop)
+
+
+def test_a_grid_reuses_its_search_tables_and_leaves_them_clean(monkeypatch):
+    # one grid serves search after search, as it does for route_all's
+    # nets: each returns the reference's cells or error on the grid as it
+    # stands, and leaves every best and expanded entry at inf, whether it
+    # returned, found no path, refused an endpoint or was interrupted
+    rng = random.Random(26)
+    weights = (0.0, 0.5, 1.0, 2.0, 100.0)
+    outcomes = set()
+    for _ in range(40):
+        cols, rows = rng.randint(1, 12), rng.randint(1, 12)
+        grid = GridGraph(cols, rows, (0.0, 0.0), 50.0)
+        for i in range(cols * rows):
+            grid.blocked[i] = rng.random() < 0.2
+        for _ in range(20):
+            start = (rng.randint(-1, cols), rng.randrange(rows))
+            goal = (rng.randrange(cols), rng.randint(0, rows))
+            walled = []
+            if rng.random() < 0.2:
+                # wall the goal in for this search only
+                walled = [r * cols + c
+                          for c, r in ((goal[0] + 1, goal[1]),
+                                       (goal[0] - 1, goal[1]),
+                                       (goal[0], goal[1] + 1),
+                                       (goal[0], goal[1] - 1))
+                          if grid.in_bounds(c, r) and not
+                          grid.blocked[r * cols + c]]
+                for i in walled:
+                    grid.blocked[i] = True
+            k_corner, k_cross = rng.choice(weights), rng.choice(weights)
+            if rng.random() < 0.15:
+                monkeypatch.setattr(maze, "heapq",
+                                    _interrupting_heapq(rng.randint(1, 30)))
+                try:
+                    route_net(grid, start, goal, k_corner, k_cross)
+                except (_Interrupted, NoPath, BlockedEndpoint):
+                    pass
+                monkeypatch.undo()
+                assert _tables_are_clean(grid)
+            want = _reference_outcome(maze_reference.route_net, grid, start,
+                                      goal, k_corner, k_cross)
+            got = _reference_outcome(route_net, grid, start, goal,
+                                     k_corner, k_cross)
+            assert got == want, (cols, rows, start, goal, k_corner, k_cross)
+            assert _tables_are_clean(grid)
+            outcomes.add(want if isinstance(want, type) else list)
+            for i in walled:
+                grid.blocked[i] = False
+            if isinstance(got, list):
+                grid.mark_path(got)     # later searches pay to cross it
+        assert grid._tables is not None
     assert outcomes == {list, NoPath, BlockedEndpoint}
 
 
@@ -449,3 +535,17 @@ def test_resolve_target_refuses_a_feedline_side_naming_the_target(target):
     generate_readout_bus(layout, ["q0", "q1"], 6.535e9, 7.246e9)
     with pytest.raises(UnknownSelector, match=re.escape(repr(target))):
         resolve_target(layout, target, standoff=10.0)
+
+
+def test_resolve_target_lands_on_each_qubit_kind_s_control_port():
+    from sqchip.layout import generate_readout_bus
+
+    layout = place_qubits(generate_grid(1, 2), "transmon", pitch=2000.0)
+    generate_readout_bus(layout, ["q0", "q1"], 6.535e9, 7.246e9)
+    q = layout.component_by_id("q0")
+    pos, off = resolve_target(layout, "q0", standoff=50.0)
+    assert pos == q.ports["south"].position
+    assert off == (pos[0], pos[1] - 50.0)
+    q.kind = "fluxonium"
+    with pytest.raises(NoPath, match="'fluxonium'"):
+        resolve_target(layout, "q0", standoff=50.0)

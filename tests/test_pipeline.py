@@ -96,6 +96,19 @@ def test_maze_pipeline_glues_tails_and_stays_clean():
         assert path.kind == pins[net].role
 
 
+def test_maze_routes_a_single_face_transmon_chip_clean():
+    # a transmon's control line lands on its south port: the north one
+    # carries the readout resonator and blocks the goal cell
+    result = run_pipeline(rows=2, cols=2, strategy="maze",
+                          qubit_style="transmon")
+    assert result.drc_report == []
+    assert len(result.routing.paths) == total_pins(generate_grid(2, 2)) == 8
+    ends = {p.points[-1] for p in result.routing.paths}
+    for q in result.document.layout.components:
+        if q.kind == "transmon":
+            assert q.ports["south"].position in ends
+
+
 def test_maze_and_pattern_runs_report_the_same_net_roles():
     roles = {}
     for strategy in ("pattern", "maze"):
@@ -303,6 +316,8 @@ ROADMAP_PINS = [
     # the one maze flow on the opposite face
     (dict(rows=3, cols=3, strategy="maze", flip_chip=True), "7b868c40f865e47e"),
     (dict(rows=3, cols=3, qubit_style="transmon"), "762cb1e76dc2cea6"),
+    (dict(rows=3, cols=3, strategy="maze", qubit_style="transmon"),
+     "5a6adf327db324f1"),
     # apply_rules resizes every pad
     (dict(rows=5, cols=5, process="fine-4um", lane_pitch=20.0),
      "0980b0c124565cdb"),
