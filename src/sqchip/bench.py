@@ -71,10 +71,11 @@ def bench_cell(strategy: str, m: int, n: int, repetitions: int = 3
 def fit_exponent(records: list[BenchRecord]) -> tuple[float, float] | None:
     """Least-squares slope of log(median) vs log(qubits), with R^2.
 
-    Needs at least three distinct sizes; returns None below that.
+    Needs at least three distinct qubit counts; returns None below that,
+    also when shapes of one count (4x4, 2x8) give points of one x.
     """
     pts = sorted({(r.qubits, r.median_s) for r in records})
-    if len(pts) < 3:
+    if len({q for q, _ in pts}) < 3:
         return None
     xs = [math.log(q) for q, _ in pts]
     ys = [math.log(max(t, 1e-9)) for _, t in pts]

@@ -107,10 +107,16 @@ def path_segments(points):
     return [(points[i], points[i + 1]) for i in range(len(points) - 1)]
 
 
+def turning_points(points) -> list:
+    """Interior vertices of a polyline (or cell walk) where its step vector
+    changes, in order."""
+    return [b for a, b, c in zip(points, points[1:], points[2:])
+            if (b[0] - a[0], b[1] - a[1]) != (c[0] - b[0], c[1] - b[1])]
+
+
 def count_corners(points) -> int:
     """Vertices of a polyline (or cell walk) where its direction changes."""
-    return sum((b[0] - a[0], b[1] - a[1]) != (c[0] - b[0], c[1] - b[1])
-               for a, b, c in zip(points, points[1:], points[2:]))
+    return len(turning_points(points))
 
 
 def path_length(points):

@@ -27,6 +27,10 @@ those of the plain search:
   bound ``(5 * cols * rows)**2 * (1 + k_corner + k_cross) < 2**48`` holds;
 - the least entry an expansion pushes is held out of the heap and taken
   next when it sorts below the heap's top.
+
+Each move does only the work of its axis: it checks the one grid bound it
+can cross, reads the heuristic from two per-net tables (the goal distance
+of every column and of every row) and finds the next state by one add.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .errors import (
     NonPositiveInput,
     check_selector,
 )
-from .geometry import count_corners, merge_collinear
+from .geometry import count_corners, turning_points
 from .layout import feedline_ends
 from .routing import RoutedPath, RoutingResult
 
@@ -155,7 +159,10 @@ def heuristic(cell: tuple[int, int], goal: tuple[int, int],
               direction: int, k_corner: float) -> float:
     """Admissible remaining-cost bound: Manhattan distance plus a corner
     lower bound (one forced turn when the goal is off-axis or behind).
-    ``route_net`` inlines this expression; the two must stay in step."""
+    ``route_net`` inlines this expression per move axis, from per-net
+    axis tables;
+    ``test_route_net_s_inlined_heuristic_equals_heuristic_bit_for_bit``
+    checks every state it pushes against this function."""
     dx = goal[0] - cell[0]
     dy = goal[1] - cell[1]
     h = abs(dx) + abs(dy)
@@ -271,6 +278,24 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     pushed. Entries are totally ordered (a state is pushed again only at a
     strictly lower g), so it is the entry ``heappop`` would have returned
     and the pop order is unchanged.
+
+    Moves by axis: a step along x changes only the column, so it leaves
+    the grid only through ``0 <= nc < cols`` and keeps the row; a step
+    along y likewise tests only the row. ``blocked`` is read for the same
+    in-grid cells as with both bounds tested. The next state is
+    ``s + ds`` with ``ds = di * 5 + nd1 - d1`` fixed per move: s is
+    ``i * 5 + d1``, so the sum is ``ni * 5 + nd1``.
+
+    Heuristic by axis: ``adx[c] = |gc - c|`` and ``ady[r] = |gr - r|``
+    are built per net, O(cols + rows). For a step along x with sign
+    ``step``, ``heuristic()``'s forced-turn test (off the goal's axis, or
+    the goal behind) reads ``nr != gr or (gc - nc) * step < 0``, and along
+    y ``nc != gc or (gr - nr) * step < 0``. The sums are those of
+    ``heuristic()``: ``adx[nc] + ady[nr] + k_corner`` is the same int +
+    int + float as ``abs(dx) + abs(dy) + k_corner``, and without a turn
+    one term is 0, so ``adx[nc] + 0.0`` or ``ady[nr] + 0.0`` is the float
+    of ``abs(dx) + abs(dy)``; the goal cell gets ``0.0``. Every h, and so
+    every f, is bit-identical.
     """
     check_penalty("k_corner", k_corner)
     check_penalty("k_cross", k_cross)
@@ -295,13 +320,18 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
     # past this float bound a state keeps its step back into the cell it
     # came from (see the docstring)
     step_back = (5 * cols * rows) ** 2 * busy_turn >= 2.0 ** 48
-    # moves[d + 1]: (nd + 1, dc, dr, cell index offset, step cost) for each
-    # step out of a state that came in along d (d = -1 at the start)
-    moves = [tuple((nd + 1, sx, sy, sy * cols + sx,
+    # moves[d + 1]: (nd + 1, along x?, +-1 step, cell index offset, state
+    # offset, step cost) for each step out of a state that came in along d
+    # (d = -1 at the start)
+    moves = [tuple((nd + 1, sx != 0, sx + sy, sy * cols + sx,
+                    (sy * cols + sx) * 5 + nd + 1 - d1,
                     straight if d1 in (0, nd + 1) else turning)
                    for nd, (sx, sy) in enumerate(_STEPS)
                    if step_back or d1 == 0 or nd != (d1 - 1) ^ 1)
              for d1 in range(5)]
+    # the heuristic's two Manhattan terms, by column and by row
+    adx = [abs(gc - c) for c in range(cols)]
+    ady = [abs(gr - r) for r in range(rows)]
     inf = math.inf
     tables = grid._tables
     if tables is None:
@@ -343,16 +373,23 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
                 if e == inf:
                     add_cell(i)
                 expanded[i] = g
-            for nd1, sx, sy, di, cost in moves[d1]:
-                nc = c + sx
-                nr = r + sy
-                if not (0 <= nc < cols and 0 <= nr < rows):
-                    continue
+            for nd1, along_x, step, di, ds, cost in moves[d1]:
+                # a step can leave the grid only along its own axis
+                if along_x:
+                    nc = c + step
+                    if not 0 <= nc < cols:
+                        continue
+                    nr = r
+                else:
+                    nr = r + step
+                    if not 0 <= nr < rows:
+                        continue
+                    nc = c
                 ni = i + di
                 if blocked[ni]:
                     continue
                 ng = g + cost[occupied[ni] > 0]
-                ns = ni * 5 + nd1
+                ns = s + ds
                 b = best[ns]
                 if ng < b - 1e-12:
                     if b == inf:
@@ -363,16 +400,21 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
                     if ng + free_step >= e + free_turn \
                             and ng + busy_step >= e + busy_turn:
                         continue    # it would be popped only to be pruned
-                    dx = gc - nc
-                    dy = gr - nr
-                    if dx == 0 and dy == 0:
+                    # heuristic() on this move: off-axis or behind forces
+                    # one turn; + 0.0 gives a float, as heuristic() returns
+                    if along_x:
+                        if nr != gr or (gc - nc) * step < 0:
+                            nh = adx[nc] + ady[nr] + k_corner
+                        elif nc == gc:
+                            nh = 0.0
+                        else:
+                            nh = adx[nc] + 0.0
+                    elif nc != gc or (gr - nr) * step < 0:
+                        nh = adx[nc] + ady[nr] + k_corner
+                    elif nr == gr:
                         nh = 0.0
-                    elif dx * sy != dy * sx or dx * sx + dy * sy < 0:
-                        # off-axis or behind: one forced turn
-                        nh = abs(dx) + abs(dy) + k_corner
                     else:
-                        # + 0.0: a float, as heuristic() returns
-                        nh = abs(dx) + abs(dy) + 0.0
+                        nh = ady[nr] + 0.0
                     entry = (ng + nh, nh, ns, ng, ni, nc, nr, nd1)
                     if nxt is None:
                         nxt = entry
@@ -406,8 +448,23 @@ def route_net(grid: GridGraph, start: tuple[int, int], goal: tuple[int, int],
 
 def cells_to_points(grid: GridGraph, cells: list[tuple[int, int]],
                     ) -> list[tuple[float, float]]:
-    """Cell centers with collinear runs merged."""
-    return merge_collinear([grid.cell_center(c, r) for c, r in cells])
+    """Cell centers with collinear runs merged: the centers of the first
+    cell, each turning cell (``geometry.turning_points``, the test that
+    ``count_corners`` counts) and the last cell.
+
+    On a walk of unit steps this is ``merge_collinear`` over every center.
+    Cells in one row share one center y and cells in one column one center
+    x, so along a straight run the cross product that ``merge_collinear``
+    tests is exactly 0 and the run's interior goes; at a turn it is at
+    least cell**2, far above its 1e-12 tolerance, and the turning center
+    stays. A U-turn (a step straight back) is kept by both: its center
+    lies past the next one, not between them.
+    """
+    center = grid.cell_center
+    if len(cells) < 2:
+        return [center(c, r) for c, r in cells]
+    return [center(c, r)
+            for c, r in (cells[0], *turning_points(cells), cells[-1])]
 
 
 def route_all(grid: GridGraph, nets: list[tuple[str, tuple[int, int], tuple[int, int]]],

@@ -33,6 +33,15 @@ def test_fit_exponent_needs_three_distinct_sizes():
     assert fit_exponent(pts + [_record("pattern", 2, 2, 0.1)]) is None
 
 
+def test_fit_exponent_needs_three_distinct_qubit_counts():
+    # three shapes of 16 qubits are three points on one x: no slope
+    pts = [_record("pattern", 4, 4, 0.1), _record("pattern", 2, 8, 0.2),
+           _record("pattern", 8, 2, 0.3)]
+    assert {r.qubits for r in pts} == {16}
+    assert fit_exponent(pts) is None
+    assert fit_exponent(pts + [_record("pattern", 3, 3, 0.05)]) is None
+
+
 def test_fit_exponent_recovers_a_known_power_law():
     sizes = [(2, 2), (3, 3), (4, 4), (6, 6), (8, 8)]
     records = [_record("maze", m, n, 1e-4 * (m * n) ** 1.7)

@@ -517,6 +517,20 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_bench_over_one_qubit_count_writes_csv_and_fits_no_exponent(
+        tmp_path, capsys):
+    code = _run(tmp_path, "bench", "--sizes", "4x4,2x8,8x2",
+                "--strategies", "pattern")
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "time ~ qubits^" not in out
+    with open(tmp_path / "bench.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:4] for row in rows[1:]] == [
+        ["pattern", "4", "4", "16"], ["pattern", "2", "8", "16"],
+        ["pattern", "8", "2", "16"]]
+
+
 def test_unknown_strategy_is_rejected_by_the_parser(tmp_path):
     with pytest.raises(SystemExit):
         _run(tmp_path, "route", "--strategy", "steiner")

@@ -18,6 +18,7 @@ from sqchip.errors import (
     NonPositiveInput,
     UnknownSelector,
 )
+from sqchip.geometry import merge_collinear
 from sqchip.layout import place_qubits
 from sqchip.maze import (
     GridGraph,
@@ -68,6 +69,50 @@ def test_heuristic_charges_one_corner_when_a_turn_is_forced():
     assert heuristic((3, 0), (0, 0), 0, 1.0) == 4
     # goal perpendicular to the heading
     assert heuristic((0, 0), (0, 3), 0, 1.0) == 4
+
+
+def test_route_net_s_inlined_heuristic_equals_heuristic_bit_for_bit(
+        monkeypatch):
+    # every entry the search pushes carries its h beside its cell and
+    # incoming direction; from each start, an occupied neighbour at a high
+    # crossing price sorts after its free siblings and is pushed, not held
+    # out of the heap, so the pushes reach every state the search can
+    # relax: every cell, direction and goal whose previous cell is not the
+    # goal (the goal cell is never expanded)
+    pushed = []
+
+    def heappush(heap, entry):
+        pushed.append(entry)
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(maze, "heapq",
+                        SimpleNamespace(heappush=heappush,
+                                        heappop=heapq.heappop))
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    for cols, rows in ((2, 3), (3, 3), (6, 5)):
+        cells = [(c, r) for r in range(rows) for c in range(cols)]
+        reachable = {(c, r, d, goal)
+                     for c, r in cells
+                     for d, (sx, sy) in enumerate(steps)
+                     if 0 <= c - sx < cols and 0 <= r - sy < rows
+                     for goal in cells if goal != (c - sx, r - sy)}
+        for k_corner in (0.0, 0.3, 1.0, 2.5):
+            checked = set()
+            for goal in cells:
+                for start in cells:
+                    for sx, sy in steps:
+                        grid = GridGraph(cols, rows, (0.0, 0.0), 50.0)
+                        nc, nr = start[0] + sx, start[1] + sy
+                        if grid.in_bounds(nc, nr):
+                            grid.occupied[nr * cols + nc] = 1
+                        pushed.clear()
+                        route_net(grid, start, goal, k_corner, 10.0)
+                        for _, h, _, _, _, c, r, d1 in pushed:
+                            want = heuristic((c, r), goal, d1 - 1, k_corner)
+                            assert h == want and type(h) is float, \
+                                ((c, r), d1 - 1, goal, k_corner)
+                            checked.add((c, r, d1 - 1, goal))
+            assert checked == reachable, (cols, rows, k_corner)
 
 
 def test_route_on_an_open_grid_is_a_shortest_path():
@@ -469,6 +514,30 @@ def test_cells_to_points_returns_merged_cell_centers():
     grid = GridGraph(5, 5, (0.0, 0.0), 50.0)
     pts = cells_to_points(grid, [(0, 0), (1, 0), (2, 0), (2, 1)])
     assert pts == [(25.0, 25.0), (125.0, 25.0), (125.0, 75.0)]
+
+
+def test_cells_to_points_equals_merge_collinear_over_every_center():
+    rng = random.Random(7)
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    walks = [[], [(3, 4)], [(3, 4), (4, 4)], [(3, 4), (3, 5)],
+             # a U-turn: straight back over the cell it came from
+             [(1, 1), (2, 1), (3, 1), (2, 1), (2, 2)]]
+    for _ in range(300):
+        c, r = rng.randrange(20), rng.randrange(20)
+        walk = [(c, r)]
+        for _ in range(rng.randrange(1, 12)):
+            sx, sy = rng.choice(steps)
+            for _ in range(rng.randrange(1, 6)):
+                c, r = c + sx, r + sy
+                walk.append((c, r))
+        walks.append(walk)
+    assert any(count_corners(w) > 0 for w in walks)
+    for cell in (50.0, 100.0):
+        grid = GridGraph(40, 40, (-1234.5, 987.25), cell)
+        for walk in walks:
+            centers = [grid.cell_center(c, r) for c, r in walk]
+            assert cells_to_points(grid, walk) == merge_collinear(centers), \
+                walk
 
 
 def test_build_grid_blocks_qubit_keepouts_on_single_face_chips():
