@@ -51,8 +51,7 @@ _EXPORTS = {
         "get_process", "insert_air_bridges", "place_indium_columns",
         "select_process"),
     "routing": ("Pin", "RoutedPath", "RoutingResult"),
-    "topology": ("Topology", "from_gate_list", "generate_grid",
-                 "rows_bottom_up"),
+    "topology": ("Topology", "generate_grid", "rows_bottom_up"),
 }
 
 __all__ = [*_EXPORTS, *(name for names in _EXPORTS.values() for name in names)]

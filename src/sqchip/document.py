@@ -35,7 +35,7 @@ from .errors import (
     check_selector,
 )
 from .process import ProcessRules
-from .topology import Topology
+from .topology import Topology, generate_grid
 
 SCHEMA_VERSION = "sqd-1"
 _EPOCH_ISO = "1970-01-01T00:00:00Z"   # pinned: identical runs, identical bytes
@@ -233,15 +233,20 @@ def _pair(value, kind: type, where: str) -> tuple:
 
 
 def _topology_from_json(d: dict) -> Topology:
-    qubits = {q: _pair(pos, int, f"qubits.{q}")
-              for q, pos in d["qubits"].items()}
-    edges = {_pair(e, str, f"edges[{i}]") for i, e in enumerate(d["edges"])}
-    stray = {q for e in edges for q in e} - set(qubits)
-    if stray:
-        raise ValueError(f"edges name unknown qubits {sorted(stray)}")
-    dims = d.get("grid_dims")
-    return Topology(qubits, edges,
-                    _pair(dims, int, "grid_dims") if dims else None)
+    """The generate_grid lattice d describes; any other topology is refused
+    as a ValueError."""
+    m, n = _pair(d.get("grid_dims"), int, "grid_dims")
+    # counted before the lattice is built, so huge dims allocate nothing
+    if m < 1 or n < 1 or len(d["qubits"]) != m * n:
+        raise ValueError(f"grid_dims {m}x{n} do not fit "
+                         f"{len(d['qubits'])} qubits")
+    topo = generate_grid(m, n)
+    want = _topology_to_json(topo)
+    if (d["qubits"] != want["qubits"] or sorted(d["edges"]) != want["edges"]
+            or any(type(v) is not int
+                   for pos in d["qubits"].values() for v in pos)):
+        raise ValueError(f"qubits and edges are not the {m}x{n} lattice")
+    return topo
 
 
 _LEAF_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
@@ -338,7 +343,8 @@ def load(data: bytes, base_dir: str | Path = ".") -> DesignDocument:
     if not isinstance(payload, dict):
         raise ParseError("design file root must be an object", path="$")
     meta = payload.get("meta")
-    if not isinstance(meta, dict) or "name" not in meta or "version" not in meta:
+    if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
+            and "version" in meta):
         raise ParseError("missing or malformed meta section", path="meta")
     if meta["version"] != SCHEMA_VERSION:
         raise VersionMismatch(

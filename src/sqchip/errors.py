@@ -56,10 +56,6 @@ class InvalidDimension(SqchipError):
     pass
 
 
-class EmptyGateList(SqchipError):
-    pass
-
-
 class UnknownLabel(SqchipError):
     pass
 

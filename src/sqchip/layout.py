@@ -334,28 +334,13 @@ def generate_readout_bus(layout: ChipLayout, row_qubits: list[str],
 
 def allocate_frequencies(topology: Topology,
                          freq_set: list[float]) -> dict[str, float]:
-    """Assign drive frequencies so no coupled pair shares one.
-
-    Grid topologies get a deterministic checkerboard over the first two
-    entries; anything else is greedy in qubit order.
-    """
+    """Assign drive frequencies as a checkerboard over the first two
+    entries, so no two lattice neighbours share one."""
     if not freq_set:
         raise InsufficientFrequencySet("empty frequency set")
     if topology.edges and len(set(freq_set)) < 2:
         raise InsufficientFrequencySet(
             "coupled qubits present but fewer than two distinct frequencies")
-    out: dict[str, float] = {}
-    if topology.grid_dims is not None:
-        for qid, (c, r) in topology.qubits.items():
-            out[qid] = freq_set[(c + r) % 2] if len(freq_set) > 1 else freq_set[0]
-        return dict(sorted(out.items(), key=lambda kv: _qubit_sort_key(kv[0])))
-    for qid in sorted(topology.qubits, key=_qubit_sort_key):
-        taken = {out[nb] for nb in topology.neighbors(qid) if nb in out}
-        for f in freq_set:
-            if f not in taken:
-                out[qid] = f
-                break
-        else:
-            raise InsufficientFrequencySet(
-                f"no frequency left for {qid} among {len(freq_set)} choices")
-    return out
+    out = {qid: freq_set[(c + r) % 2] if len(freq_set) > 1 else freq_set[0]
+           for qid, (c, r) in topology.qubits.items()}
+    return dict(sorted(out.items(), key=lambda kv: _qubit_sort_key(kv[0])))

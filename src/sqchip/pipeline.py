@@ -33,6 +33,7 @@ from .document import (
 # unused here; perfbench's INSTRUMENTED table traces sqchip.pipeline.extract
 from .document import extract  # noqa: F401
 from .errors import (
+    InsufficientFrequencySet,
     MissingSubEntity,
     NoPath,
     NonAsciiName,
@@ -118,6 +119,12 @@ class PipelineConfig:
         if not all(math.isfinite(q) for q in self.qubit_frequencies):
             raise NonPositiveInput(f"qubit_frequencies must be finite, "
                                    f"got {self.qubit_frequencies}")
+        # the checkerboard frequency plan needs two tones once qubits couple
+        tones = min(2, self.rows * self.cols)
+        if len(set(self.qubit_frequencies)) < tones:
+            raise InsufficientFrequencySet(
+                f"a {self.rows}x{self.cols} lattice needs {tones} distinct "
+                f"qubit_frequencies, got {self.qubit_frequencies}")
         for name, allowed in SELECTORS.items():
             check_selector(name, getattr(self, name), allowed)
         if self.border < 0:

@@ -1,15 +1,19 @@
 """Qubit topology: logical qubits on an integer lattice with coupling edges.
 
+A topology is the rectangular m x n lattice that ``generate_grid`` builds:
+every site holds a qubit and every pair of lattice neighbours is coupled.
+The routers, the frequency plan and the readout rows rely on that, and the
+.sqd loader refuses a topology section that is not such a lattice.
+
 Qubit ids are strings ("q0", "q1", ...); coordinates are (col, row) lattice
 positions. Edges are undirected and stored as sorted id pairs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .errors import EmptyGateList, InvalidDimension, UnknownLabel
+from .errors import InvalidDimension
 
 
 @dataclass
@@ -63,66 +67,3 @@ def rows_bottom_up(topo: Topology) -> list[list[str]]:
     for qid, (c, r) in topo.qubits.items():
         rows.setdefault(r, []).append((c, qid))
     return [[qid for _, qid in sorted(rows[r])] for r in sorted(rows)]
-
-
-def from_gate_list(gates: list[tuple[str, str]]) -> Topology:
-    """Build a topology from two-qubit gate operands.
-
-    Distinct labels become qubits embedded row-major (in first-appearance
-    order) on the smallest square lattice that holds them; duplicate pairs
-    collapse to a single edge. Self-pairs are rejected.
-    """
-    if not gates:
-        raise EmptyGateList("gate list is empty")
-    labels: list[str] = []
-    seen = set()
-    for a, b in gates:
-        if a == b:
-            raise UnknownLabel(f"self-coupling on label {a!r}")
-        for lab in (a, b):
-            if lab not in seen:
-                seen.add(lab)
-                labels.append(lab)
-    side = max(1, math.isqrt(len(labels) - 1) + 1)
-    topo = Topology()
-    for i, lab in enumerate(labels):
-        topo.qubits[lab] = (i % side, i // side)
-    for a, b in gates:
-        topo.edges.add(_edge(a, b))
-    return topo
-
-
-def from_edge_list_text(text: str) -> Topology:
-    """Parse "idA idB" pairs, one per line; '#' starts a comment."""
-    gates = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise UnknownLabel(f"expected two labels per line, got {line!r}")
-        gates.append((parts[0], parts[1]))
-    return from_gate_list(gates)
-
-
-def validate(topo: Topology) -> list[str]:
-    """Return human-readable problems; empty list means the topology is sound."""
-    problems = []
-    positions: dict[tuple[int, int], str] = {}
-    for qid, pos in topo.qubits.items():
-        if pos in positions:
-            problems.append(f"qubits {positions[pos]} and {qid} share position {pos}")
-        else:
-            positions[pos] = qid
-    for a, b in topo.edges:
-        for qid in (a, b):
-            if qid not in topo.qubits:
-                problems.append(f"edge ({a},{b}) references unknown qubit {qid}")
-        if a == b:
-            problems.append(f"self-edge on {a}")
-    if topo.grid_dims is not None:
-        m, n = topo.grid_dims
-        if len(topo.qubits) != m * n:
-            problems.append(f"grid_dims {m}x{n} but {len(topo.qubits)} qubits")
-    return problems

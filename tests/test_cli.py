@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 
 import gds_reference
 import pytest
+from test_document import TOPOLOGY_EDITS, edit_topology
 from test_pipeline import assert_rebuild_reproduces_the_digests
 
 from sqchip import gdsio
@@ -452,6 +453,39 @@ def test_a_non_ascii_design_name_is_refused_at_topo(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'chip\u00e9'" in err
     assert not (tmp_path / "chip\u00e9.sqd").exists()
+
+
+def test_params_refuses_a_single_tone_palette_for_a_lattice_up_front(
+        tmp_path, capsys):
+    assert _run(tmp_path, "topo", "--rows", "2", "--cols", "2") == 0
+    before = (tmp_path / "chip.sqd").read_bytes()
+    capsys.readouterr()
+    assert _run(tmp_path, "params", "--frequencies", "4e9") == 2
+    assert "distinct qubit_frequencies" in capsys.readouterr().err
+    assert (tmp_path / "chip.sqd").read_bytes() == before
+
+
+@pytest.mark.parametrize("edit", [e for e, _ in TOPOLOGY_EDITS.values()],
+                         ids=TOPOLOGY_EDITS.keys())
+def test_params_refuses_a_design_whose_topology_is_not_its_lattice(
+        tmp_path, capsys, edit):
+    assert _run(tmp_path, "topo", "--rows", "2", "--cols", "2") == 0
+    path = tmp_path / "chip.sqd"
+    path.write_bytes(edit_topology(path.read_bytes(), edit))
+    capsys.readouterr()
+    assert _run(tmp_path, "params") == 2
+    assert capsys.readouterr().err.startswith("error: malformed topology: ")
+
+
+def test_params_refuses_a_design_name_that_is_not_a_string(tmp_path, capsys):
+    assert _run(tmp_path, "topo", "--rows", "2", "--cols", "2") == 0
+    path = tmp_path / "chip.sqd"
+    design = json.loads(path.read_bytes())
+    design["meta"]["name"] = 5
+    path.write_text(json.dumps(design))
+    capsys.readouterr()
+    assert _run(tmp_path, "params") == 2
+    assert "meta" in capsys.readouterr().err
 
 
 def _assert_refused_path(capsys, named: str):

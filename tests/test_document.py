@@ -4,11 +4,13 @@
 from __future__ import annotations
 
 import json
+import random
 import shutil
 from dataclasses import asdict
 
 import pytest
 
+from sqchip import document
 from sqchip.circuit import CouplingParams, EquivalentCircuit, QubitElectricalParams
 from sqchip.document import (
     SCHEMA_VERSION,
@@ -265,6 +267,11 @@ def test_load_insists_on_object_root_and_meta():
     with pytest.raises(ParseError) as err:
         load(b'{"meta": {"name": "x"}}')   # version missing
     assert err.value.path == "meta"
+    with pytest.raises(ParseError) as err:
+        # the name becomes the config's name, which must be a str
+        load(json.dumps({"meta": {"name": 5,
+                                  "version": SCHEMA_VERSION}}).encode())
+    assert err.value.path == "meta"
 
 
 def test_load_refuses_other_schema_versions():
@@ -311,6 +318,64 @@ def test_load_rejects_a_wrongly_shaped_section_naming_it(section, value):
     with pytest.raises(ParseError) as err:
         load(json.dumps(payload).encode())
     assert err.value.path == section
+
+
+def _drop_q3(t):
+    del t["qubits"]["q3"]
+    t["edges"] = [e for e in t["edges"] if "q3" not in e]
+
+
+# edits of a saved 2x2 topology section that leave no 2x2 lattice, and
+# whether the loader builds the lattice before it refuses the section
+TOPOLOGY_EDITS = {
+    "grid-dims-null": (lambda t: t.update(grid_dims=None), False),
+    "grid-dims-missing": (lambda t: t.pop("grid_dims"), False),
+    "hole": (_drop_q3, False),
+    "qubit-moved": (lambda t: t["qubits"].update(q3=[2, 1]), True),
+    "float-position": (lambda t: t["qubits"].update(q3=[1.0, 1]), True),
+    "diagonal-edge": (lambda t: t["edges"].append(["q0", "q3"]), True),
+    "dropped-edge": (lambda t: t["edges"].pop(), True),
+    "grid-dims-3x3": (lambda t: t.update(grid_dims=[3, 3]), False),
+    "grid-dims-huge": (lambda t: t.update(grid_dims=[100000, 100000]), False),
+}
+
+
+def edit_topology(data: bytes, edit) -> bytes:
+    payload = json.loads(data)
+    edit(payload["topology"])
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize("edit, builds", TOPOLOGY_EDITS.values(),
+                         ids=TOPOLOGY_EDITS.keys())
+def test_load_refuses_a_topology_that_is_not_its_lattice(monkeypatch, edit,
+                                                         builds):
+    data = edit_topology(save(DesignDocument(topology=generate_grid(2, 2))),
+                         edit)
+    built = []
+
+    def recording_grid(m, n):
+        built.append((m, n))
+        return generate_grid(m, n)
+
+    monkeypatch.setattr(document, "generate_grid", recording_grid)
+    with pytest.raises(ParseError) as err:
+        load(data)
+    assert err.value.path == "topology"
+    # the qubit count is checked first, so huge dims allocate nothing
+    assert built == ([(2, 2)] if builds else [])
+
+
+def test_a_design_loads_with_its_edges_in_any_order():
+    topo = generate_grid(3, 4)
+    payload = json.loads(save(DesignDocument(topology=topo)))
+    edges = payload["topology"]["edges"]
+    random.Random(5).shuffle(edges)
+    assert edges != sorted(edges)
+    back = load(json.dumps(payload).encode()).topology
+    assert back.qubits == topo.qubits
+    assert back.edges == topo.edges
+    assert back.grid_dims == (3, 4)
 
 
 def test_load_missing_sidecar_is_a_parse_error(tmp_path):

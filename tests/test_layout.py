@@ -6,8 +6,10 @@ import layout_reference
 import process_reference
 import pytest
 
+from sqchip.circuit import inverse_solve
 from sqchip.components import PlacedComponent, make_xmon
 from sqchip.errors import (
+    InconsistentTargets,
     InsufficientFrequencySet,
     InvalidSubstrate,
     NonPositiveInput,
@@ -309,14 +311,16 @@ def test_frequency_allocation_separates_neighbors_on_random_grids():
         assert all(out[a] != out[b] for a, b in topo.edges)
 
 
-def test_frequency_allocation_fails_on_an_odd_cycle_with_two_tones():
+def test_a_checkerboard_conflict_on_a_hand_built_topology_is_refused():
+    # the triangle is no lattice: two neighbours land on the same tone,
+    # which the inverse solve of the circuit stage refuses
     triangle = Topology(qubits={"a": (0, 0), "b": (1, 0), "c": (0, 1)},
                         edges={("a", "b"), ("b", "c"), ("a", "c")})
-    with pytest.raises(InsufficientFrequencySet):
-        allocate_frequencies(triangle, [4.3e9, 4.8e9])
-    # a third tone resolves it
-    out = allocate_frequencies(triangle, [4.3e9, 4.8e9, 5.3e9])
-    assert len(set(out.values())) == 3
+    targets = allocate_frequencies(triangle, [4.3e9, 4.8e9])
+    assert targets == {"a": 4.3e9, "b": 4.8e9, "c": 4.8e9}
+    with pytest.raises(InconsistentTargets, match="b,c"):
+        inverse_solve(targets, C_q=65e-15, require_distinct_neighbors=True,
+                      edges=triangle.edges)
 
 
 def test_frequency_allocation_rejects_degenerate_palettes():

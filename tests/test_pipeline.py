@@ -25,6 +25,7 @@ from sqchip import document, gdsio, process
 from sqchip.document import DesignDocument, save
 from sqchip.errors import (
     DegenerateGrid,
+    InsufficientFrequencySet,
     MissingSubEntity,
     NonAsciiName,
     NonPositiveInput,
@@ -178,6 +179,21 @@ def test_config_refuses_a_non_ascii_name_up_front(monkeypatch):
     with pytest.raises(NonAsciiName, match="'chip\u00e9'"):
         run_pipeline(rows=1, cols=1, name="chip\u00e9")
     assert PipelineConfig(name="chip-e_1")
+
+
+@pytest.mark.parametrize("rows, cols, palette", [
+    (1, 1, ()),
+    (2, 2, ()),
+    (2, 2, (4.3e9,)),
+    (1, 2, (4.3e9, 4.3e9)),
+])
+def test_config_refuses_a_palette_the_checkerboard_cannot_use(
+        monkeypatch, rows, cols, palette):
+    # the frequency plan is a checkerboard, so the config alone decides it
+    _no_stage_may_run(monkeypatch)
+    with pytest.raises(InsufficientFrequencySet):
+        run_pipeline(rows=rows, cols=cols, qubit_frequencies=palette)
+    assert PipelineConfig(rows=1, cols=1, qubit_frequencies=(4.3e9,))
 
 
 @pytest.mark.parametrize("strategy", ["pattern", "maze"])

@@ -1,18 +1,9 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from sqchip.errors import EmptyGateList, InvalidDimension, UnknownLabel
-from sqchip.topology import (
-    Topology,
-    from_edge_list_text,
-    from_gate_list,
-    generate_grid,
-    rows_bottom_up,
-    validate,
-)
+from sqchip.errors import InvalidDimension
+from sqchip.topology import generate_grid, rows_bottom_up
 
 
 def test_grid_edge_count_law_holds_exhaustively_up_to_32():
@@ -58,62 +49,3 @@ def test_grid_rejects_non_positive_or_non_integer_dims():
 def test_rows_bottom_up_orders_rows_then_columns():
     topo = generate_grid(2, 3)
     assert rows_bottom_up(topo) == [["q0", "q1", "q2"], ["q3", "q4", "q5"]]
-
-
-def test_gate_list_with_five_labels_embeds_on_a_3x3_square():
-    gates = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
-             ("e", "a"), ("a", "c")]
-    topo = from_gate_list(gates)
-    assert len(topo.qubits) == 5
-    assert len(topo.edges) == 6
-    cols = {c for c, _ in topo.qubits.values()}
-    rows = {r for _, r in topo.qubits.values()}
-    assert max(cols) <= 2 and max(rows) <= 2
-
-
-def test_gate_list_is_invariant_under_duplication_and_edge_flips():
-    gates = [("a", "b"), ("b", "c"), ("a", "c")]
-    noisy = gates + [("b", "a"), ("c", "b"), ("a", "b")]
-    assert from_gate_list(noisy).edges == from_gate_list(gates).edges
-    assert from_gate_list(noisy).qubits == from_gate_list(gates).qubits
-
-
-def test_gate_list_rejects_empty_input_and_self_pairs():
-    with pytest.raises(EmptyGateList):
-        from_gate_list([])
-    with pytest.raises(UnknownLabel):
-        from_gate_list([("a", "a")])
-
-
-def test_edge_list_text_skips_comments_and_blank_lines():
-    text = """
-    # couplers for the test device
-    a b
-    b c   # trailing note
-    """
-    topo = from_edge_list_text(text)
-    assert topo.edges == {("a", "b"), ("b", "c")}
-
-
-def test_edge_list_text_rejects_malformed_lines():
-    with pytest.raises(UnknownLabel):
-        from_edge_list_text("a b c\n")
-
-
-def test_validate_accepts_every_generated_grid():
-    rng = random.Random(7)
-    for _ in range(50):
-        m, n = rng.randint(1, 12), rng.randint(1, 12)
-        assert validate(generate_grid(m, n)) == []
-
-
-def test_validate_reports_problems_without_raising():
-    topo = Topology(qubits={"a": (0, 0), "b": (0, 0)},
-                    edges={("a", "ghost"), ("c", "c")},
-                    grid_dims=(2, 2))
-    problems = validate(topo)
-    assert any("share position" in p for p in problems)
-    assert any("unknown qubit ghost" in p for p in problems)
-    assert any("unknown qubit c" in p for p in problems)
-    assert any("self-edge" in p for p in problems)
-    assert any("grid_dims" in p for p in problems)
