@@ -232,7 +232,7 @@ def inverse_solve(targets: dict[str, float],
     couplings = couplings or {}
     check_edges = edges if edges is not None else set(couplings)
     if require_distinct_neighbors:
-        for a, b in check_edges:
+        for a, b in sorted(check_edges):
             if a in targets and b in targets and targets[a] == targets[b]:
                 raise InconsistentTargets(
                     f"adjacent qubits {a},{b} share target frequency {targets[a]}")

@@ -218,7 +218,7 @@ def _topology_to_json(t: Topology) -> dict:
     return {
         "qubits": {q: list(pos) for q, pos in sorted(t.qubits.items())},
         "edges": sorted(list(e) for e in t.edges),
-        "grid_dims": list(t.grid_dims) if t.grid_dims else None,
+        "grid_dims": list(t.grid_dims),
     }
 
 

@@ -199,10 +199,7 @@ def place_qubits(topology: Topology, qubit_style: str = "xmon",
     if pitch <= 2.0 * half_extent:
         raise PitchTooSmall(f"pitch {pitch} um cannot fit {qubit_style} footprints")
 
-    cols = [c for c, _ in topology.qubits.values()]
-    rows = [r for _, r in topology.qubits.values()]
-    n_cols = max(cols) + 1 if cols else 1
-    n_rows = max(rows) + 1 if rows else 1
+    n_rows, n_cols = topology.grid_dims
     off = border + half_extent
 
     layout = ChipLayout(
@@ -213,17 +210,9 @@ def place_qubits(topology: Topology, qubit_style: str = "xmon",
         grid_info={"origin": (off, off), "pitch": pitch,
                    "qubit_half_extent": half_extent, "border": border},
     )
-    for qid in sorted(topology.qubits, key=_qubit_sort_key):
-        c, r = topology.qubits[qid]
+    for qid, (c, r) in topology.qubits.items():
         layout.add_component(maker(qid, (off + c * pitch, off + r * pitch)))
     return layout
-
-
-def _qubit_sort_key(qid: str):
-    # numeric suffixes sort numerically so q10 follows q9
-    head = qid.rstrip("0123456789")
-    tail = qid[len(head):]
-    return (head, int(tail) if tail else -1)
 
 
 # resonator mode -> n, where the resonator is 1/n of a wavelength long
@@ -338,9 +327,10 @@ def allocate_frequencies(topology: Topology,
     entries, so no two lattice neighbours share one."""
     if not freq_set:
         raise InsufficientFrequencySet("empty frequency set")
-    if topology.edges and len(set(freq_set)) < 2:
+    if topology.edges and len(set(freq_set[:2])) < 2:
         raise InsufficientFrequencySet(
-            "coupled qubits present but fewer than two distinct frequencies")
-    out = {qid: freq_set[(c + r) % 2] if len(freq_set) > 1 else freq_set[0]
-           for qid, (c, r) in topology.qubits.items()}
-    return dict(sorted(out.items(), key=lambda kv: _qubit_sort_key(kv[0])))
+            "coupled qubits present but the first two frequencies are not "
+            "distinct")
+    # a one-tone palette passed the check only for the lone qubit at (0, 0)
+    return {qid: freq_set[(c + r) % 2]
+            for qid, (c, r) in topology.qubits.items()}

@@ -47,21 +47,15 @@ def _point(edge: str, u, v):
 
 
 def edge_pin_counts(topology: Topology) -> dict[str, int]:
-    m, n = _grid_dims(topology)
+    m, n = topology.grid_dims
     T, B, L, R = _row_split(m, n)
     return {"top": n * T, "bottom": n * B,
             "left": m + n * L, "right": m + n * R}
 
 
 def total_pins(topology: Topology) -> int:
-    m, n = _grid_dims(topology)
+    m, n = topology.grid_dims
     return m * n + 2 * m
-
-
-def _grid_dims(topology: Topology) -> tuple[int, int]:
-    if topology.grid_dims is None:
-        raise SpecInfeasible("pattern routing requires a rectangular lattice")
-    return topology.grid_dims
 
 
 def _row_split(m: int, n: int) -> tuple[int, int, int, int]:
@@ -125,17 +119,15 @@ class PinPlan:
     edges: dict[str, _EdgePlan] = field(default_factory=dict)
 
 
-def _qubit_grid(layout, topology):
-    """Grid metadata plus actual qubit port geometry."""
-    m, n = _grid_dims(topology)
+def _qubit_grid(layout):
+    """Lattice origin, pitch and qubit half extent of a placed layout."""
     info = layout.grid_info
     if not info:
         raise SpecInfeasible("layout was not placed on a lattice")
     off = info["origin"]
     pitch = info["pitch"]
     half = info.get("qubit_half_extent", 250.0)
-    by_pos = {pos: qid for qid, pos in topology.qubits.items()}
-    return m, n, off, pitch, half, by_pos
+    return off, pitch, half
 
 
 def _column_gaps(layout, n, off, pitch, lane_pitch, max_offset):
@@ -184,7 +176,8 @@ def _row_floor(layout, y_row, half) -> float:
 
 def build_nets(layout, topology, lane_pitch: float = 25.0) -> PinPlan:
     """Plan entries and in-content approach polylines for every net."""
-    m, n, off, pitch, half, by_pos = _qubit_grid(layout, topology)
+    m, n = topology.grid_dims
+    off, pitch, half = _qubit_grid(layout)
     x_of = lambda c: off[0] + c * pitch
     y_of = lambda r: off[1] + r * pitch
     row_edge = _row_edges(m, n)
@@ -214,9 +207,7 @@ def build_nets(layout, topology, lane_pitch: float = 25.0) -> PinPlan:
                     f"row {r} band needs {n} lanes but only "
                     f"{y - side - floor:.0f} um of clear space below")
         for c in range(n):
-            qid = by_pos.get((c, r))
-            if qid is None:
-                raise SpecInfeasible(f"lattice hole at ({c}, {r})")
+            qid = topology.qubit(c, r)
             if edge in ("top", "bottom"):
                 depth = (m - 1 - r) if edge == "top" else r
                 u = bases[c] + depth * lam
@@ -230,7 +221,7 @@ def build_nets(layout, topology, lane_pitch: float = 25.0) -> PinPlan:
                                 approach))
 
         # feedline launch and drain pins flank every row
-        bus = bus_name(by_pos[(0, r)])
+        bus = bus_name(topology.qubit(0, r))
         if bus not in feeds:
             raise SpecInfeasible(f"row {r} has no feedline (expected {bus})")
         for e, (fx, fy), tail, end in zip(("left", "right"), feeds[bus],
@@ -387,10 +378,10 @@ def map_pins(pins: list[Pin], topology: Topology) -> dict[str, str]:
     Recomputes the assignment from pin ids and the topology; matches what
     allocate_pins stored on the pins themselves (tested, not assumed).
     """
-    m, n = _grid_dims(topology)
+    m, n = topology.grid_dims
     row_edge = _row_edges(m, n)
-    by_pos = {pos: qid for qid, pos in topology.qubits.items()}
-    bus = {r: bus_name(by_pos[(0, r)]) for r in range(m)}
+    q = topology.qubit
+    bus = {r: bus_name(q(0, r)) for r in range(m)}
 
     # along-edge geometric order, ascending coordinate. Top and bottom run
     # column-major (within a column the corridor serves deeper rows on outer
@@ -399,16 +390,16 @@ def map_pins(pins: list[Pin], topology: Topology) -> dict[str, str]:
     top_rows = [r for r in range(m) if row_edge[r] == "top"]
     bot_rows = [r for r in range(m) if row_edge[r] == "bottom"]
     targets: dict[str, list[str]] = {
-        "top": [by_pos[(c, r)] for c in range(n) for r in reversed(top_rows)],
-        "bottom": [by_pos[(c, r)] for c in range(n) for r in bot_rows],
+        "top": [q(c, r) for c in range(n) for r in reversed(top_rows)],
+        "bottom": [q(c, r) for c in range(n) for r in bot_rows],
         "left": [],
         "right": [],
     }
     for r in range(m):
         if row_edge[r] == "left":
-            targets["left"].extend(by_pos[(c, r)] for c in reversed(range(n)))
+            targets["left"].extend(q(c, r) for c in reversed(range(n)))
         elif row_edge[r] == "right":
-            targets["right"].extend(by_pos[(c, r)] for c in range(n))
+            targets["right"].extend(q(c, r) for c in range(n))
         targets["left"].append(f"{bus[r]}@west")
         targets["right"].append(f"{bus[r]}@east")
 

@@ -34,6 +34,7 @@ from .document import (
 from .document import extract  # noqa: F401
 from .errors import (
     InsufficientFrequencySet,
+    InvalidDimension,
     MissingSubEntity,
     NoPath,
     NonAsciiName,
@@ -104,6 +105,10 @@ class PipelineConfig:
         # the name becomes the GDS library name, which must be ASCII
         if not self.name.isascii():
             raise NonAsciiName(f"design name {self.name!r} is not ASCII")
+        # checked before the comparison below; bool is an int subclass
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise InvalidDimension(f"grid dims must be integers, got "
+                                   f"rows={self.rows!r}, cols={self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise NonPositiveInput(f"grid dims must be positive integers, "
                                    f"got {self.rows}x{self.cols}")
@@ -119,12 +124,13 @@ class PipelineConfig:
         if not all(math.isfinite(q) for q in self.qubit_frequencies):
             raise NonPositiveInput(f"qubit_frequencies must be finite, "
                                    f"got {self.qubit_frequencies}")
-        # the checkerboard frequency plan needs two tones once qubits couple
+        # the checkerboard frequency plan plays the first two tones on
+        # neighbouring qubits, so once qubits couple those two must differ
         tones = min(2, self.rows * self.cols)
-        if len(set(self.qubit_frequencies)) < tones:
+        if len(set(self.qubit_frequencies[:tones])) < tones:
             raise InsufficientFrequencySet(
                 f"a {self.rows}x{self.cols} lattice needs {tones} distinct "
-                f"qubit_frequencies, got {self.qubit_frequencies}")
+                f"qubit_frequencies first, got {self.qubit_frequencies}")
         for name, allowed in SELECTORS.items():
             check_selector(name, getattr(self, name), allowed)
         if self.border < 0:
@@ -181,8 +187,7 @@ def _h_circuit(doc, coupling_strength, qubit_capacitance, qubit_frequencies):
     couplings = {e: coupling_strength for e in sorted(topo.edges)}
     qubits, coupled = inverse_solve(targets, couplings,
                                     C_q=qubit_capacitance,
-                                    require_distinct_neighbors=True,
-                                    edges=topo.edges)
+                                    require_distinct_neighbors=True)
     return {"circuit": EquivalentCircuit(qubits, coupled)}
 
 

@@ -1,9 +1,10 @@
-"""Qubit topology: logical qubits on an integer lattice with coupling edges.
+"""Qubit topology: the rectangular m x n lattice of coupled qubits.
 
-A topology is the rectangular m x n lattice that ``generate_grid`` builds:
-every site holds a qubit and every pair of lattice neighbours is coupled.
-The routers, the frequency plan and the readout rows rely on that, and the
-.sqd loader refuses a topology section that is not such a lattice.
+A topology is its two dimensions, ``rows`` and ``cols``. Every lattice site
+holds a qubit and every pair of lattice neighbours is coupled, so the qubit
+map and the edge set are derived from the two, never stored. No other
+topology can be built, so the routers, the frequency plan, the readout rows
+and the .sqd writer need no lattice check of their own.
 
 Qubit ids are strings ("q0", "q1", ...); coordinates are (col, row) lattice
 positions. Edges are undirected and stored as sorted id pairs.
@@ -11,16 +12,44 @@ positions. Edges are undirected and stored as sorted id pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidDimension
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
-    qubits: dict[str, tuple[int, int]] = field(default_factory=dict)
-    edges: set[tuple[str, str]] = field(default_factory=set)
-    grid_dims: tuple[int, int] | None = None   # (m rows, n cols) when regular
+    rows: int
+    cols: int
+
+    def __post_init__(self):
+        # bool is an int subclass, so the type is compared exactly
+        if not all(type(v) is int and v >= 1 for v in (self.rows, self.cols)):
+            raise InvalidDimension(
+                f"grid dims must be positive integers, "
+                f"got rows={self.rows!r}, cols={self.cols!r}")
+
+    @property
+    def grid_dims(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def qubit(self, c: int, r: int) -> str:
+        """Id of the qubit at column c, row r."""
+        return f"q{r * self.cols + c}"
+
+    @cached_property
+    def qubits(self) -> dict[str, tuple[int, int]]:
+        return {self.qubit(c, r): (c, r)
+                for r in range(self.rows) for c in range(self.cols)}
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        pairs = [(self.qubit(c, r), self.qubit(c + 1, r))
+                 for r in range(self.rows) for c in range(self.cols - 1)]
+        pairs += [(self.qubit(c, r), self.qubit(c, r + 1))
+                  for r in range(self.rows - 1) for c in range(self.cols)]
+        return frozenset(tuple(sorted(p)) for p in pairs)
 
     def neighbors(self, qid: str) -> list[str]:
         out = []
@@ -35,35 +64,16 @@ class Topology:
         return len(self.neighbors(qid))
 
 
-def _edge(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
-
-
 def generate_grid(m: int, n: int) -> Topology:
     """Rectangular m-row by n-column lattice with nearest-neighbor coupling.
 
     Ids run row-major from the bottom-left: q0 is (col 0, row 0), q1 is
     (col 1, row 0), and so on. Edge count is m*(n-1) + n*(m-1).
     """
-    if not (isinstance(m, int) and isinstance(n, int)) or m < 1 or n < 1:
-        raise InvalidDimension(f"grid dims must be positive integers, got {m}x{n}")
-    topo = Topology(grid_dims=(m, n))
-    for r in range(m):
-        for c in range(n):
-            topo.qubits[f"q{r * n + c}"] = (c, r)
-    for r in range(m):
-        for c in range(n):
-            qid = f"q{r * n + c}"
-            if c + 1 < n:
-                topo.edges.add(_edge(qid, f"q{r * n + c + 1}"))
-            if r + 1 < m:
-                topo.edges.add(_edge(qid, f"q{(r + 1) * n + c}"))
-    return topo
+    return Topology(m, n)
 
 
 def rows_bottom_up(topo: Topology) -> list[list[str]]:
     """Qubit ids grouped by lattice row, bottom row first, left to right."""
-    rows: dict[int, list[tuple[int, str]]] = {}
-    for qid, (c, r) in topo.qubits.items():
-        rows.setdefault(r, []).append((c, qid))
-    return [[qid for _, qid in sorted(rows[r])] for r in sorted(rows)]
+    return [[topo.qubit(c, r) for c in range(topo.cols)]
+            for r in range(topo.rows)]

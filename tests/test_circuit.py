@@ -219,3 +219,12 @@ def test_constants_record_rejects_non_physical_electrodes():
         PhysicalConstants(gap_voltage=0.0)
     with pytest.raises(NonPositiveInput):
         PhysicalConstants(temperature=-1.0)
+
+
+def test_inverse_solve_names_the_first_clashing_pair_in_sorted_order():
+    # every pair clashes; the message must not depend on set order
+    targets = {q: 4.3e9 for q in ("q0", "q1", "q2", "q3")}
+    edges = {("q2", "q3"), ("q1", "q3"), ("q0", "q2"), ("q0", "q1")}
+    with pytest.raises(InconsistentTargets, match="q0,q1 "):
+        inverse_solve(targets, E_C=0.298e9, require_distinct_neighbors=True,
+                      edges=edges)

@@ -465,6 +465,22 @@ def test_params_refuses_a_single_tone_palette_for_a_lattice_up_front(
     assert (tmp_path / "chip.sqd").read_bytes() == before
 
 
+def test_a_palette_whose_two_leading_tones_match_is_refused_up_front(
+        tmp_path, capsys, monkeypatch):
+    # the checkerboard plays only the first two tones, so a third distinct
+    # one cannot save the palette
+    palette = ("--frequencies", "4.3e9,4.3e9,4.8e9")
+    _assert_refused_up_front(tmp_path, capsys, monkeypatch,
+                             "distinct qubit_frequencies", *palette)
+    monkeypatch.undo()
+    assert _run(tmp_path, "topo", "--rows", "2", "--cols", "2") == 0
+    before = (tmp_path / "chip.sqd").read_bytes()
+    capsys.readouterr()
+    assert _run(tmp_path, "params", *palette) == 2
+    assert "distinct qubit_frequencies" in capsys.readouterr().err
+    assert (tmp_path / "chip.sqd").read_bytes() == before
+
+
 @pytest.mark.parametrize("edit", [e for e, _ in TOPOLOGY_EDITS.values()],
                          ids=TOPOLOGY_EDITS.keys())
 def test_params_refuses_a_design_whose_topology_is_not_its_lattice(

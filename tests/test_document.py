@@ -17,6 +17,7 @@ from sqchip.document import (
     DesignDocument,
     ParameterBundle,
     RequestKey,
+    _topology_to_json,
     dispatch,
     extract,
     inject,
@@ -39,7 +40,7 @@ from sqchip.errors import (
 from sqchip.gdsio import write_gds
 from sqchip.layout import place_qubits
 from sqchip.process import get_process
-from sqchip.topology import generate_grid
+from sqchip.topology import Topology, generate_grid
 
 
 def _qubit_params(qid: str, f_q: float = 4.3e9) -> QubitElectricalParams:
@@ -229,6 +230,35 @@ def test_save_load_round_trip_preserves_entities():
     assert back.circuit.couplings[("q0", "q1")] == circ.couplings[("q0", "q1")]
     assert back.process_rules == doc.process_rules
     assert back.provenance_log == doc.provenance_log
+
+
+def _lattice_json(m: int, n: int) -> dict:
+    """The topology section of an m x n lattice, built site by site."""
+    qubits, edges = {}, set()
+    for r in range(m):
+        for c in range(n):
+            qid = f"q{r * n + c}"
+            qubits[qid] = [c, r]
+            if c + 1 < n:
+                edges.add(tuple(sorted((qid, f"q{r * n + c + 1}"))))
+            if r + 1 < m:
+                edges.add(tuple(sorted((qid, f"q{(r + 1) * n + c}"))))
+    return {"qubits": dict(sorted(qubits.items())),
+            "edges": sorted(list(e) for e in edges),
+            "grid_dims": [m, n]}
+
+
+LATTICE_SHAPES = ([(m, n) for m in range(1, 13) for n in range(1, 13)]
+                  + [(1, 31), (31, 1)])
+
+
+def test_every_lattice_writes_its_site_by_site_section_and_reads_back():
+    for m, n in LATTICE_SHAPES:
+        topo = Topology(m, n)
+        want = _lattice_json(m, n)
+        assert _topology_to_json(topo) == want, (m, n)
+        back = load(save(DesignDocument(topology=topo))).topology
+        assert back == topo and back.qubits == topo.qubits, (m, n)
 
 
 def test_coupling_keys_flatten_to_pipe_strings_on_disk():

@@ -6,10 +6,8 @@ import layout_reference
 import process_reference
 import pytest
 
-from sqchip.circuit import inverse_solve
 from sqchip.components import PlacedComponent, make_xmon
 from sqchip.errors import (
-    InconsistentTargets,
     InsufficientFrequencySet,
     InvalidSubstrate,
     NonPositiveInput,
@@ -29,7 +27,7 @@ from sqchip.layout import (
     resonator_length,
 )
 from sqchip.process import drc, get_process
-from sqchip.topology import Topology, generate_grid
+from sqchip.topology import generate_grid
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -309,18 +307,6 @@ def test_frequency_allocation_separates_neighbors_on_random_grids():
         topo = generate_grid(rng.randint(1, 16), rng.randint(1, 16))
         out = allocate_frequencies(topo, [4.3e9, 4.8e9])
         assert all(out[a] != out[b] for a, b in topo.edges)
-
-
-def test_a_checkerboard_conflict_on_a_hand_built_topology_is_refused():
-    # the triangle is no lattice: two neighbours land on the same tone,
-    # which the inverse solve of the circuit stage refuses
-    triangle = Topology(qubits={"a": (0, 0), "b": (1, 0), "c": (0, 1)},
-                        edges={("a", "b"), ("b", "c"), ("a", "c")})
-    targets = allocate_frequencies(triangle, [4.3e9, 4.8e9])
-    assert targets == {"a": 4.3e9, "b": 4.8e9, "c": 4.8e9}
-    with pytest.raises(InconsistentTargets, match="b,c"):
-        inverse_solve(targets, C_q=65e-15, require_distinct_neighbors=True,
-                      edges=triangle.edges)
 
 
 def test_frequency_allocation_rejects_degenerate_palettes():

@@ -14,7 +14,7 @@ from sqchip.pattern import (
     route_pattern,
     total_pins,
 )
-from sqchip.topology import Topology, generate_grid, rows_bottom_up
+from sqchip.topology import generate_grid, rows_bottom_up
 
 
 def _routed_grid(m: int, n: int, pitch: float = 2000.0, flip: bool = False):
@@ -66,11 +66,6 @@ def test_pin_budget_is_qubits_plus_two_feed_ends_per_row():
     for m in range(1, 17):
         for n in range(1, 17):
             assert total_pins(generate_grid(m, n)) == m * n + 2 * m
-
-
-def test_pin_budget_requires_a_lattice():
-    with pytest.raises(SpecInfeasible):
-        total_pins(Topology(qubits={"a": (0, 0)}, edges=set()))
 
 
 def test_edge_split_balances_the_four_die_edges():

@@ -26,6 +26,7 @@ from sqchip.document import DesignDocument, save
 from sqchip.errors import (
     DegenerateGrid,
     InsufficientFrequencySet,
+    InvalidDimension,
     MissingSubEntity,
     NonAsciiName,
     NonPositiveInput,
@@ -194,6 +195,27 @@ def test_config_refuses_a_palette_the_checkerboard_cannot_use(
     with pytest.raises(InsufficientFrequencySet):
         run_pipeline(rows=rows, cols=cols, qubit_frequencies=palette)
     assert PipelineConfig(rows=1, cols=1, qubit_frequencies=(4.3e9,))
+
+
+def test_config_refuses_equal_leading_tones_before_any_stage(monkeypatch):
+    # a distinct third tone does not help: the checkerboard plays only the
+    # first two, and the circuit stage would refuse the neighbours mid-run
+    _no_stage_may_run(monkeypatch)
+    with pytest.raises(InsufficientFrequencySet):
+        run_pipeline(rows=2, cols=2,
+                     qubit_frequencies=(4.3e9, 4.3e9, 4.8e9))
+    # a lone qubit plays one tone, whatever follows it
+    assert PipelineConfig(rows=1, cols=1,
+                          qubit_frequencies=(4.3e9, 4.3e9, 4.8e9))
+
+
+@pytest.mark.parametrize("rows, cols", [(2.0, 2), ("2", 2), (True, True),
+                                        (2, 2.5)])
+def test_config_refuses_non_integer_grid_dims_before_any_stage(
+        monkeypatch, rows, cols):
+    _no_stage_may_run(monkeypatch)
+    with pytest.raises(InvalidDimension):
+        run_pipeline(rows=rows, cols=cols)
 
 
 @pytest.mark.parametrize("strategy", ["pattern", "maze"])

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from sqchip.errors import InvalidDimension
-from sqchip.topology import generate_grid, rows_bottom_up
+from sqchip.topology import Topology, generate_grid, rows_bottom_up
 
 
 def test_grid_edge_count_law_holds_exhaustively_up_to_32():
@@ -49,3 +51,18 @@ def test_grid_rejects_non_positive_or_non_integer_dims():
 def test_rows_bottom_up_orders_rows_then_columns():
     topo = generate_grid(2, 3)
     assert rows_bottom_up(topo) == [["q0", "q1", "q2"], ["q3", "q4", "q5"]]
+
+
+def test_a_topology_is_its_two_dimensions():
+    assert [f.name for f in fields(Topology)] == ["rows", "cols"]
+    topo = Topology(2, 3)
+    assert topo == generate_grid(2, 3) and topo.grid_dims == (2, 3)
+    assert topo.qubit(2, 1) == "q5"
+    assert list(topo.qubits) == [f"q{i}" for i in range(6)]
+    assert isinstance(topo.edges, frozenset)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (2.0, 2), (True, 1)])
+def test_topology_refuses_anything_but_two_positive_ints(rows, cols):
+    with pytest.raises(InvalidDimension):
+        Topology(rows, cols)
