@@ -21,11 +21,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bench": ("BenchRecord", "bench_scaling", "fit_exponent"),
     "circuit": (
-        "CapacitanceMatrix", "CouplingParams", "EquivalentCircuit",
-        "QubitElectricalParams", "charging_energy", "coupling_capacitance",
-        "critical_current", "inverse_solve", "josephson_energy",
-        "josephson_inductance", "normal_resistance", "qubit_frequency",
-        "solve_qubit"),
+        "CouplingParams", "EquivalentCircuit", "QubitElectricalParams",
+        "charging_energy", "coupling_capacitance", "critical_current",
+        "inverse_solve", "josephson_energy", "josephson_inductance",
+        "normal_resistance", "qubit_frequency", "solve_qubit"),
     "components": (),
     "constants": (),
     "devmap": (
@@ -48,8 +47,7 @@ _EXPORTS = {
     "pipeline": ("PipelineConfig", "PipelineResult", "run_pipeline"),
     "process": (
         "PROCESS_LIBRARY", "ProcessRules", "Violation", "apply_rules", "drc",
-        "get_process", "insert_air_bridges", "place_indium_columns",
-        "select_process"),
+        "get_process", "insert_air_bridges", "place_indium_columns"),
     "routing": ("Pin", "RoutedPath", "RoutingResult"),
     "topology": ("Topology", "generate_grid", "rows_bottom_up"),
 }

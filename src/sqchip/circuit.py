@@ -22,7 +22,6 @@ from . import constants as k
 from .errors import (
     InconsistentTargets,
     NegativeFrequency,
-    NonNegativeOffDiagonal,
     NonPositiveCapacitance,
     NonPositiveInput,
     PhaseOutOfRange,
@@ -78,20 +77,6 @@ class CouplingParams:
     edge: tuple[str, str]
     C_c: float       # F
     g_target: float  # Hz
-
-
-@dataclass
-class CapacitanceMatrix:
-    """Maxwell capacitance matrix: positive diagonal, non-positive off-diagonal."""
-
-    labels: list[str]
-    values: list[list[float]]
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownLabel(f"no conductor named {label!r}") from None
 
 
 def charging_energy(C_q: float) -> float:
@@ -163,18 +148,6 @@ def qubit_frequency(L_j: float, C_q: float, E_C: float) -> float:
     if f_q <= 0:
         raise NegativeFrequency(f"plasma term {plasma} does not exceed E_C {E_C}")
     return f_q
-
-
-def self_capacitance_from_matrix(M: CapacitanceMatrix, qubit_label: str,
-                                 ground_label: str) -> float:
-    """Negated Maxwell off-diagonal entry between qubit pad and ground."""
-    i = M.index(qubit_label)
-    j = M.index(ground_label)
-    entry = M.values[i][j]
-    if entry >= 0:
-        raise NonNegativeOffDiagonal(
-            f"off-diagonal [{qubit_label},{ground_label}] = {entry} must be negative")
-    return -entry
 
 
 def coupling_capacitance(C_q: float, g_target: float, f_q: float) -> float:

@@ -194,10 +194,22 @@ def capacitance_evaluator(kind: str, params: dict) -> Evaluator:
         lambda x: CAP_PER_AREA * _metal_area(kind, params, x))
 
 
+def _stub_number(name: str, text: str) -> float:
+    """A stub:linear argument as a finite float, else UnknownSelector."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UnknownSelector(f"stub:linear {name} {text!r} is not a finite "
+                              f"number")
+    return value
+
+
 def _stub(name: str, args: list[str]) -> Evaluator:
     if name == "linear":
-        slope = float(args[0]) if args else 1.0
-        offset = float(args[1]) if len(args) > 1 else 0.0
+        slope = _stub_number("slope", args[0]) if args else 1.0
+        offset = _stub_number("offset", args[1]) if len(args) > 1 else 0.0
         mono = "increasing" if slope > 0 else (
             "decreasing" if slope < 0 else "unknown")
         return Evaluator("linear", "", mono, lambda x: slope * x + offset)

@@ -78,10 +78,6 @@ class NegativeFrequency(SqchipError):
     pass
 
 
-class NonNegativeOffDiagonal(SqchipError):
-    pass
-
-
 class InconsistentTargets(SqchipError):
     pass
 

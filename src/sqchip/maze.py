@@ -55,6 +55,10 @@ from .routing import RoutedPath, RoutingResult
 # direction encoding: index into _STEPS; -1 means "no direction yet"
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
+# largest grid a GridGraph accepts: a cell costs about 70 bytes (the two
+# grid lists plus the search tables), so this bound is about 300 MB
+MAX_GRID_CELLS = 2 ** 22
+
 
 def check_cell(name: str, value: float) -> None:
     """Raise DegenerateGrid unless a grid cell size (um) is positive and
@@ -82,6 +86,10 @@ class GridGraph:
             raise DegenerateGrid(f"grid {self.cols}x{self.rows} has no cells")
         check_cell("grid cell", self.cell)
         n = self.cols * self.rows
+        if n > MAX_GRID_CELLS:
+            raise DegenerateGrid(f"grid {self.cols}x{self.rows} has {n} "
+                                 f"cells, over the bound of {MAX_GRID_CELLS}; "
+                                 f"use a coarser grid cell")
         if self.blocked is None:
             self.blocked = [False] * n
         if self.occupied is None:

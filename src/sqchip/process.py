@@ -541,20 +541,3 @@ def _endpoint_touch(s1, s2, tol: float = 1e-6) -> bool:
             if abs(e[0] - f[0]) < tol and abs(e[1] - f[1]) < tol:
                 return True
     return False
-
-
-def select_process(layout, candidates: list[ProcessRules] | None = None,
-                   weights: dict[str, float] | None = None) -> ProcessRules:
-    """Pick the rule set with the lowest weighted violation count; ties go
-    to the lexicographically first process name."""
-    if candidates is None:
-        candidates = [PROCESS_LIBRARY[k] for k in sorted(PROCESS_LIBRARY)]
-    if not candidates:
-        raise SpecInfeasible("no candidate processes")
-    w = weights or {}
-    scored = []
-    for rules in candidates:
-        score = sum(w.get(v.rule, 1.0) for v in drc(layout, rules))
-        scored.append((score, rules.name, rules))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return scored[0][2]

@@ -51,18 +51,6 @@ class Topology:
                   for r in range(self.rows - 1) for c in range(self.cols)]
         return frozenset(tuple(sorted(p)) for p in pairs)
 
-    def neighbors(self, qid: str) -> list[str]:
-        out = []
-        for a, b in self.edges:
-            if a == qid:
-                out.append(b)
-            elif b == qid:
-                out.append(a)
-        return sorted(out)
-
-    def degree(self, qid: str) -> int:
-        return len(self.neighbors(qid))
-
 
 def generate_grid(m: int, n: int) -> Topology:
     """Rectangular m-row by n-column lattice with nearest-neighbor coupling.

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from sqchip.circuit import (
-    CapacitanceMatrix,
     PhysicalConstants,
     charging_energy,
     coupling_capacitance,
@@ -16,13 +15,11 @@ from sqchip.circuit import (
     josephson_inductance,
     normal_resistance,
     qubit_frequency,
-    self_capacitance_from_matrix,
     solve_qubit,
 )
 from sqchip.errors import (
     InconsistentTargets,
     NegativeFrequency,
-    NonNegativeOffDiagonal,
     NonPositiveCapacitance,
     NonPositiveInput,
     PhaseOutOfRange,
@@ -149,33 +146,6 @@ def test_solve_qubit_seeded_by_capacitance_recovers_charging_energy():
     # seeding by that E_C must land on the same capacitance
     q2 = solve_qubit("q0", 4.3e9, E_C=q.E_C)
     assert _rel(q2.C_q, 65e-15) < 1e-12
-
-
-def test_self_capacitance_negates_the_off_diagonal_entry():
-    M = CapacitanceMatrix(labels=["pad", "gnd"],
-                          values=[[70e-15, -65e-15], [-65e-15, 300e-15]])
-    assert self_capacitance_from_matrix(M, "pad", "gnd") == 65e-15
-
-
-def test_self_capacitance_is_invariant_under_label_permutation():
-    M = CapacitanceMatrix(labels=["pad", "gnd", "bus"],
-                          values=[[70e-15, -65e-15, -2e-15],
-                                  [-65e-15, 300e-15, -1e-15],
-                                  [-2e-15, -1e-15, 90e-15]])
-    perm = [2, 0, 1]
-    P = CapacitanceMatrix(labels=[M.labels[i] for i in perm],
-                          values=[[M.values[i][j] for j in perm] for i in perm])
-    assert self_capacitance_from_matrix(P, "pad", "gnd") == \
-        self_capacitance_from_matrix(M, "pad", "gnd")
-
-
-def test_self_capacitance_rejects_bad_labels_and_sign_violations():
-    M = CapacitanceMatrix(labels=["pad", "gnd"],
-                          values=[[70e-15, 5e-15], [5e-15, 300e-15]])
-    with pytest.raises(NonNegativeOffDiagonal):
-        self_capacitance_from_matrix(M, "pad", "gnd")
-    with pytest.raises(UnknownLabel):
-        self_capacitance_from_matrix(M, "pad", "island")
 
 
 def test_coupling_capacitance_is_the_declared_linear_model():

@@ -210,6 +210,14 @@ def test_devmap_refuses_a_non_finite_input(tmp_path, capsys, flag, value):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_devmap_refuses_a_malformed_stub_evaluator(tmp_path, capsys):
+    code = _run(tmp_path, "devmap", "--param", "x", "--lo", "1", "--hi", "2",
+                "--target", "1.5", "--evaluator", "stub:linear:abc")
+    assert code == 2
+    assert "stub:linear slope 'abc' is not a finite number" in \
+        capsys.readouterr().err
+
+
 def test_devmap_with_a_failing_evaluator_exits_2(tmp_path, capsys):
     code = _run(tmp_path, "devmap", "--evaluator", "cmd:/bin/false",
                 "--param", "x", "--target", "1", "--lo", "0", "--hi", "2")

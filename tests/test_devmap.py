@@ -226,6 +226,15 @@ def test_stub_selectors_build_the_documented_evaluators():
         make_evaluator("cmd:")
 
 
+@pytest.mark.parametrize("spec, name", [
+    ("stub:linear:abc", "slope"), ("stub:linear:", "slope"),
+    ("stub:linear:nan", "slope"), ("stub:linear:1:inf", "offset"),
+    ("stub:linear:1:-inf", "offset"), ("stub:linear:1:x", "offset")])
+def test_linear_stub_refuses_a_non_numeric_or_non_finite_argument(spec, name):
+    with pytest.raises(UnknownSelector, match=f"stub:linear {name} "):
+        make_evaluator(spec)
+
+
 def test_command_evaluator_round_trips_through_a_script(tmp_path):
     script = tmp_path / "metric.sh"
     script.write_text("#!/bin/sh\nawk \"BEGIN {print $1 * 2}\"\n")

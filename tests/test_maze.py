@@ -16,6 +16,7 @@ from sqchip.errors import (
     DegenerateGrid,
     NoPath,
     NonPositiveInput,
+    StageError,
     UnknownSelector,
 )
 from sqchip.geometry import merge_collinear
@@ -428,6 +429,16 @@ def test_grid_graph_refuses_a_cell_list_of_the_wrong_length(name, length):
                                  **{name: [0] * 9}), name)) == 9
 
 
+def test_grid_graph_refuses_more_cells_than_its_bound():
+    side = 2 ** 11
+    assert side * side == maze.MAX_GRID_CELLS
+    assert len(GridGraph(side, side, (0.0, 0.0), 1.0).blocked) == side * side
+    with pytest.raises(DegenerateGrid,
+                       match=f"grid {side}x{side + 1} has {side * (side + 1)} "
+                             f"cells, over the bound of {maze.MAX_GRID_CELLS}"):
+        GridGraph(side, side + 1, (0.0, 0.0), 1.0)
+
+
 def test_route_degenerate_cases():
     with pytest.raises(DegenerateGrid):
         GridGraph(0, 5, (0.0, 0.0), 50.0)
@@ -566,6 +577,15 @@ def test_build_grid_refuses_a_non_positive_cell(cell):
     # the pipeline refuses the cell before any stage runs
     with pytest.raises(DegenerateGrid, match="maze_cell"):
         run_pipeline(strategy="maze", maze_cell=cell)
+
+
+def test_a_maze_cell_too_fine_for_the_die_fails_at_route():
+    # a 1 um cell on the 2x2 die would be a 5010x3981 grid, about 20 M cells
+    with pytest.raises(StageError, match=f"grid 5010x3981 has 19944810 cells, "
+                       f"over the bound of {maze.MAX_GRID_CELLS}") as err:
+        run_pipeline(rows=2, cols=2, strategy="maze", maze_cell=1.0)
+    assert err.value.stage == "route"
+    assert isinstance(err.value.cause, DegenerateGrid)
 
 
 @pytest.mark.parametrize("clearance", [-200.0, -1e-9, float("nan")])

@@ -15,11 +15,10 @@ import sqchip
 EXPORTS = {
     "bench": ("BenchRecord", "bench_scaling", "fit_exponent"),
     "circuit": (
-        "CapacitanceMatrix", "CouplingParams", "EquivalentCircuit",
-        "QubitElectricalParams", "charging_energy", "coupling_capacitance",
-        "critical_current", "inverse_solve", "josephson_energy",
-        "josephson_inductance", "normal_resistance", "qubit_frequency",
-        "solve_qubit"),
+        "CouplingParams", "EquivalentCircuit", "QubitElectricalParams",
+        "charging_energy", "coupling_capacitance", "critical_current",
+        "inverse_solve", "josephson_energy", "josephson_inductance",
+        "normal_resistance", "qubit_frequency", "solve_qubit"),
     "components": (),
     "constants": (),
     "devmap": (
@@ -42,8 +41,7 @@ EXPORTS = {
     "pipeline": ("PipelineConfig", "PipelineResult", "run_pipeline"),
     "process": (
         "PROCESS_LIBRARY", "ProcessRules", "Violation", "apply_rules", "drc",
-        "get_process", "insert_air_bridges", "place_indium_columns",
-        "select_process"),
+        "get_process", "insert_air_bridges", "place_indium_columns"),
     "routing": ("Pin", "RoutedPath", "RoutingResult"),
     "topology": ("Topology", "generate_grid", "rows_bottom_up"),
 }
@@ -60,8 +58,8 @@ def _fresh(script: str):
     return json.loads(proc.stdout)
 
 
-def test_public_names_are_the_87_re_exports_and_submodules():
-    assert len(PUBLIC) == 87
+def test_public_names_are_the_re_exports_and_submodules():
+    assert len(PUBLIC) == 85
     assert sorted(sqchip.__all__) == PUBLIC
     assert set(sqchip.__all__) <= set(dir(sqchip))
 

@@ -40,7 +40,6 @@ from sqchip.process import (
     get_process,
     insert_air_bridges,
     place_indium_columns,
-    select_process,
 )
 from sqchip.routing import RoutedPath
 
@@ -321,29 +320,21 @@ def test_drc_flags_overlapping_components_on_one_layer():
     assert [v.rule for v in drc(lay, GENERIC)] == ["overlap"]
 
 
-def test_select_process_scores_candidates_by_weighted_violations():
-    alpha = ProcessRules("alpha", 8.0, 4.0, 4.0, 40.0, 10.0, 500.0, 15.0,
-                         30.0, pad_size=50.0)
-    beta = ProcessRules("beta", 4.0, 4.0, 4.0, 40.0, 10.0, 500.0, 15.0,
-                        30.0, pad_size=110.0)
+def test_drc_measures_traces_and_pads_against_custom_rules():
+    narrow = ProcessRules("narrow", 8.0, 4.0, 4.0, 40.0, 10.0, 500.0, 15.0,
+                          30.0, pad_size=50.0)
+    big_pads = ProcessRules("big-pads", 4.0, 4.0, 4.0, 40.0, 10.0, 500.0,
+                            15.0, 30.0, pad_size=110.0)
     lay = _bare_layout(
         RoutedPath("a", "control", 2, [(100.0, 100.0), (400.0, 100.0)], 6.0))
     lay.add_component(make_pad("P0", (500.0, 500.0), 100.0, edge="bottom"))
-    # one min-feature hit under alpha, one pad-size hit under beta: name tie-break
-    assert select_process(lay, [alpha, beta]).name == "alpha"
-    weights = {"min-feature": 5.0}
-    assert select_process(lay, [alpha, beta], weights).name == "beta"
-    # positive rescaling never changes the argmin
-    scaled = {k: 10.0 * v for k, v in weights.items()}
-    assert select_process(lay, [alpha, beta], scaled).name == "beta"
-
-
-def test_select_process_defaults_to_the_library_and_breaks_ties_by_name():
-    clean = _bare_layout(
-        RoutedPath("a", "control", 2, [(100.0, 100.0), (400.0, 100.0)], 10.0))
-    assert select_process(clean).name == "fine-4um"
-    with pytest.raises(SpecInfeasible):
-        select_process(clean, [])
+    # the 6 um trace is under the 8 um feature, the 100 um pad under 110 um
+    assert [v.rule for v in drc(lay, narrow)] == ["min-feature"]
+    report = drc(lay, big_pads)
+    assert [v.rule for v in report] == ["pad-size"]
+    assert "100.0" in report[0].message and "110.0" in report[0].message
+    assert report[0].subjects == ("P0", "")
+    assert report[0].where == (500.0, 500.0)
 
 
 def test_apply_rules_invalidates_an_imported_stream_cache():

@@ -33,10 +33,10 @@ def test_grid_ids_run_row_major_from_bottom_left():
 
 def test_grid_neighbors_are_lattice_adjacent_only():
     topo = generate_grid(3, 3)
-    # center site q4 touches all four compass neighbors
-    assert topo.neighbors("q4") == ["q1", "q3", "q5", "q7"]
-    assert topo.degree("q0") == 2
-    assert topo.degree("q4") == 4
+    # center site q4 touches all four compass neighbors, corner q0 two
+    assert {p for p in topo.edges if "q4" in p} == {
+        ("q1", "q4"), ("q3", "q4"), ("q4", "q5"), ("q4", "q7")}
+    assert {p for p in topo.edges if "q0" in p} == {("q0", "q1"), ("q0", "q3")}
 
 
 def test_grid_rejects_non_positive_or_non_integer_dims():
