@@ -9,6 +9,7 @@ direction so attachment code never needs to know component internals.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import LengthMismatch, MeanderDoesNotFit
@@ -126,6 +127,33 @@ def make_transmon(comp_id: str, origin: tuple[float, float],
         ports,
         {"pad_width": pad_width, "pad_height": pad_height, "pad_gap": pad_gap},
     )
+
+
+# a qubit style: footprint maker, half extent (um), dimension devmap tunes,
+# metal area (um^2) of (params, that dimension), control ports best first
+QubitKind = namedtuple("QubitKind",
+                       "make half_extent tunable metal_area control_ports")
+
+QUBIT_KINDS = {
+    # the two crossed arms share the hub square
+    "xmon": QubitKind(make_xmon, 250.0, "arm_length",
+                      lambda p, x: 4.0 * x * p.get("arm_width", 50.0)
+                      - p.get("arm_width", 50.0) * p.get("arm_width", 50.0),
+                      ("east", "west")),
+    # the north port carries the readout resonator
+    "transmon": QubitKind(make_transmon, 220.0, "pad_width",
+                          lambda p, x: 2.0 * x * p.get("pad_height", 150.0),
+                          ("south",)),
+}
+
+
+def landing(comp: PlacedComponent, standoff: float, facing: str = ""):
+    """Both routers' control-line end on comp: port `facing` if its kind
+    lists it, else the first it lists, and the point `standoff` out."""
+    ports = QUBIT_KINDS[comp.kind].control_ports
+    port = comp.ports[facing if facing in ports else ports[0]]
+    (x, y), (dx, dy) = port.position, port.direction
+    return port.position, (x + dx * standoff, y + dy * standoff)
 
 
 def make_pad(comp_id: str, origin: tuple[float, float], size: float = 120.0,

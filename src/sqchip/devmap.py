@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .circuit import charging_energy
+from .components import QUBIT_KINDS
 from .errors import (
     ComponentNotTunable,
     EvaluatorFailed,
@@ -171,27 +172,13 @@ def _golden(problem, evaluator):
 
 # ---- shipped evaluators --------------------------------------------------
 
-def _metal_area(kind: str, params: dict, x: float) -> float:
-    if kind == "xmon":
-        w = params.get("arm_width", 50.0)
-        return 4.0 * x * w - w * w          # two crossed bars share the hub
-    if kind == "transmon":
-        return 2.0 * x * params.get("pad_height", 150.0)
-    raise ComponentNotTunable(f"no area model for kind {kind!r}")
-
-
-TUNABLE_DIMENSION = {"xmon": "arm_length", "transmon": "pad_width"}
-
-# the port a control line lands on, per qubit kind; a transmon's north port
-# carries its readout resonator
-CONTROL_PORT = {"xmon": "east", "transmon": "south"}
-
-
 def capacitance_evaluator(kind: str, params: dict) -> Evaluator:
     """Tunable-dimension -> self-capacitance stub, linear in metal area."""
-    return Evaluator(
-        "self-capacitance", "F", "increasing",
-        lambda x: CAP_PER_AREA * _metal_area(kind, params, x))
+    if kind not in QUBIT_KINDS:
+        raise ComponentNotTunable(f"no area model for kind {kind!r}")
+    area = QUBIT_KINDS[kind].metal_area
+    return Evaluator("self-capacitance", "F", "increasing",
+                     lambda x: CAP_PER_AREA * area(params, x))
 
 
 def _stub_number(name: str, text: str) -> float:
@@ -206,7 +193,17 @@ def _stub_number(name: str, text: str) -> float:
     return value
 
 
+# shipped stub -> the most arguments it takes
+_STUB_ARGS = {"linear": 2, "pad-capacitance": 0, "charging-energy": 0}
+
+
 def _stub(name: str, args: list[str]) -> Evaluator:
+    most = _STUB_ARGS.get(name)
+    if most is None:
+        raise UnknownSelector(f"no stub evaluator named {name!r}")
+    if len(args) > most:
+        raise UnknownSelector(f"stub:{name} takes at most {most} arguments; "
+                              f"surplus {':'.join(args[most:])!r}")
     if name == "linear":
         slope = _stub_number("slope", args[0]) if args else 1.0
         offset = _stub_number("offset", args[1]) if len(args) > 1 else 0.0
@@ -216,11 +213,9 @@ def _stub(name: str, args: list[str]) -> Evaluator:
     if name == "pad-capacitance":
         return Evaluator("pad-capacitance", "F", "increasing",
                          lambda x: CAP_PER_AREA * x)
-    if name == "charging-energy":
-        # pad area -> capacitance -> E_C/h; larger pads mean smaller E_C
-        return Evaluator("charging-energy", "Hz", "decreasing",
-                         lambda x: charging_energy(CAP_PER_AREA * x))
-    raise UnknownSelector(f"no stub evaluator named {name!r}")
+    # pad area -> capacitance -> E_C/h; larger pads mean smaller E_C
+    return Evaluator("charging-energy", "Hz", "decreasing",
+                     lambda x: charging_energy(CAP_PER_AREA * x))
 
 
 def make_evaluator(spec: str) -> Evaluator:
@@ -264,16 +259,16 @@ def map_qubit_capacitance(layout, qubit_id: str, target_c: float,
 
     Updates the component's params in place (the footprint polygons are not
     re-rendered; params are the record of the mapped value). A dimension,
-    when given, must name the qubit's tunable one (TUNABLE_DIMENSION).
+    when given, must name its kind's tunable one (QUBIT_KINDS).
     """
     try:
         comp = layout.component_by_id(qubit_id)
     except KeyError:
         raise UnknownLabel(f"layout has no component {qubit_id!r}") from None
-    dim = TUNABLE_DIMENSION.get(comp.kind)
-    if dim is None:
+    if comp.kind not in QUBIT_KINDS:
         raise ComponentNotTunable(
             f"{qubit_id} is a {comp.kind}; nothing to tune")
+    dim = QUBIT_KINDS[comp.kind].tunable
     if dimension not in (None, dim):
         raise ComponentNotTunable(
             f"{qubit_id} ({comp.kind}) tunes {dim}, not {dimension!r}")

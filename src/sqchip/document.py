@@ -24,8 +24,10 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .circuit import CouplingParams, EquivalentCircuit, QubitElectricalParams
+from .components import QUBIT_KINDS
 from .errors import (
     CrossEntityViolation,
+    FieldTypeError,
     MissingSubEntity,
     NonPositiveInput,
     ParseError,
@@ -69,8 +71,7 @@ def _circuit_qubit_ids(circuit: EquivalentCircuit) -> set[str]:
 
 
 def _layout_qubit_ids(layout) -> set[str]:
-    ids = {c.comp_id for c in layout.components
-           if c.kind in ("xmon", "transmon")}
+    ids = {c.comp_id for c in layout.components if c.kind in QUBIT_KINDS}
     for c in layout.components:
         if c.kind == "resonator" and c.params.get("qubit_id"):
             ids.add(c.params["qubit_id"])
@@ -254,15 +255,15 @@ _LEAF_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
 
 
 def check_leaves(cls, data: dict, where: str = "") -> None:
-    """Refuse, as a TypeError, a value of the wrong type in a float, int,
-    str or bool field of cls (a bool fits only a bool field); where
-    prefixes the field name in the message."""
+    """Refuse, as a FieldTypeError (a TypeError), a value of the wrong type
+    in a float, int, str or bool field of cls (a bool fits only a bool
+    field); where prefixes the field name in the message."""
     for f in fields(cls):
         value = data.get(f.name)
         kinds = _LEAF_TYPES.get(f.type)
         if f.name in data and kinds and (isinstance(value, bool) != (
                 kinds == (bool,)) or not isinstance(value, kinds)):
-            raise TypeError(f"{where}{f.name} must be {f.type}, "
+            raise FieldTypeError(f"{where}{f.name} must be {f.type}, "
                             f"got {value!r}")
 
 

@@ -21,6 +21,10 @@ def check_selector(name: str, value, allowed: tuple) -> None:
         raise UnknownSelector(f"{name} {value!r}; expected one of {allowed}")
 
 
+class FieldTypeError(SqchipError, TypeError):
+    """A record or config field holds a value of the wrong type."""
+
+
 class MissingSubEntity(SqchipError):
     pass
 

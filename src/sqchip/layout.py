@@ -13,10 +13,9 @@ from .components import (
     LAYER_OPPOSITE,
     LAYER_QUBIT,
     LAYER_ROUTING,
+    QUBIT_KINDS,
     PlacedComponent,
     make_resonator,
-    make_transmon,
-    make_xmon,
 )
 from .constants import SPEED_OF_LIGHT
 from .errors import (
@@ -181,9 +180,7 @@ class ChipLayout:
     __hash__ = None  # mutable during construction
 
 
-# qubit style -> footprint maker and its half extent in um
-_QUBIT_MAKERS = {"xmon": (make_xmon, 250.0), "transmon": (make_transmon, 220.0)}
-QUBIT_STYLES = tuple(_QUBIT_MAKERS)
+QUBIT_STYLES = tuple(QUBIT_KINDS)
 
 
 def place_qubits(topology: Topology, qubit_style: str = "xmon",
@@ -195,12 +192,12 @@ def place_qubits(topology: Topology, qubit_style: str = "xmon",
     qubit (0, 0) sits nearest the die origin.
     """
     check_selector("qubit_style", qubit_style, QUBIT_STYLES)
-    maker, half_extent = _QUBIT_MAKERS[qubit_style]
-    if pitch <= 2.0 * half_extent:
+    kind = QUBIT_KINDS[qubit_style]
+    if pitch <= 2.0 * kind.half_extent:
         raise PitchTooSmall(f"pitch {pitch} um cannot fit {qubit_style} footprints")
 
     n_rows, n_cols = topology.grid_dims
-    off = border + half_extent
+    off = border + kind.half_extent
 
     layout = ChipLayout(
         name,
@@ -208,10 +205,10 @@ def place_qubits(topology: Topology, qubit_style: str = "xmon",
                2.0 * off + (n_cols - 1) * pitch,
                2.0 * off + (n_rows - 1) * pitch),
         grid_info={"origin": (off, off), "pitch": pitch,
-                   "qubit_half_extent": half_extent, "border": border},
+                   "qubit_half_extent": kind.half_extent, "border": border},
     )
     for qid, (c, r) in topology.qubits.items():
-        layout.add_component(maker(qid, (off + c * pitch, off + r * pitch)))
+        layout.add_component(kind.make(qid, (off + c * pitch, off + r * pitch)))
     return layout
 
 

@@ -39,8 +39,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .components import LAYER_QUBIT
-from .devmap import CONTROL_PORT
+from .components import LAYER_QUBIT, QUBIT_KINDS, landing
 from .errors import (
     BlockedEndpoint,
     DegenerateGrid,
@@ -502,8 +501,8 @@ def route_all(grid: GridGraph, nets: list[tuple[str, tuple[int, int], tuple[int,
 def resolve_target(layout, target: str, standoff: float,
                    ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Net-target position plus a free approach point outside the metal
-    keep-out. Targets are qubit ids, reached at their kind's control port
-    (``devmap.CONTROL_PORT``), or "<feedline>@west" / "@east"."""
+    keep-out. Targets are qubit ids, reached at their kind's first control
+    port (``components.landing``), or "<feedline>@west" / "@east"."""
     if "@" in target:
         bus, _, side = target.partition("@")
         check_selector(f"target {target!r}: feedline side", side,
@@ -512,15 +511,10 @@ def resolve_target(layout, target: str, standoff: float,
         if bus not in ends:
             raise NoPath(f"no feedline named {bus}")
         pos = ends[bus][0 if side == "west" else 1]
-        direction = (-1.0, 0.0) if side == "west" else (1.0, 0.0)
-    else:
-        comp = layout.component_by_id(target)
-        name = CONTROL_PORT.get(comp.kind)
-        if name is None:
-            raise NoPath(f"target {target!r} is a {comp.kind!r}, which has "
-                         f"no control port")
-        port = comp.ports[name]
-        pos = port.position
-        direction = port.direction
-    off = (pos[0] + direction[0] * standoff, pos[1] + direction[1] * standoff)
-    return pos, off
+        return pos, (pos[0] + (-standoff if side == "west" else standoff),
+                     pos[1])
+    comp = layout.component_by_id(target)
+    if comp.kind not in QUBIT_KINDS:
+        raise NoPath(f"target {target!r} is a {comp.kind!r}, which has no "
+                     f"control port")
+    return landing(comp, standoff)

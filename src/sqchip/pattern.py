@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .components import make_pad
+from .components import landing, make_pad
 from .errors import CorridorExhausted, SpecInfeasible
 from .geometry import count_corners, merge_collinear
 from .layout import DieBox, bus_name, feedline_ends
@@ -34,8 +34,8 @@ _OUT = {"top": 1, "bottom": -1, "left": -1, "right": 1}
 # top runs x-descending, bottom x-ascending, left y-ascending, right
 # y-descending. Pin ids and offsets follow this order.
 _REVERSED = {e: _OUT[e] > 0 for e in _EDGES}
-# channel inner boundary off the content box, and drop clearance off a
-# qubit's bounding box, um
+# channel inner boundary off the content box, lane band off a row's qubits,
+# and a control line's standoff point off its port, um
 _CLEARANCE = 20.0
 
 
@@ -93,7 +93,6 @@ def _row_edges(m: int, n: int) -> dict[int, str]:
 
 @dataclass
 class _Net:
-    net_id: str
     role: str                  # control | transmission
     edge: str
     target: str
@@ -101,8 +100,7 @@ class _Net:
     approach: list[tuple[float, float]]   # entry point onward, into content
     pin_u: float = 0.0
     lane: int = 0
-    pin_id: str = ""
-    pin_pos: tuple[float, float] = (0.0, 0.0)
+    pin: Pin | None = None     # set by allocate_pins
 
 
 @dataclass
@@ -178,7 +176,6 @@ def build_nets(layout, topology, lane_pitch: float = 25.0) -> PinPlan:
     """Plan entries and in-content approach polylines for every net."""
     m, n = topology.grid_dims
     off, pitch, half = _qubit_grid(layout)
-    x_of = lambda c: off[0] + c * pitch
     y_of = lambda r: off[1] + r * pitch
     row_edge = _row_edges(m, n)
     feeds = feedline_ends(layout)
@@ -211,23 +208,23 @@ def build_nets(layout, topology, lane_pitch: float = 25.0) -> PinPlan:
             if edge in ("top", "bottom"):
                 depth = (m - 1 - r) if edge == "top" else r
                 u = bases[c] + depth * lam
-                approach = [(u, ep.inner), (u, y), (x_of(c) + half, y)]
             else:
                 u = y - side - (c if edge == "left" else n - 1 - c) * lam
-                drop = x_of(c) + _OUT[edge] * side
-                approach = [(ep.inner, u), (drop, u), (drop, y),
-                            (x_of(c) + _OUT[edge] * half, y)]
-            ep.nets.append(_Net(f"ctl_{qid}", "control", edge, qid, u,
-                                approach))
+            # entry line to the standoff point's v, across to it, into port
+            port, stand = landing(layout.component_by_id(qid), _CLEARANCE,
+                                  "west" if edge == "left" else "east")
+            ep.nets.append(_Net("control", edge, qid, u, [
+                _point(edge, u, ep.inner),
+                _point(edge, u, _point(edge, *stand)[1]), stand, port]))
 
         # feedline launch and drain pins flank every row
         bus = bus_name(topology.qubit(0, r))
         if bus not in feeds:
             raise SpecInfeasible(f"row {r} has no feedline (expected {bus})")
-        for e, (fx, fy), tail, end in zip(("left", "right"), feeds[bus],
-                                          ("in", "out"), ("west", "east")):
+        for e, (fx, fy), end in zip(("left", "right"), feeds[bus],
+                                    ("west", "east")):
             plan.edges[e].nets.append(_Net(
-                f"tx_{bus}_{tail}", "transmission", e, f"{bus}@{end}", fy,
+                "transmission", e, f"{bus}@{end}", fy,
                 [(plan.edges[e].inner, fy), (fx, fy)]))
 
     for e in _EDGES:
@@ -356,16 +353,16 @@ def allocate_pins(layout, topology, lane_pitch: float = 25.0,
         nets = plan.edges[e].nets
         (lo, hi), _ = _point(e, (die.x0, die.x1), (die.y0, die.y1))
         for k, net in enumerate(nets[::-1] if _REVERSED[e] else nets):
-            net.pin_id = f"{e[0].upper()}{k}"
-            net.pin_pos = _point(e, net.pin_u, die_edge[e] - _OUT[e] * pad_c)
+            pin_id = f"{e[0].upper()}{k}"
+            pos = _point(e, net.pin_u, die_edge[e] - _OUT[e] * pad_c)
             offset = hi - net.pin_u if _REVERSED[e] else net.pin_u - lo
             # pad disjointness is a plan invariant (separation enforced
             # above); the O(components) overlap scan would dominate at scale
-            layout.add_component(make_pad(net.pin_id, net.pin_pos, pad_size,
-                                          edge=e, role=net.role),
+            layout.add_component(make_pad(pin_id, pos, pad_size, edge=e,
+                                          role=net.role),
                                  check_overlap=False)
-            pins.append(Pin(net.pin_id, e, offset, net.pin_pos,
-                            net.role, net.target))
+            net.pin = Pin(pin_id, e, offset, pos, net.role, net.target)
+            pins.append(net.pin)
 
     layout.pins = pins
     layout.pin_plan = plan
@@ -430,10 +427,10 @@ def route_pattern(layout, width: float = 10.0) -> RoutingResult:
     for e, ep in plan.edges.items():
         for net in ep.nets:
             lane = ep.inner + _OUT[e] * net.lane * lam
-            head = [net.pin_pos, _point(e, net.pin_u, lane),
+            head = [net.pin.position, _point(e, net.pin_u, lane),
                     _point(e, net.entry_u, lane)]
             pts = merge_collinear(head + net.approach)
-            path = RoutedPath(net.net_id, net.role, layer, pts, width,
+            path = RoutedPath(net.pin.net, net.role, layer, pts, width,
                               corner_count=count_corners(pts),
                               crossing_count=0)
             result.paths.append(path)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .circuit import EquivalentCircuit, inverse_solve
+from .components import QUBIT_KINDS
 from .document import (
     DesignDocument,
     ParameterBundle,
@@ -33,13 +34,17 @@ from .document import (
 # unused here; perfbench's INSTRUMENTED table traces sqchip.pipeline.extract
 from .document import extract  # noqa: F401
 from .errors import (
+    FieldTypeError,
     InsufficientFrequencySet,
     InvalidDimension,
+    InvalidSubstrate,
     MissingSubEntity,
     NoPath,
     NonAsciiName,
+    NonPositiveCapacitance,
     NonPositiveInput,
     ParseError,
+    PitchTooSmall,
     SpecInfeasible,
     SqchipError,
     StageError,
@@ -102,13 +107,21 @@ class PipelineConfig:
     process: str = "generic-10um"
 
     def __post_init__(self):
-        # the name becomes the GDS library name, which must be ASCII
-        if not self.name.isascii():
-            raise NonAsciiName(f"design name {self.name!r} is not ASCII")
         # checked before the comparison below; bool is an int subclass
         if type(self.rows) is not int or type(self.cols) is not int:
             raise InvalidDimension(f"grid dims must be integers, got "
                                    f"rows={self.rows!r}, cols={self.cols!r}")
+        # a wrong type would raise a bare Python error below or mid-run, or
+        # build a chip from a truthy string
+        check_leaves(PipelineConfig, vars(self))
+        if not (isinstance(self.qubit_frequencies, tuple) and all(
+                isinstance(f, (int, float)) and not isinstance(f, bool)
+                for f in self.qubit_frequencies)):
+            raise FieldTypeError(f"qubit_frequencies must be a tuple of "
+                                 f"numbers, got {self.qubit_frequencies!r}")
+        # the name becomes the GDS library name, which must be ASCII
+        if not self.name.isascii():
+            raise NonAsciiName(f"design name {self.name!r} is not ASCII")
         if self.rows < 1 or self.cols < 1:
             raise NonPositiveInput(f"grid dims must be positive integers, "
                                    f"got {self.rows}x{self.cols}")
@@ -121,9 +134,10 @@ class PipelineConfig:
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise NonPositiveInput(f"{f.name} must be finite, "
                                        f"got {getattr(self, f.name)}")
-        if not all(math.isfinite(q) for q in self.qubit_frequencies):
-            raise NonPositiveInput(f"qubit_frequencies must be finite, "
-                                   f"got {self.qubit_frequencies}")
+        if not all(math.isfinite(q) and q > 0
+                   for q in self.qubit_frequencies):
+            raise NonPositiveInput(f"qubit_frequencies must be finite and "
+                                   f"positive, got {self.qubit_frequencies}")
         # the checkerboard frequency plan plays the first two tones on
         # neighbouring qubits, so once qubits couple those two must differ
         tones = min(2, self.rows * self.cols)
@@ -135,11 +149,23 @@ class PipelineConfig:
             check_selector(name, getattr(self, name), allowed)
         if self.border < 0:
             raise NonPositiveInput(f"border must be >= 0, got {self.border}")
-        # a zero gap shorts each resonator to its qubit and its feedline
-        for name in ("lane_pitch", "trace_gap", "coupling_length"):
+        # refused here with the error the stage that reads each would raise
+        # (layout, params, readout); a zero gap shorts each resonator to its
+        # qubit and its feedline
+        if self.pitch <= 2.0 * QUBIT_KINDS[self.qubit_style].half_extent:
+            raise PitchTooSmall(f"pitch {self.pitch} um cannot fit "
+                                f"{self.qubit_style} footprints")
+        if self.qubit_capacitance <= 0:
+            raise NonPositiveCapacitance(f"qubit_capacitance must be "
+                                         f"positive, got "
+                                         f"{self.qubit_capacitance}")
+        for name in ("lane_pitch", "trace_gap", "coupling_length",
+                     "coupling_strength", "readout_start", "readout_stop"):
             if getattr(self, name) <= 0:
                 raise NonPositiveInput(f"{name} must be positive, "
                                        f"got {getattr(self, name)}")
+        if not 1.0 < self.eps_r < 30.0:
+            raise InvalidSubstrate(f"eps_r {self.eps_r} out of range (1, 30)")
         if self.maze_clearance < 0:
             raise NonPositiveInput(f"maze_clearance must be >= 0, "
                                    f"got {self.maze_clearance}")
@@ -233,9 +259,9 @@ def route_maze_core(layout, topology, corner_penalty, cross_penalty,
     tails = {}
     for pin in sorted(layout.pins, key=lambda p: p.pin_id):
         pos, off = resolve_target(layout, targets[pin.pin_id], standoff)
-        nets.append((pin.pin_id, grid.cell_at(*pin.position),
+        nets.append((pin.net, grid.cell_at(*pin.position),
                      grid.cell_at(*off)))
-        tails[pin.pin_id] = (pin.position, pos, pin.role)
+        tails[pin.net] = (pin.position, pos, pin.role)
     result = route_all(grid, nets, k_corner=corner_penalty,
                        k_cross=cross_penalty, layer=layout.routing_layer,
                        width=trace_width)

@@ -35,7 +35,16 @@ class Pin:
     offset: float                  # um along the edge, from the die corner
     position: tuple[float, float]  # pad center, um
     role: str                      # transmission | control
-    target: str                    # bus id or qubit id
+    target: str                    # qubit id, or "<bus>@west" / "@east"
+
+    @property
+    def net(self) -> str:
+        """The net both routers name this pin's line: ctl_<qubit>, or
+        tx_<bus>_in / tx_<bus>_out from a feedline's west / east end."""
+        if self.role == "control":
+            return f"ctl_{self.target}"
+        bus, _, side = self.target.partition("@")
+        return f"tx_{bus}_{'in' if side == 'west' else 'out'}"
 
 
 @dataclass

@@ -56,7 +56,7 @@ def test_procmap_before_any_layout_is_a_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, stage", [
-    (("layout", "--pitch", "400"), "layout"),        # xmons need 500 um
+    (("layout", "--pitch", "900"), "readout"),       # meanders need 1000 um
     (("route", "--strategy", "maze", "--cell", "2000"), "route"),
 ])
 def test_staged_stage_failure_exits_3_naming_the_stage(tmp_path, capsys,
@@ -216,6 +216,14 @@ def test_devmap_refuses_a_malformed_stub_evaluator(tmp_path, capsys):
     assert code == 2
     assert "stub:linear slope 'abc' is not a finite number" in \
         capsys.readouterr().err
+
+
+def test_devmap_refuses_a_stub_argument_it_would_ignore(tmp_path, capsys):
+    # the unscaled stub ran, and the command exited 0
+    code = _run(tmp_path, "devmap", "--param", "x", "--lo", "1", "--hi", "2",
+                "--target", "2.1e-18", "--evaluator", "stub:pad-capacitance:2")
+    assert code == 2
+    assert "surplus '2'" in capsys.readouterr().err
 
 
 def test_devmap_with_a_failing_evaluator_exits_2(tmp_path, capsys):
@@ -401,8 +409,8 @@ def test_pipeline_command_runs_end_to_end(tmp_path, capsys):
 
 def test_pipeline_stage_failure_exits_3(tmp_path, capsys):
     assert _run(tmp_path, "pipeline", "--rows", "2", "--cols", "2",
-                "--pitch", "400") == 3
-    assert "stage 'layout'" in capsys.readouterr().err
+                "--pitch", "900") == 3
+    assert "stage 'readout'" in capsys.readouterr().err
 
 
 def _assert_refused_up_front(tmp_path, capsys, monkeypatch, field, *argv):
@@ -430,6 +438,13 @@ def test_pipeline_refuses_a_non_finite_pitch_up_front(tmp_path, capsys,
                                                       monkeypatch):
     _assert_refused_up_front(tmp_path, capsys, monkeypatch, "pitch",
                              "--pitch", "nan")
+
+
+def test_pipeline_refuses_a_permittivity_out_of_range_up_front(
+        tmp_path, capsys, monkeypatch):
+    # it failed at readout (exit 3)
+    _assert_refused_up_front(tmp_path, capsys, monkeypatch, "eps_r",
+                             "--eps-r", "40")
 
 
 def test_pipeline_refuses_a_negative_border_up_front(tmp_path, capsys,

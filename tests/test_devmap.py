@@ -235,6 +235,14 @@ def test_linear_stub_refuses_a_non_numeric_or_non_finite_argument(spec, name):
         make_evaluator(spec)
 
 
+@pytest.mark.parametrize("spec, surplus", [
+    ("stub:pad-capacitance:abc", "'abc'"), ("stub:charging-energy:7", "'7'"),
+    ("stub:linear:2:1:junk", "'junk'"), ("stub:pad-capacitance:", "''")])
+def test_stub_refuses_an_argument_it_would_ignore(spec, surplus):
+    with pytest.raises(UnknownSelector, match=f"surplus {surplus}"):
+        make_evaluator(spec)
+
+
 def test_command_evaluator_round_trips_through_a_script(tmp_path):
     script = tmp_path / "metric.sh"
     script.write_text("#!/bin/sh\nawk \"BEGIN {print $1 * 2}\"\n")

@@ -23,14 +23,19 @@ import pytest
 
 from sqchip import document, gdsio, process
 from sqchip.document import DesignDocument, save
+from sqchip.components import QUBIT_KINDS
 from sqchip.errors import (
     DegenerateGrid,
+    FieldTypeError,
     InsufficientFrequencySet,
     InvalidDimension,
+    InvalidSubstrate,
     MissingSubEntity,
     NonAsciiName,
+    NonPositiveCapacitance,
     NonPositiveInput,
     PitchTooSmall,
+    SqchipError,
     SpecInfeasible,
     StageError,
     UnknownSelector,
@@ -75,8 +80,9 @@ def test_pipeline_provenance_names_every_stage():
 
 def test_pipeline_failure_reports_the_stage():
     with pytest.raises(StageError) as err:
-        run_pipeline(rows=2, cols=2, pitch=400.0)   # xmons need 500 um
-    assert err.value.stage == "layout"
+        # xmons fit, but a 900 um pitch leaves no room for the meanders
+        run_pipeline(rows=2, cols=2, pitch=900.0)
+    assert err.value.stage == "readout"
     assert isinstance(err.value.cause, PitchTooSmall)
 
 
@@ -92,7 +98,7 @@ def test_maze_pipeline_glues_tails_and_stays_clean():
     assert result.drc_report == []
     routed = {p.net: p for p in result.routing.paths}
     assert len(routed) == total_pins(generate_grid(2, 2))
-    pins = {p.pin_id: p for p in result.document.layout.pins}
+    pins = {p.net: p for p in result.document.layout.pins}
     for net, path in routed.items():
         assert path.points[0] == pins[net].position
         assert path.kind == pins[net].role
@@ -216,6 +222,82 @@ def test_config_refuses_non_integer_grid_dims_before_any_stage(
     _no_stage_may_run(monkeypatch)
     with pytest.raises(InvalidDimension):
         run_pipeline(rows=rows, cols=cols)
+
+
+@pytest.mark.parametrize("kwargs, error, named", [
+    (dict(pitch=500.0), PitchTooSmall, "pitch 500.0"),
+    (dict(qubit_style="transmon", pitch=440.0), PitchTooSmall, "pitch 440.0"),
+    (dict(qubit_capacitance=0.0), NonPositiveCapacitance,
+     "qubit_capacitance .* 0.0"),
+    (dict(coupling_strength=-5e6), NonPositiveInput,
+     "coupling_strength .* -5000000.0"),
+    (dict(qubit_frequencies=(4.3e9, -4.8e9)), NonPositiveInput,
+     r"qubit_frequencies .* \(4300000000.0, -4800000000.0\)"),
+    (dict(readout_start=0.0), NonPositiveInput, "readout_start .* 0.0"),
+    (dict(readout_stop=-7e9), NonPositiveInput, "readout_stop .* -7000000000.0"),
+    (dict(eps_r=40.0), InvalidSubstrate, "eps_r 40.0"),
+    (dict(eps_r=1.0), InvalidSubstrate, "eps_r 1.0"),
+])
+def test_config_refuses_a_value_a_stage_would_refuse_mid_run(
+        monkeypatch, kwargs, error, named):
+    # each failed at layout, params or readout with this error
+    _no_stage_may_run(monkeypatch)
+    with pytest.raises(error, match=named):
+        run_pipeline(rows=2, cols=2, **kwargs)
+
+
+def test_config_takes_the_pitch_limit_from_the_qubit_kind():
+    for style, kind in QUBIT_KINDS.items():
+        PipelineConfig(qubit_style=style, pitch=2.0 * kind.half_extent + 1.0)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    (dict(name=5), "name must be str"),
+    (dict(pitch="2000"), "pitch must be float"),
+    (dict(lane_pitch=None), "lane_pitch must be float"),
+    (dict(flip_chip="yes"), "flip_chip must be bool"),
+    (dict(border=True), "border must be float"),
+    (dict(qubit_frequencies=4.3e9), "qubit_frequencies must be a tuple"),
+    (dict(qubit_frequencies=("4.3e9", "4.8e9")),
+     "qubit_frequencies must be a tuple"),
+    (dict(qubit_frequencies=[4.3e9, 4.8e9]),
+     "qubit_frequencies must be a tuple"),
+    (dict(qubit_frequencies=(True, False)),
+     "qubit_frequencies must be a tuple"),
+])
+def test_config_refuses_a_wrong_typed_value_naming_it(monkeypatch, kwargs,
+                                                      named):
+    # a raw AttributeError or TypeError escaped before, and a truthy
+    # string or a bool border built a chip
+    _no_stage_may_run(monkeypatch)
+    with pytest.raises(FieldTypeError, match=named) as err:
+        run_pipeline(rows=2, cols=2, **kwargs)
+    assert isinstance(err.value, SqchipError)
+    assert isinstance(err.value, TypeError)
+    # an int is a float; a bool is not
+    assert PipelineConfig(pitch=2000, qubit_frequencies=(4300000000, 4.8e9))
+
+
+@pytest.mark.parametrize("flip_chip", [False, True])
+@pytest.mark.parametrize("strategy", ["pattern", "maze"])
+@pytest.mark.parametrize("style", ["xmon", "transmon"])
+def test_every_control_line_ends_on_a_port_its_qubit_kind_lists(
+        style, strategy, flip_chip):
+    # the pattern router once ended each transmon line in the pad gap,
+    # clear of all metal, and DRC saw nothing
+    result = run_pipeline(rows=3, cols=3, qubit_style=style,
+                          strategy=strategy, flip_chip=flip_chip)
+    layout = result.document.layout
+    # a line starts on its pin's pad center
+    targets = {p.position: p.target for p in layout.pins}
+    controls = [p for p in result.routing.paths if p.kind == "control"]
+    assert len(controls) == 9
+    for path in controls:
+        qubit = layout.component_by_id(targets[path.points[0]])
+        ports = QUBIT_KINDS[qubit.kind].control_ports
+        assert path.points[-1] in [qubit.ports[n].position for n in ports]
+    if strategy == "pattern":
+        assert result.drc_report == []
 
 
 @pytest.mark.parametrize("strategy", ["pattern", "maze"])
@@ -353,7 +435,8 @@ ROADMAP_PINS = [
     (dict(rows=1, cols=7), "f41512d907804166"),    # empty bottom edge
     # the one maze flow on the opposite face
     (dict(rows=3, cols=3, strategy="maze", flip_chip=True), "7b868c40f865e47e"),
-    (dict(rows=3, cols=3, qubit_style="transmon"), "762cb1e76dc2cea6"),
+    # control lines land on the south ports, not in the pad gap
+    (dict(rows=3, cols=3, qubit_style="transmon"), "58f2848d7a506968"),
     (dict(rows=3, cols=3, strategy="maze", qubit_style="transmon"),
      "5a6adf327db324f1"),
     # apply_rules resizes every pad
