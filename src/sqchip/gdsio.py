@@ -1,21 +1,21 @@
 """GDSII stream I/O and SVG preview export.
 
-The writer is canonical: fixed record order, pinned timestamps, one
-structure per component kind plus a TOP structure of references, so equal
-layouts produce byte-identical streams. It renders a layout as an ordered
-list of byte pieces (``stream_pieces``): ``write_gds`` joins them, and a
-provenance digest hashes them in turn, so both share one render. Each
-piece is packed once per value: a component keeps its BOUNDARY records
-until ``PlacedComponent.set_footprint`` changes its footprint (footprints
-change only through it), and a path keeps its PATH record next to a copy
-of the layer, width and points it was packed from.
+There is one writer, and it is canonical: fixed record order, pinned
+timestamps, one structure per component kind plus a TOP structure of
+references, so equal layouts produce byte-identical streams. It renders a
+layout as an ordered list of byte pieces (``stream_pieces``): ``write_gds``
+joins them, and a provenance digest hashes them in turn, so both share one
+render. Each piece is packed once per value: a component keeps its
+BOUNDARY records until ``PlacedComponent.set_footprint`` changes its
+footprint (footprints change only through it), and a path keeps its PATH
+record next to a copy of the layer, width and points it was packed from.
 
-The reader keeps the raw byte slice of every structure it parses, and
-``layout_from_gds`` stores those slices re-emitted as the import's render
-memo (``ChipLayout.rendered``), which the writer returns while the import
-holds the geometry it was read with. That makes write -> read -> write a
-fixpoint by construction. Only imports have the memo: a re-render of an
-import is not its source, while a fresh layout's canonical render is.
+An import keeps its source: ``layout_from_gds`` stores the stream it read
+as the import's render memo (``ChipLayout.rendered``), which the writer
+returns verbatim while the import holds the geometry it was read with, and
+an edited import renders canonically. That makes write -> read -> write a
+fixpoint by construction. The reader (``read_gds``) only parses; it keeps
+no bytes of the stream.
 
 Database unit is 1 nm (1e-3 user units of 1 um, 1e-9 m).
 """
@@ -36,7 +36,6 @@ from .errors import (
     OddLength,
     ParseError,
     TruncatedRecord,
-    check_selector,
 )
 from .geometry import bbox
 
@@ -69,33 +68,6 @@ _I32_MAX = 2**31 - 1
 
 
 # ---- excess-64 real arithmetic -----------------------------------------
-
-def excess64_encode(value: float) -> bytes:
-    """Pack a double as the 8-byte excess-64 real used by the stream format.
-
-    Exact (no rounding): the IEEE mantissa is shifted into a base-16
-    normalization, which a 56-bit field always has room for.
-    """
-    if value == 0.0:
-        return b"\x00" * 8
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError("cannot encode non-finite real")
-    bits = struct.unpack(">Q", struct.pack(">d", value))[0]
-    sign = bits >> 63
-    e_field = (bits >> 52) & 0x7FF
-    m_field = bits & ((1 << 52) - 1)
-    if e_field == 0:            # subnormal: no implicit bit
-        ee = -1022
-        mant = m_field
-    else:
-        ee = e_field - 1023
-        mant = m_field | (1 << 52)
-    mant <<= ee % 4
-    e64 = 65 + (ee >> 2)
-    if not 0 <= e64 <= 127:
-        raise ValueError(f"exponent out of excess-64 range for {value!r}")
-    return bytes([(sign << 7) | e64]) + mant.to_bytes(7, "big")
-
 
 def excess64_decode(raw: bytes) -> float:
     if len(raw) != 8:
@@ -147,12 +119,9 @@ def _xy(points) -> bytes:
 
 # ---- parsed model --------------------------------------------------------
 
-ELEMENT_KINDS = ("boundary", "path", "sref")     # what the writer renders
-
-
 @dataclass
 class GdsElement:
-    kind: str                          # ELEMENT_KINDS; read also gives "aref"
+    kind: str                          # "boundary", "path", "sref" or "aref"
     layer: int = 0
     datatype: int = 0
     xy: list[tuple[float, float]] = field(default_factory=list)  # um
@@ -166,8 +135,6 @@ class GdsElement:
 class GdsStructure:
     name: str
     elements: list[GdsElement] = field(default_factory=list)
-    # the verbatim slice of a parsed structure, written in its elements' place
-    raw: bytes | None = None
 
 
 @dataclass
@@ -176,13 +143,6 @@ class GdsLibrary:
     unit_user: float = 1e-3
     unit_meters: float = 1e-9
     structures: list[GdsStructure] = field(default_factory=list)
-    raw_header: bytes | None = None    # HEADER..UNITS slice when parsed
-
-    def structure(self, name: str) -> GdsStructure:
-        for s in self.structures:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 # ---- reading -------------------------------------------------------------
@@ -227,6 +187,13 @@ _FIELDS = {LAYER: ("layer", struct.Struct(">h")),
            WIDTH: ("width", struct.Struct(">i"))}
 
 
+def _read(src) -> bytes:
+    """The stream itself (bytes) or the contents of a file path."""
+    if isinstance(src, (str, Path)):
+        return Path(src).read_bytes()
+    return bytes(src)
+
+
 def read_gds(src) -> GdsLibrary:
     """Parse a stream (bytes) or a file path into a GdsLibrary.
 
@@ -236,10 +203,7 @@ def read_gds(src) -> GdsLibrary:
     TruncatedRecord or OddLength; the last two carry the offending record's
     offset. A name the writer would refuse raises NonAsciiName.
     """
-    if isinstance(src, (str, Path)):
-        data = Path(src).read_bytes()
-    else:
-        data = bytes(src)
+    data = _read(src)
     if len(data) < 4:
         raise TruncatedRecord("stream shorter than one record header", 0)
     first_type = struct.unpack_from(">HH", data, 0)[1]
@@ -250,7 +214,6 @@ def read_gds(src) -> GdsLibrary:
     lib = GdsLibrary("")
     cur: GdsStructure | None = None
     el: GdsElement | None = None
-    struct_start = -1
     scale = 1.0 / DB_PER_UM
     for pos, rectype, payload in _iter_records(data):
         if rectype == LIBNAME:
@@ -260,19 +223,16 @@ def read_gds(src) -> GdsLibrary:
                 raise TruncatedRecord(f"UNITS record at offset {pos} malformed", pos)
             lib.unit_user = excess64_decode(payload[:8])
             lib.unit_meters = excess64_decode(payload[8:])
-            lib.raw_header = data[:pos + 4 + len(payload)]
             # geometry below converts via meters per database unit
             scale = lib.unit_meters / 1e-6
         elif rectype == BGNSTR:
             cur = GdsStructure("")
-            struct_start = pos
             el = None
         elif cur is None:
             continue
         elif rectype == STRNAME:
             cur.name = _name(payload, pos)
         elif rectype == ENDSTR:
-            cur.raw = data[struct_start:pos + 4]
             lib.structures.append(cur)
             cur = el = None
         elif rectype in _OPENS:
@@ -327,19 +287,18 @@ def _boundary(layer: int, datatype: int, points) -> bytes:
                                datatype, 4 + len(xy), XY) + xy + _ENDEL
 
 
-def _render_element(el: GdsElement) -> bytes:
-    check_selector("element kind", el.kind, ELEMENT_KINDS)
-    if el.kind == "boundary":
-        return _boundary(el.layer, el.datatype, el.xy)
-    if el.kind == "path":
-        width = _to_db(el.width)
-        xy = _xy(el.xy)
-        return _PATH_HEAD.pack(
-            4, PATH, 6, LAYER, el.layer, 6, DATATYPE, el.datatype,
-            6, PATHTYPE, el.pathtype, 8, WIDTH, width,
-            4 + len(xy), XY) + xy + _ENDEL
-    return b"".join((_record(SREF), _record(SNAME, _ascii(el.sname)),
-                     _record(XY, _xy(el.xy)), _ENDEL))
+def _path(layer: int, width: float, points) -> bytes:
+    width_db = _to_db(width)
+    xy = _xy(points)
+    return _PATH_HEAD.pack(4, PATH, 6, LAYER, layer, 6, DATATYPE, 0,
+                           6, PATHTYPE, 0, 8, WIDTH, width_db,
+                           4 + len(xy), XY) + xy + _ENDEL
+
+
+def _sref(name: str) -> bytes:
+    """A reference placing cell name at the origin."""
+    return b"".join((_record(SREF), _record(SNAME, _ascii(name)),
+                     _record(XY, _xy([(0.0, 0.0)])), _ENDEL))
 
 
 def _bgnstr(name: str) -> bytes:
@@ -348,34 +307,17 @@ def _bgnstr(name: str) -> bytes:
 
 _ENDSTR = _record(ENDSTR)
 _ENDLIB = _record(ENDLIB)
+# the UNITS payload as two excess-64 reals: 1e-3 user units (um) and 1e-9 m
+# per database unit
+_UNITS = bytes.fromhex("3e4189374bc6a7f0" "3944b82fa09b5a54")
 
 
-def _frame(name: str, body: bytes) -> bytes:
-    return b"".join((_bgnstr(name), body, _ENDSTR))
-
-
-def _render_structure(s: GdsStructure) -> bytes:
-    if s.raw is not None:
-        return s.raw
-    return _frame(s.name, b"".join(_render_element(el) for el in s.elements))
-
-
-def _header(lib: GdsLibrary) -> bytes:
-    """HEADER through UNITS: the parsed slice, else packed from lib."""
-    if lib.raw_header is not None:
-        return lib.raw_header
+def _header(name: str) -> bytes:
+    """HEADER through UNITS of a library called name."""
     return b"".join((_record(HEADER, struct.pack(">h", GDS_VERSION)),
                      _record(BGNLIB, _times()),
-                     _record(LIBNAME, _ascii(lib.name)),
-                     _record(UNITS, excess64_encode(lib.unit_user)
-                             + excess64_encode(lib.unit_meters))))
-
-
-def write_library(lib: GdsLibrary) -> bytes:
-    out = [_header(lib)]
-    out.extend(_render_structure(s) for s in lib.structures)
-    out.append(_ENDLIB)
-    return b"".join(out)
+                     _record(LIBNAME, _ascii(name)),
+                     _record(UNITS, _UNITS)))
 
 
 def _cell_name(kind: str) -> str:
@@ -400,8 +342,8 @@ def _path_record(p) -> bytes:
     memo = p._gds
     if (memo is None or memo[0] != p.layer or memo[1] != p.width
             or memo[2] != p.points):
-        memo = p._gds = (p.layer, p.width, list(p.points), _render_element(
-            GdsElement("path", layer=p.layer, xy=p.points, width=p.width)))
+        memo = p._gds = (p.layer, p.width, list(p.points),
+                         _path(p.layer, p.width, p.points))
     return memo[3]
 
 
@@ -411,7 +353,7 @@ def stream_pieces(layout) -> list[bytes]:
     them one by one, which equals hashing the join.
 
     An import that still holds the geometry it was read with is one piece,
-    its source re-emitted. Otherwise the pieces are the canonical render:
+    the stream it was read from. Otherwise the pieces are the canonical render:
     the library header; per component kind, a structure framing its
     members' BOUNDARY records; then TOP, one SREF per kind cell and one
     PATH record per path. Component and path records come from their
@@ -437,11 +379,8 @@ def stream_pieces(layout) -> list[bytes]:
         body.append(_bgnstr(cell))
         body.extend(members)
         body.append(_ENDSTR)
-    pieces = [_header(GdsLibrary(layout.name or "chip")), *body,
-              _bgnstr("TOP")]
-    pieces.extend(_render_element(GdsElement("sref", sname=cell,
-                                             xy=[(0.0, 0.0)]))
-                  for cell in sorted(groups))
+    pieces = [_header(layout.name or "chip"), *body, _bgnstr("TOP")]
+    pieces.extend(_sref(cell) for cell in sorted(groups))
     pieces.extend(_path_record(p) for p in layout.paths)
     pieces.append(_ENDSTR + _ENDLIB)
     return pieces
@@ -475,15 +414,16 @@ def layout_from_gds(src):
     Each structure is imported as if placed once at the origin, which is
     where the canonical writer places every reference. Any other reference
     (an SREF at an offset, an SREF with a STRANS transform, any AREF) is
-    refused with ParseError, rather than imported misplaced. The import's
-    render memo holds the source stream re-emitted, so an unedited import
-    writes back verbatim. The stream records no die, so the die is the
+    refused with ParseError, rather than imported misplaced. The input is
+    read once, and the import's render memo holds it, so an unedited import
+    writes back its own bytes. The stream records no die, so the die is the
     content's bounding box.
     """
     from .layout import ChipLayout, DieBox
     from .routing import RoutedPath
 
-    lib = read_gds(src)
+    data = _read(src)
+    lib = read_gds(data)
     layout = ChipLayout(lib.name or "imported", DieBox(0, 0, 0, 0))
     for s in lib.structures:
         # one component per polygon: structures group unrelated geometry,
@@ -509,7 +449,7 @@ def layout_from_gds(src):
                 raise ParseError(f"structure {s.name!r} places {el.sname!r} "
                                  f"{how}, which cannot import")
     layout.die = DieBox(*layout.content_bbox())
-    layout.rendered = (_geometry(layout), write_library(lib))
+    layout.rendered = (_geometry(layout), data)
     return layout
 
 

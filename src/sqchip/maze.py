@@ -73,8 +73,8 @@ class GridGraph:
     rows: int
     origin: tuple[float, float]       # um of cell (0, 0) lower-left corner
     cell: float                       # um per cell
-    blocked: list[bool] = field(default=None)   # cell (c, r) at r * cols + c
-    occupied: list[int] = field(default=None)   # net count, same index
+    blocked: list[bool] = field(init=False)   # cell (c, r) at r * cols + c
+    occupied: list[int] = field(init=False)   # net count, same index
     # route_net's search tables (best, came, expanded), made by the first
     # search of this grid and clean again after each one
     _tables: tuple | None = field(default=None, init=False, repr=False,
@@ -89,16 +89,8 @@ class GridGraph:
             raise DegenerateGrid(f"grid {self.cols}x{self.rows} has {n} "
                                  f"cells, over the bound of {MAX_GRID_CELLS}; "
                                  f"use a coarser grid cell")
-        if self.blocked is None:
-            self.blocked = [False] * n
-        if self.occupied is None:
-            self.occupied = [0] * n
-        for name, cells in (("blocked", self.blocked),
-                            ("occupied", self.occupied)):
-            if len(cells) != n:
-                raise DegenerateGrid(f"{name} has {len(cells)} entries, the "
-                                     f"{self.cols}x{self.rows} grid has "
-                                     f"{n} cells")
+        self.blocked = [False] * n
+        self.occupied = [0] * n
 
     def in_bounds(self, c: int, r: int) -> bool:
         return 0 <= c < self.cols and 0 <= r < self.rows

@@ -124,7 +124,7 @@ def _qubit_grid(layout):
         raise SpecInfeasible("layout was not placed on a lattice")
     off = info["origin"]
     pitch = info["pitch"]
-    half = info.get("qubit_half_extent", 250.0)
+    half = info["qubit_half_extent"]
     return off, pitch, half
 
 
@@ -418,7 +418,7 @@ def map_pins(pins: list[Pin], topology: Topology) -> dict[str, str]:
 def route_pattern(layout, width: float = 10.0) -> RoutingResult:
     """Emit the staircase paths of the pin plan that ``allocate_pins``
     cached on layout; run it first. Zero crossings by construction."""
-    plan = getattr(layout, "pin_plan", None)
+    plan = layout.pin_plan
     if plan is None:
         raise SpecInfeasible("layout has no pin plan; run allocate_pins first")
     layer = layout.routing_layer

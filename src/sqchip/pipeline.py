@@ -64,7 +64,9 @@ from .maze import (
     resolve_target,
     route_all,
 )
-from .pattern import allocate_pins, map_pins, route_pattern
+from .pattern import allocate_pins, route_pattern
+# unused here; perfbench's INSTRUMENTED table traces sqchip.pipeline.map_pins
+from .pattern import map_pins  # noqa: F401
 from .process import (
     apply_rules,
     drc,
@@ -251,14 +253,13 @@ def route_maze_core(layout, topology, corner_penalty, cross_penalty,
     each net takes the role its pin was allocated with.
     """
     allocate_pins(layout, topology, lane_pitch=lane_pitch)
-    targets = map_pins(layout.pins, topology)
     grid = build_grid(layout, cell=maze_cell, clearance=maze_clearance)
     standoff = maze_clearance + 2.0 * maze_cell
 
     nets = []
     tails = {}
     for pin in sorted(layout.pins, key=lambda p: p.pin_id):
-        pos, off = resolve_target(layout, targets[pin.pin_id], standoff)
+        pos, off = resolve_target(layout, pin.target, standoff)
         nets.append((pin.net, grid.cell_at(*pin.position),
                      grid.cell_at(*off)))
         tails[pin.net] = (pin.position, pos, pin.role)

@@ -361,7 +361,8 @@ def _spacing_faults(layout, rules: ProcessRules):
     Yields (a, b, s1, d, x): paths a and b, a's segment s1, the centerline
     distance d, and the crossing point x of a transversal crossing, or None
     for a spacing fault. A pair of paths yields nothing after its first
-    spacing fault, and segments that only touch at an endpoint are skipped.
+    spacing fault. Segments that meet at an endpoint are in contact, so
+    they are a spacing fault 0 um apart.
     """
     for a, b, pairs in _segment_pairs(layout, rules):
         need = rules.min_spacing + (a.width + b.width) / 2.0
@@ -370,10 +371,9 @@ def _spacing_faults(layout, rules: ProcessRules):
             if d >= need:
                 continue
             x = segment_crossing_point(s1[0], s1[1], s2[0], s2[1])
-            if x is not None or d > 1e-9 or not _endpoint_touch(s1, s2):
-                yield a, b, s1, d, x
-                if x is None:
-                    break
+            yield a, b, s1, d, x
+            if x is None:
+                break
 
 
 def insert_air_bridges(layout, rules: ProcessRules) -> list:
@@ -532,12 +532,3 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
                     "overlap", f"{ci.comp_id} overlaps {comps[j].comp_id}",
                     ci.origin, (ci.comp_id, comps[j].comp_id)))
     return out
-
-
-def _endpoint_touch(s1, s2, tol: float = 1e-6) -> bool:
-    ends = (s1[0], s1[1])
-    for e in ends:
-        for f in (s2[0], s2[1]):
-            if abs(e[0] - f[0]) < tol and abs(e[1] - f[1]) < tol:
-                return True
-    return False

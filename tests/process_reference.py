@@ -19,7 +19,7 @@ from sqchip.geometry import (
     segment_crossing_point,
     segment_distance,
 )
-from sqchip.process import _SEGS_PER_QUARTER, _SLACK, Violation, _endpoint_touch
+from sqchip.process import _SEGS_PER_QUARTER, _SLACK, Violation
 
 
 def fillet_corner(a, b, c, radius: float):
@@ -160,11 +160,10 @@ def check_widening(layout, widened, rules) -> None:
                         continue
                     if segment_crossing_point(s1[0], s1[1], s2[0], s2[1]):
                         continue
-                    if d > 1e-9 or not _endpoint_touch(s1, s2):
-                        raise UnresolvableOverlap(
-                            f"widening {a.net} to {a.width} um leaves "
-                            f"{d:.2f} um to {b.net}, below the "
-                            f"{rules.min_spacing} um spacing rule")
+                    raise UnresolvableOverlap(
+                        f"widening {a.net} to {a.width} um leaves "
+                        f"{d:.2f} um to {b.net}, below the "
+                        f"{rules.min_spacing} um spacing rule")
 
 
 def place_indium_columns(layout, rules) -> list:
@@ -255,7 +254,7 @@ def drc(layout, rules) -> list[Violation]:
                                 "unbridged-crossing",
                                 f"nets {a.net} and {b.net} cross without "
                                 f"an air bridge", x, (a.net, b.net)))
-                    elif d > 1e-9 or not _endpoint_touch(s1, s2):
+                    else:
                         out.append(Violation(
                             "spacing",
                             f"nets {a.net} and {b.net} are "

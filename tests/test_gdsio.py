@@ -1,5 +1,6 @@
-"""Stream-format tests: excess-64 reals, record framing, canonical writer,
-verbatim re-emission, and the SVG preview."""
+"""Stream-format tests: excess-64 reals, record framing, the canonical
+writer against an independent reference, an import writing back its own
+bytes, and the SVG preview."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ import struct
 
 import gds_reference
 import pytest
+from gds_reference import TEXT, excess64_encode, foreign_stream, write_library
 
-from sqchip.components import make_pad
+from sqchip.components import PlacedComponent, make_pad
 from sqchip.document import extract
 from sqchip.errors import (
     BadMagic,
@@ -19,7 +21,6 @@ from sqchip.errors import (
     ParseError,
     SqchipError,
     TruncatedRecord,
-    UnknownSelector,
 )
 from sqchip.gdsio import (
     ENDLIB,
@@ -31,17 +32,17 @@ from sqchip.gdsio import (
     STRNAME,
     UNITS,
     XY,
-    _frame,
+    _UNITS,
+    _boundary,
     _iter_records,
-    _render_element,
+    _path,
+    _sref,
     excess64_decode,
-    excess64_encode,
     export_svg,
     layout_from_gds,
     polygons_by_layer,
     read_gds,
     write_gds,
-    write_library,
 )
 from sqchip.geometry import rect
 from sqchip.layout import ChipLayout, DieBox, place_qubits
@@ -62,6 +63,11 @@ def test_excess64_reference_vectors_bit_for_bit():
     assert excess64_encode(0.0) == b"\x00" * 8
     assert excess64_decode(REAL_1E_3) == 1e-3
     assert excess64_decode(REAL_1E_9) == 1e-9
+
+
+def test_the_units_payload_decodes_to_exactly_a_nanometre_grid():
+    assert excess64_decode(_UNITS[:8]) == 1e-3
+    assert excess64_decode(_UNITS[8:]) == 1e-9
 
 
 def test_excess64_round_trip_is_exact():
@@ -94,12 +100,8 @@ def test_units_record_matches_hand_packed_bytes():
 
 
 def test_ten_micron_square_coordinates_hand_checked():
-    lib = GdsLibrary("sq")
-    lib.structures.append(GdsStructure("S", [
-        GdsElement("boundary", layer=1,
-                   xy=[(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]),
-    ]))
-    data = write_library(lib)
+    data = _boundary(1, 0, [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0),
+                            (0.0, 10.0)])
     xy = struct.pack(">HH", 44, XY) + struct.pack(
         ">10i", 0, 0, 10000, 0, 10000, 10000, 0, 10000, 0, 0)
     assert xy in data
@@ -124,41 +126,41 @@ def test_reader_recovers_elements_in_user_units():
     lib.structures.append(top)
     back = read_gds(write_library(lib))
     assert back.name == "model"
-    cell = back.structure("CELL")
+    assert [s.name for s in back.structures] == ["CELL", "TOP"]
+    cell, top = back.structures
     poly, path = cell.elements
     assert poly.kind == "boundary" and poly.layer == 3 and poly.datatype == 1
     assert poly.xy[-1] == poly.xy[0]            # writer closes the ring
     assert poly.xy[:-1] == [(0.0, 0.0), (5.0, 0.0), (5.0, 2.5), (0.0, 2.5)]
     assert path.kind == "path" and path.width == 10.0
     assert path.xy == [(0.0, 0.0), (100.0, 0.0), (100.0, 50.0)]
-    ref = back.structure("TOP").elements[0]
+    ref, = top.elements
     assert ref.kind == "sref" and ref.sname == "CELL" and ref.xy == [(0.0, 0.0)]
-    with pytest.raises(KeyError):
-        back.structure("NOPE")
 
 
 def test_unknown_records_survive_verbatim():
-    # a TEXT element (rectype 0x0C) inside the structure: not modeled, but
-    # the raw slice must carry it through a read/write cycle untouched
-    head = (struct.pack(">HHh", 6, 0x0002, 600)
-            + struct.pack(">HH12h", 28, 0x0102, *([0] * 12))
-            + struct.pack(">HH", 8, 0x0206) + b"lib\x00"
-            + struct.pack(">HH", 20, 0x0305) + REAL_1E_3 + REAL_1E_9)
-    text_el = (struct.pack(">HH", 4, 0x0C00)
-               + struct.pack(">HHh", 6, 0x0D02, 7)
-               + struct.pack(">HH", 10, 0x1906) + b"note\x00\x00"
-               + struct.pack(">HH", 4, 0x1100))
-    stream = (head
-              + struct.pack(">HH12h", 28, 0x0502, *([0] * 12))
-              + struct.pack(">HH", 6, 0x0606) + b"S\x00"
-              + text_el
-              + struct.pack(">HH", 4, 0x0700)
-              + struct.pack(">HH", 4, ENDLIB))
+    stream = write_library(GdsLibrary("lib", structures=[
+        GdsStructure("S", [TEXT])]))
     lib = read_gds(stream)
     assert [s.name for s in lib.structures] == ["S"]
     assert lib.structures[0].elements == []     # not modeled, only carried
-    assert write_library(lib) == stream
-    assert text_el in write_library(lib)
+    assert write_gds(layout_from_gds(stream)) == stream
+
+
+def test_an_unedited_foreign_import_writes_back_its_own_bytes():
+    data = foreign_stream()
+    back = layout_from_gds(data)
+    assert [c.kind for c in back.components] == ["imported"]
+    assert len(back.paths) == 1
+    assert write_gds(back) == data
+
+
+def test_a_foreign_import_with_an_edited_path_writes_the_canonical_render():
+    back = layout_from_gds(foreign_stream())
+    back.paths[0].points[-1] = (400.0, 100.0)
+    edited = write_gds(back)
+    assert edited == gds_reference.write_gds(back)
+    assert TEXT not in edited and not edited.endswith(b"\x00\x00")
 
 
 def test_missing_endlib_with_zero_padding_still_parses():
@@ -168,6 +170,7 @@ def test_missing_endlib_with_zero_padding_still_parses():
     lib = read_gds(padded)
     assert [s.name for s in lib.structures] == \
         [s.name for s in read_gds(data).structures]
+    assert write_gds(layout_from_gds(padded)) == padded     # padding and all
 
 
 def test_writer_refuses_a_non_ascii_name_typed():
@@ -175,9 +178,10 @@ def test_writer_refuses_a_non_ascii_name_typed():
     layout.name = "chip\u00e9"
     with pytest.raises(NonAsciiName, match="'chip\u00e9'"):
         write_gds(layout)
-    lib = GdsLibrary("chip", structures=[GdsStructure("cell\u00e9")])
-    with pytest.raises(NonAsciiName, match="'cell\u00e9'"):
-        write_library(lib)
+    layout.name = "chip"
+    layout.components[0].kind = "cell\u00e9"     # names the kind's cell
+    with pytest.raises(NonAsciiName, match="'CELL\u00c9'"):
+        write_gds(layout)
 
 
 @pytest.mark.parametrize("rectype", [LIBNAME, STRNAME, SNAME])
@@ -271,13 +275,11 @@ def test_mutated_streams_fail_only_with_typed_errors():
 
 
 def test_coordinates_beyond_the_grid_refuse_to_write():
-    lib = GdsLibrary("big")
-    lib.structures.append(GdsStructure("S", [
-        GdsElement("path", layer=2, width=10.0,
-                   xy=[(0.0, 0.0), (3.0e6, 0.0)]),
-    ]))
+    layout = ChipLayout("big", DieBox(0.0, 0.0, 1000.0, 1000.0))
+    layout.paths.append(RoutedPath("far", "signal", 2,
+                                   [(0.0, 0.0), (3.0e6, 0.0)], 10.0))
     with pytest.raises(CoordinateOverflow):
-        write_library(lib)
+        write_gds(layout)
 
 
 def _coordinate(rng: random.Random) -> float:
@@ -287,11 +289,13 @@ def _coordinate(rng: random.Random) -> float:
     return (rng.randint(-10**9, 10**9) + 0.5) / 1000.0
 
 
-def _element(rng: random.Random, kind: str, points) -> GdsElement:
-    return GdsElement(kind, layer=rng.randint(0, 30),
-                      datatype=rng.randint(0, 3), xy=points,
-                      width=rng.choice((0.0, 10.0, _coordinate(rng))),
-                      pathtype=rng.randint(0, 2), sname="CELL_A")
+def _pack(el: GdsElement) -> bytes:
+    """el packed by the writer's packer for its kind."""
+    if el.kind == "boundary":
+        return _boundary(el.layer, el.datatype, el.xy)
+    if el.kind == "path":
+        return _path(el.layer, el.width, el.xy)
+    return _sref(el.sname)
 
 
 def test_element_packer_matches_the_per_value_reference():
@@ -301,14 +305,17 @@ def test_element_packer_matches_the_per_value_reference():
         pts = [(_coordinate(rng), _coordinate(rng))
                for _ in range(rng.randint(0, 9))]
         ties += sum(v * 1000.0 % 1.0 == 0.5 for pt in pts for v in pt)
-        for kind in ("boundary", "path", "sref"):
-            el = _element(rng, kind, pts)
-            assert _render_element(el) == gds_reference.render_element(el)
+        for el in (
+                GdsElement("boundary", layer=rng.randint(0, 30),
+                           datatype=rng.randint(0, 3), xy=pts),
+                GdsElement("path", layer=rng.randint(0, 30), xy=pts,
+                           width=rng.choice((0.0, 10.0, _coordinate(rng)))),
+                GdsElement("sref", sname="CELL_A", xy=[(0.0, 0.0)])):
+            assert _pack(el) == gds_reference.render_element(el)
     assert ties > 300
     # half-nm ties round to the even neighbour, either side of zero
-    el = GdsElement("path", xy=[(0.0005, 0.0015), (0.0025, -0.0005),
-                                (-0.0015, -0.0025)])
-    assert struct.unpack(">6i", _render_element(el)[-28:-4]) == \
+    pts = [(0.0005, 0.0015), (0.0025, -0.0005), (-0.0015, -0.0025)]
+    assert struct.unpack(">6i", _path(0, 0.0, pts)[-28:-4]) == \
         (0, 2, 2, 0, -2, -2)
 
 
@@ -316,25 +323,22 @@ def test_element_packer_matches_the_per_value_reference():
 def test_element_packer_accepts_the_32_bit_grid_and_refuses_beyond_it(kind):
     edge = (2**31 - 1) / 1000.0        # um, at the largest database value
     for sign in (1.0, -1.0):
-        el = GdsElement(kind, layer=1, width=10.0, xy=[
-            (0.0, 0.0), (sign * edge, 0.0), (0.0, sign * edge)])
-        lib = read_gds(write_library(GdsLibrary("edge", structures=[
-            GdsStructure("S", [el])])))
-        assert lib.structures[0].elements[0].xy[1] == (sign * edge, 0.0)
+        pts = [(0.0, 0.0), (sign * edge, 0.0), (0.0, sign * edge)]
+        layout = ChipLayout("edge", DieBox(0.0, 0.0, 1000.0, 1000.0))
+        if kind == "boundary":
+            layout.add_component(PlacedComponent("c", "pad", (0.0, 0.0),
+                                                 {1: [pts]}))
+        else:
+            layout.paths.append(RoutedPath("p", "signal", 1, pts, 10.0))
+        el, = [el for s in read_gds(write_gds(layout)).structures
+               for el in s.elements if el.kind == kind]
+        assert el.xy[1] == (sign * edge, 0.0)
         for at in (1, 2):
-            pts = list(el.xy)
-            pts[at] = tuple(sign * 2**31 / 1000.0 if v else v
-                            for v in pts[at])
+            far = list(pts)
+            far[at] = tuple(sign * 2**31 / 1000.0 if v else v
+                            for v in far[at])
             with pytest.raises(CoordinateOverflow):
-                _render_element(GdsElement(kind, layer=1, width=10.0,
-                                           xy=pts))
-
-
-def test_write_library_refuses_an_unknown_element_kind():
-    lib = GdsLibrary("odd")
-    lib.structures.append(GdsStructure("S", [GdsElement("text")]))
-    with pytest.raises(UnknownSelector, match="boundary.*path.*sref"):
-        write_library(lib)
+                _pack(GdsElement(kind, layer=1, width=10.0, xy=far))
 
 
 def _append_path(layout):
@@ -403,7 +407,7 @@ def test_write_gds_to_file_round_trips(tmp_path):
     target = tmp_path / "chip.gds"
     data = write_gds(layout, target)
     assert target.read_bytes() == data
-    assert write_library(read_gds(target)) == data
+    assert write_gds(layout_from_gds(target)) == data
 
 
 def test_svg_preview_is_deterministic_and_complete():
@@ -434,7 +438,7 @@ def _top_placing(*records: bytes) -> bytes:
     """A stream with a one-square CELL and a TOP made of the given records."""
     cell = GdsStructure("CELL", [
         GdsElement("boundary", layer=1, xy=rect(0.0, 0.0, 5.0, 5.0))])
-    top = GdsStructure("TOP", raw=_frame("TOP", b"".join(records)))
+    top = GdsStructure("TOP", [b"".join(records)])
     return write_library(GdsLibrary("lib", structures=[cell, top]))
 
 
@@ -453,7 +457,7 @@ def _sref_at(x_db: int, y_db: int, *extra: bytes) -> tuple[bytes, ...]:
 ])
 def test_import_refuses_a_reference_it_would_misplace(records, what):
     data = _top_placing(*records)
-    assert write_library(read_gds(data)) == data    # the reader carries it
+    assert [s.name for s in read_gds(data).structures] == ["CELL", "TOP"]
     with pytest.raises(ParseError, match=f"'TOP' places 'CELL' {what}"):
         layout_from_gds(data)
     # the same CELL placed plainly at the origin imports

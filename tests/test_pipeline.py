@@ -553,24 +553,22 @@ def assert_rebuild_reproduces_the_digests(doc):
 def test_a_build_packs_each_polygon_path_state_and_arc_once(monkeypatch):
     # counted with stand-ins, not timed, so the guard holds on any host
     packed, states, arcs = [], Counter(), Counter()
-    boundary, render, arc = (gdsio._boundary, gdsio._render_element,
-                             process._arc)
+    boundary, path, arc = gdsio._boundary, gdsio._path, process._arc
 
     def counting_boundary(layer, datatype, points):
         packed.append(points)
         return boundary(layer, datatype, points)
 
-    def counting_render(el):
-        if el.kind == "path":
-            states[el.layer, el.width, tuple(el.xy)] += 1
-        return render(el)
+    def counting_path(layer, width, points):
+        states[layer, width, tuple(points)] += 1
+        return path(layer, width, points)
 
     def counting_arc(r, a1, sweep, n):
         arcs[r.hex(), a1.hex(), sweep.hex(), n] += 1
         return arc(r, a1, sweep, n)
 
     monkeypatch.setattr(gdsio, "_boundary", counting_boundary)
-    monkeypatch.setattr(gdsio, "_render_element", counting_render)
+    monkeypatch.setattr(gdsio, "_path", counting_path)
     monkeypatch.setattr(process, "_arc", counting_arc)
     monkeypatch.setattr(process, "_ARCS", {})
     result = run_pipeline(rows=8, cols=8)

@@ -9,6 +9,7 @@ import random
 import struct
 from types import SimpleNamespace
 
+import gds_reference
 import process_reference
 import pytest
 
@@ -284,15 +285,18 @@ def test_drc_reports_measured_width_against_the_limit():
     assert "2.0" in report[0].message and "10.0" in report[0].message
 
 
-def test_drc_flags_close_parallel_runs_but_not_endpoint_touches():
+def test_drc_flags_close_parallel_runs_and_endpoint_touches():
     lay = _bare_layout(
         RoutedPath("a", "control", 2, [(100.0, 100.0), (400.0, 100.0)], 10.0),
         RoutedPath("b", "control", 2, [(100.0, 111.0), (400.0, 111.0)], 10.0))
     assert [v.rule for v in drc(lay, GENERIC)] == ["spacing"]
+    # two nets meeting end to end are in metal contact: a short
     touch = _bare_layout(
         RoutedPath("a", "control", 2, [(100.0, 100.0), (400.0, 100.0)], 10.0),
         RoutedPath("b", "control", 2, [(400.0, 100.0), (400.0, 400.0)], 10.0))
-    assert drc(touch, GENERIC) == []
+    assert _violations(drc(touch, GENERIC)) == [(
+        "spacing", "nets a and b are 0.00 um apart, need 10.0 um",
+        (100.0, 100.0), ("a", "b"))]
 
 
 def test_drc_wants_a_bridge_on_every_crossing():
@@ -338,7 +342,7 @@ def test_drc_measures_traces_and_pads_against_custom_rules():
 
 
 def test_apply_rules_invalidates_an_imported_stream_cache():
-    from sqchip.gdsio import layout_from_gds, read_gds, write_gds, write_library
+    from sqchip.gdsio import layout_from_gds, write_gds
 
     original = write_gds(_bare_layout(
         RoutedPath("a", "control", 2,
@@ -348,7 +352,7 @@ def test_apply_rules_invalidates_an_imported_stream_cache():
     apply_rules(imported, get_process("generic-10um"))
     reshaped = write_gds(imported)
     assert reshaped != original                 # fillet reached the stream
-    assert write_library(read_gds(reshaped)) == reshaped
+    assert reshaped == gds_reference.write_gds(imported)   # canonically
 
 
 # ---- index-backed scans against the all-pairs reference --------------------
