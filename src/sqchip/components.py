@@ -13,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import LengthMismatch, MeanderDoesNotFit
-from .geometry import BinIndex, bbox, bbox_union, path_length, rect
+from .geometry import BinIndex, path_length, rect
 
 # Layer plan. Numbers are GDS layer numbers; roles are what drc and the
 # writers key on.
@@ -53,9 +53,9 @@ class PlacedComponent:
     def bounding_box(self) -> tuple[float, float, float, float]:
         # cached: overlap checks, DRC and content_bbox each read it
         if self._bbox is None:
-            boxes = [bbox(poly) for polys in self.footprint.values()
-                     for poly in polys]
-            self._bbox = bbox_union(boxes)
+            xs, ys = zip(*[pt for polys in self.footprint.values()
+                           for poly in polys for pt in poly])
+            self._bbox = (min(xs), min(ys), max(xs), max(ys))
         return self._bbox
 
     def set_footprint(self, layer: int,

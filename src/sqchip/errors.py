@@ -168,7 +168,13 @@ class EvaluatorFailed(SqchipError):
 # ---- GDS streams -------------------------------------------------------
 
 class CoordinateOverflow(SqchipError):
-    pass
+    """A coordinate is not finite or lies past the 32-bit database grid."""
+
+
+class UnwritableElement(SqchipError):
+    """An element GDSII cannot hold as the layout has it: a layer or
+    datatype past 16 bits, more points than one XY record holds, or an
+    edited import whose source held fields the layout model does not keep."""
 
 
 class TruncatedRecord(SqchipError):

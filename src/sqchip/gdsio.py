@@ -9,6 +9,12 @@ render. Each piece is packed once per value: a component keeps its
 BOUNDARY records until ``PlacedComponent.set_footprint`` changes its
 footprint (footprints change only through it), and a path keeps its PATH
 record next to a copy of the layer, width and points it was packed from.
+An axis-aligned rectangle listed as ``geometry.rect`` lists one (most of
+a chip's polygons) is packed from its four coordinates, each rounded
+once, in one ``struct`` call; any other polygon is packed from all of its
+coordinates. What GDSII cannot hold (a coordinate that is not finite or
+lies past the 32-bit grid, more than 8,191 points in one element, a layer
+or datatype past 16 bits) is refused with a typed error.
 
 An import keeps its source: ``layout_from_gds`` stores the stream it read
 as the import's render memo (``ChipLayout.rendered``), which the writer
@@ -36,6 +42,7 @@ from .errors import (
     OddLength,
     ParseError,
     TruncatedRecord,
+    UnwritableElement,
 )
 from .geometry import bbox
 
@@ -100,7 +107,11 @@ def _times() -> bytes:
 
 
 def _to_db(um: float) -> int:
-    v = round(um * DB_PER_UM)
+    try:
+        v = round(um * DB_PER_UM)
+    except (ValueError, OverflowError):         # NaN or infinite
+        raise CoordinateOverflow(
+            f"{um} um is not a finite coordinate") from None
     if abs(v) > _I32_MAX:
         raise CoordinateOverflow(f"{um} um exceeds the 32-bit database grid")
     return v
@@ -109,8 +120,12 @@ def _to_db(um: float) -> int:
 def _xy(points) -> bytes:
     """XY payload: each coordinate rounded half-to-even to the database
     grid, packed in one call."""
-    flat = [round(v * DB_PER_UM) for pt in points for v in pt]
-    if flat and (max(flat) > _I32_MAX or min(flat) < -_I32_MAX):
+    try:
+        flat = [round(v * DB_PER_UM) for pt in points for v in pt]
+    except (ValueError, OverflowError):         # NaN or infinite
+        flat = None
+    if flat is None or flat and (max(flat) > _I32_MAX
+                                 or min(flat) < -_I32_MAX):
         for pt in points:
             for v in pt:
                 _to_db(v)          # raises CoordinateOverflow naming v
@@ -276,23 +291,58 @@ def read_gds(src) -> GdsLibrary:
 _BOUNDARY_HEAD = struct.Struct(">HHHHhHHhHH")   # BOUNDARY LAYER DATATYPE XY
 _PATH_HEAD = struct.Struct(">HHHHhHHhHHhHHiHH")  # PATH ... PATHTYPE WIDTH XY
 _ENDEL = struct.pack(">HH", 4, ENDEL)
+# a rectangle's whole BOUNDARY record: the fixed records, its closed ring
+# of five points and ENDEL
+_RECT = struct.Struct(">HHHHhHHhHH10iHH")
+# the most points one XY record holds: its length field is 16 bits
+_XY_POINTS = (0xFFFF - 4) // 8
 
 
 def _boundary(layer: int, datatype: int, points) -> bytes:
+    if len(points) == 4:
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points
+        # an axis-aligned rectangle listed as geometry.rect lists one is
+        # four values: each is rounded once and the record packed in one
+        # call; a fault (a value past the grid, a layer past 16 bits)
+        # falls through to the general packer, which names it
+        if y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0 and y3 != y0:
+            try:
+                a, b = round(x0 * DB_PER_UM), round(y0 * DB_PER_UM)
+                c, d = round(x1 * DB_PER_UM), round(y2 * DB_PER_UM)
+                # 'i' refuses what is past it; the grid stops at -_I32_MAX
+                if min(a, b, c, d) >= -_I32_MAX:
+                    return _RECT.pack(4, BOUNDARY, 6, LAYER, layer,
+                                      6, DATATYPE, datatype, 44, XY,
+                                      a, b, c, b, c, d, a, d, a, b, 4, ENDEL)
+            except (OverflowError, struct.error):
+                pass
     pts = list(points)
     if pts and pts[0] != pts[-1]:
         pts.append(pts[0])
     xy = _xy(pts)
-    return _BOUNDARY_HEAD.pack(4, BOUNDARY, 6, LAYER, layer, 6, DATATYPE,
-                               datatype, 4 + len(xy), XY) + xy + _ENDEL
+    try:
+        return _BOUNDARY_HEAD.pack(4, BOUNDARY, 6, LAYER, layer, 6, DATATYPE,
+                                   datatype, 4 + len(xy), XY) + xy + _ENDEL
+    except struct.error:
+        raise _unwritable("boundary", layer, datatype, len(pts)) from None
 
 
 def _path(layer: int, width: float, points) -> bytes:
     width_db = _to_db(width)
     xy = _xy(points)
-    return _PATH_HEAD.pack(4, PATH, 6, LAYER, layer, 6, DATATYPE, 0,
-                           6, PATHTYPE, 0, 8, WIDTH, width_db,
-                           4 + len(xy), XY) + xy + _ENDEL
+    try:
+        return _PATH_HEAD.pack(4, PATH, 6, LAYER, layer, 6, DATATYPE, 0,
+                               6, PATHTYPE, 0, 8, WIDTH, width_db,
+                               4 + len(xy), XY) + xy + _ENDEL
+    except struct.error:
+        raise _unwritable("path", layer, 0, len(xy) // 8) from None
+
+
+def _unwritable(kind: str, layer, datatype, n: int) -> UnwritableElement:
+    return UnwritableElement(
+        f"a {kind} on layer {layer}, datatype {datatype}, with {n} points "
+        f"does not fit GDSII: an element holds at most {_XY_POINTS} points, "
+        f"and a layer or datatype lies in -32768..32767")
 
 
 def _sref(name: str) -> bytes:
@@ -360,8 +410,13 @@ def stream_pieces(layout) -> list[bytes]:
     caches, so a render packs only what changed since the last one.
     """
     if layout.rendered is not None:
-        if layout.rendered[0] == _geometry(layout):
-            return [layout.rendered[1]]
+        geometry, source, dropped = layout.rendered
+        if geometry == _geometry(layout):
+            return [source]
+        if dropped is not None:
+            raise UnwritableElement(
+                f"an edited import renders every element with datatype 0 "
+                f"and pathtype 0, which would change its {dropped}")
         layout.rendered = None          # edited: no longer its source
     cells: dict[str, str] = {}          # kind -> cell name
     groups: dict[str, list] = {}
@@ -416,8 +471,10 @@ def layout_from_gds(src):
     (an SREF at an offset, an SREF with a STRANS transform, any AREF) is
     refused with ParseError, rather than imported misplaced. The input is
     read once, and the import's render memo holds it, so an unedited import
-    writes back its own bytes. The stream records no die, so the die is the
-    content's bounding box.
+    writes back its own bytes. The layout keeps no datatype or pathtype, so
+    once edited, an import whose source held a non-zero one refuses to
+    render with UnwritableElement, naming the first such element. The
+    stream records no die, so the die is the content's bounding box.
     """
     from .layout import ChipLayout, DieBox
     from .routing import RoutedPath
@@ -425,6 +482,7 @@ def layout_from_gds(src):
     data = _read(src)
     lib = read_gds(data)
     layout = ChipLayout(lib.name or "imported", DieBox(0, 0, 0, 0))
+    dropped = None          # the first element a canonical render would alter
     for s in lib.structures:
         # one component per polygon: structures group unrelated geometry,
         # and an aggregate bounding box would poison overlap checks
@@ -438,10 +496,16 @@ def layout_from_gds(src):
                 comp._bbox = box          # its one polygon's box
                 layout.add_component(comp, check_overlap=False)
                 serial += 1
+                if el.datatype and dropped is None:
+                    dropped = (f"boundary {comp.comp_id} "
+                               f"(datatype {el.datatype})")
             elif el.kind == "path":
+                net = f"{s.name}_p{len(layout.paths)}"
                 layout.paths.append(RoutedPath(
-                    f"{s.name}_p{len(layout.paths)}", "signal", el.layer,
-                    list(el.xy), el.width))
+                    net, "signal", el.layer, list(el.xy), el.width))
+                if (el.datatype or el.pathtype) and dropped is None:
+                    dropped = (f"path {net} (datatype {el.datatype}, "
+                               f"pathtype {el.pathtype})")
             elif el.kind == "aref" or el.strans or el.xy != [(0.0, 0.0)]:
                 how = ("as an array (AREF)" if el.kind == "aref" else
                        "with a transform (STRANS)" if el.strans else
@@ -449,7 +513,7 @@ def layout_from_gds(src):
                 raise ParseError(f"structure {s.name!r} places {el.sname!r} "
                                  f"{how}, which cannot import")
     layout.die = DieBox(*layout.content_bbox())
-    layout.rendered = (_geometry(layout), data)
+    layout.rendered = (_geometry(layout), data, dropped)
     return layout
 
 

@@ -11,6 +11,8 @@ import bisect
 import heapq
 import math
 
+from .errors import CoordinateOverflow
+
 
 def bbox(points):
     xs = [p[0] for p in points]
@@ -175,27 +177,40 @@ class BinIndex:
 
     Space is cut into square cells of side `cell`. A box is filed under
     (layer, ix, iy) for every cell it touches, so two closed boxes that share
-    a point share a cell. `query` returns the items whose box meets the query
-    box (closed intervals); callers decide each candidate with their exact
-    predicate.
+    a point share a cell; a box that would touch more than `WIDE` cells is
+    kept instead in one list per layer that every query scans, so a box
+    costs at most `WIDE` entries however large it is. `query` returns the
+    items whose box meets the query box (closed intervals); callers decide
+    each candidate with their exact predicate.
     """
+
+    WIDE = 64
 
     def __init__(self, cell: float):
         if not cell > 0.0:
             raise ValueError(f"bin size must be positive, got {cell}")
         self.cell = cell
         self._bins: dict[tuple, list] = {}
+        self._wide: dict[object, list] = {}     # layer -> [(box, item)]
 
     def _span(self, lo, hi):
         c = self.cell
-        return range(math.floor(lo / c), math.floor(hi / c) + 1)
+        try:
+            return range(math.floor(lo / c), math.floor(hi / c) + 1)
+        except (ValueError, OverflowError):     # NaN or infinite
+            raise CoordinateOverflow(
+                f"box from {lo} to {hi} um is not finite") from None
 
     def add(self, layer, box, item) -> None:
         """File hashable `item` under `box` = (x0, y0, x1, y1) on `layer`."""
         entry = (box, item)
         bins = self._bins
+        xs = self._span(box[0], box[2])
         ys = self._span(box[1], box[3])
-        for ix in self._span(box[0], box[2]):
+        if len(xs) * len(ys) > self.WIDE:
+            self._wide.setdefault(layer, []).append(entry)
+            return
+        for ix in xs:
             for iy in ys:
                 filed = bins.get((layer, ix, iy))
                 if filed is None:
@@ -207,15 +222,15 @@ class BinIndex:
         """Items on `layer` whose box meets `box`."""
         x0, y0, x1, y1 = box
         bins = self._bins
-        found = set()
+        xs = self._span(x0, x1)
         ys = self._span(y0, y1)
-        for ix in self._span(x0, x1):
-            for iy in ys:
-                for b, item in bins.get((layer, ix, iy), ()):
-                    if b[0] <= x1 and x0 <= b[2] and b[1] <= y1 \
-                            and y0 <= b[3]:
-                        found.add(item)
-        return found
+        if len(xs) * len(ys) > self.WIDE:   # every entry on layer instead
+            filed = [f for key, f in bins.items() if key[0] == layer]
+        else:
+            filed = [bins.get((layer, ix, iy), ()) for ix in xs for iy in ys]
+        filed.append(self._wide.get(layer, ()))
+        return {item for entries in filed for b, item in entries
+                if b[0] <= x1 and x0 <= b[2] and b[1] <= y1 and y0 <= b[3]}
 
 
 def rect(x0, y0, x1, y1):

@@ -86,9 +86,11 @@ class ChipLayout:
     applied_rules: str | None = None
     flip_chip: bool = False
     pin_plan: object | None = None     # escape-routing plan, not persisted
-    # (geometry, source stream) of a GDS import, which write_gds re-emits
-    # while gdsio._geometry(layout) equals the key (footprints change only
-    # through set_footprint); a fresh layout renders canonically instead
+    # (geometry, source stream, dropped) of a GDS import: write_gds
+    # re-emits the stream while gdsio._geometry(layout) equals the key
+    # (footprints change only through set_footprint), and once edited
+    # refuses to render if dropped names an element whose datatype or
+    # pathtype the model does not keep; a fresh layout renders canonically
     rendered: tuple | None = field(default=None, repr=False)
     # (key, pairs) of the last full-reach segment-pair scan of the paths,
     # which bridges and DRC share; process._segment_pairs keys it on the

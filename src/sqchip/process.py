@@ -511,8 +511,11 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
                 "die-bounds", f"component {comp.comp_id} leaves the die",
                 comp.origin, (comp.comp_id, "")))
     for p in layout.paths:
+        # DieBox.contains(x, y, tol=p.width), its bounds computed once
+        w = p.width
+        x0, y0, x1, y1 = die.x0 - w, die.y0 - w, die.x1 + w, die.y1 + w
         for (x, y) in p.points:
-            if not die.contains(x, y, tol=p.width):
+            if not (x0 <= x <= x1 and y0 <= y <= y1):
                 out.append(Violation(
                     "die-bounds", f"net {p.net} leaves the die", (x, y),
                     (p.net, "")))

@@ -11,6 +11,7 @@ import gds_reference
 import pytest
 from gds_reference import TEXT, excess64_encode, foreign_stream, write_library
 
+from sqchip import gdsio
 from sqchip.components import PlacedComponent, make_pad
 from sqchip.document import extract
 from sqchip.errors import (
@@ -21,6 +22,7 @@ from sqchip.errors import (
     ParseError,
     SqchipError,
     TruncatedRecord,
+    UnwritableElement,
 )
 from sqchip.gdsio import (
     ENDLIB,
@@ -515,3 +517,197 @@ def test_an_extracted_copy_renders_alone():
     _extend_points_in_place(copy)
     assert write_gds(copy) == gds_reference.write_gds(copy) != source
     assert write_gds(doc.layout) == source == gds_reference.write_gds(doc.layout)
+
+
+# ---- the rectangle packer ---------------------------------------------------
+
+_EDGE = (2**31 - 1) / 1000.0            # um, the largest database value
+
+
+def _rectangle_like(rng: random.Random) -> list[tuple[float, float]]:
+    """A polygon the rectangle packer must pack as the reference does: a
+    rectangle listed either way round, closed with a fifth point,
+    degenerate, off by 1e-9, on half-nm ties, at -0.0, or at the edge of
+    the 32-bit grid or just past it."""
+    v = rng.choice((
+        lambda: rng.uniform(-2.0e3, 2.0e3),
+        lambda: (rng.randint(-10**6, 10**6) + 0.5) / 1000.0,
+        lambda: rng.choice((0.0, -0.0, 1.0, -1.0)),
+        lambda: rng.choice((_EDGE, -_EDGE, 2**31 / 1000.0, -2**31 / 1000.0,
+                            (2**31 + 1) / 1000.0)),
+    ))
+    x0, y0, x1, y1 = v(), v(), v(), v()
+    shape = rng.randrange(7)
+    if shape == 1:                      # zero width or zero height
+        x1, y1 = rng.choice(((x0, y1), (x1, y0), (x0, y0)))
+    poly = rect(x0, y0, x1, y1)
+    if shape == 2:                      # clockwise
+        poly.reverse()
+    elif shape == 3:                    # listed closed
+        poly.append(poly[0])
+    elif shape == 4:                    # one vertex off by 1e-9
+        i, j = rng.randrange(4), rng.randrange(2)
+        pt = list(poly[i])
+        pt[j] += 1e-9
+        poly[i] = tuple(pt)
+    elif shape == 5:                    # starts at another corner
+        k = rng.randrange(1, 4)
+        poly = poly[k:] + poly[:k]
+    return poly
+
+
+def _outcome(write, arg):
+    try:
+        return write(arg)
+    except Exception as exc:            # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+def test_rectangle_packer_matches_the_reference_on_random_layouts():
+    rng = random.Random(34)
+    outcomes = []
+    for n in range(400):
+        layout = ChipLayout(f"r{n}", DieBox(0.0, 0.0, 1000.0, 1000.0))
+        for i in range(rng.randint(1, 6)):
+            polys = [_rectangle_like(rng) for _ in range(rng.randint(1, 3))]
+            layout.add_component(PlacedComponent(
+                f"c{i}", rng.choice(("pad", "res")), (0.0, 0.0),
+                {rng.randint(0, 30): polys}), check_overlap=False)
+        for comp in layout.components:
+            for layer, polys in comp.footprint.items():
+                for poly in polys:
+                    el = GdsElement("boundary", layer=layer, xy=poly)
+                    got = _outcome(_pack, el)
+                    assert got == _outcome(gds_reference.render_element,
+                                           el), poly
+                    outcomes.append(isinstance(got, bytes))
+        assert _outcome(write_gds, layout) == _outcome(
+            gds_reference.write_gds, layout)
+    # both outcomes are well represented
+    assert outcomes.count(True) > 500 and outcomes.count(False) > 500
+
+
+def test_a_zero_height_rectangle_closed_by_its_own_corners_packs_four_points():
+    # rect(x0, y, x1, y) lists its first point again as its last
+    poly = rect(0.0, 5.0, 10.0, 5.0)
+    assert poly[0] == poly[-1]
+    el = GdsElement("boundary", layer=1, xy=poly)
+    assert _pack(el) == gds_reference.render_element(el)
+    # BOUNDARY, LAYER, DATATYPE and XY headers, four points, ENDEL
+    assert len(_pack(el)) == 20 + 4 * 8 + 4
+
+
+def test_a_pattern_build_rounds_each_rectangle_at_most_four_times(monkeypatch):
+    # a count of round() calls in the writer, not a timer
+    rounds, per_polygon = [0], []
+    boundary = gdsio._boundary
+
+    def counting_round(v):
+        rounds[0] += 1
+        return round(v)
+
+    def counting_boundary(layer, datatype, points):
+        before = rounds[0]
+        out = boundary(layer, datatype, points)
+        per_polygon.append((points, rounds[0] - before))
+        return out
+
+    monkeypatch.setattr(gdsio, "round", counting_round, raising=False)
+    monkeypatch.setattr(gdsio, "_boundary", counting_boundary)
+    run_pipeline(rows=8, cols=8)
+    rects = [n for poly, n in per_polygon if len(poly) == 4
+             and poly == rect(*poly[0], *poly[2]) and poly[0] != poly[3]]
+    assert len(rects) > 700
+    assert max(rects) <= 4
+    # any other polygon rounds each coordinate of its closed ring once
+    assert all(n == 2 * (len(poly) + 1) for poly, n in per_polygon
+               if len(poly) != 4)
+
+
+# ---- what a GDSII record cannot hold --------------------------------------
+
+def _long(n: int) -> list[tuple[float, float]]:
+    return [(float(i), float(i % 2)) for i in range(n)]
+
+
+@pytest.mark.parametrize("kind, layer, datatype, points, written", [
+    ("path", 1, 0, _long(9000), 9000),
+    ("boundary", 1, 0, _long(9000), 9001),
+    ("boundary", 1, 0, _long(8191), 8192),   # its closing point is one more
+    ("path", 1, 0, _long(8192), 8192),
+    ("boundary", 40_000, 0, rect(0.0, 0.0, 5.0, 5.0), 5),
+    ("boundary", -40_000, 0, _long(3), 4),
+    ("boundary", 1, 40_000, rect(0.0, 0.0, 5.0, 5.0), 5),
+    ("path", 40_000, 0, _long(2), 2),
+])
+def test_writer_refuses_what_a_record_cannot_hold_typed(
+        kind, layer, datatype, points, written):
+    el = GdsElement(kind, layer=layer, datatype=datatype, xy=points,
+                    width=10.0)
+    with pytest.raises(UnwritableElement,
+                       match=rf"{kind} on layer {layer}, datatype "
+                             rf"{datatype}, with {written} points .* 8191"):
+        _pack(el)
+
+
+def test_writer_packs_the_most_points_a_record_holds():
+    for el in (GdsElement("path", layer=1, xy=_long(8191), width=10.0),
+               GdsElement("boundary", layer=1, xy=_long(8190)),
+               GdsElement("boundary", layer=-32768, datatype=32767,
+                          xy=rect(0.0, 0.0, 5.0, 5.0))):
+        assert _pack(el) == gds_reference.render_element(el)
+
+
+# ---- non-finite coordinates ------------------------------------------------
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coordinates_refuse_typed(bad):
+    layout = ChipLayout("nf", DieBox(0.0, 0.0, 1000.0, 1000.0))
+    with pytest.raises(CoordinateOverflow, match=str(bad)):
+        layout.add_component(make_pad("p", (bad, 0.0)))
+    for pts, width in (([(0.0, 0.0), (bad, 5.0)], 10.0),
+                       ([(0.0, 0.0), (5.0, 0.0)], bad)):
+        layout.paths[:] = [RoutedPath("n", "signal", 2, pts, width)]
+        with pytest.raises(CoordinateOverflow, match=str(bad)):
+            write_gds(layout)
+    for poly in (rect(0.0, 0.0, bad, 5.0),
+                 [(0.0, 0.0), (bad, 1.0), (2.0, 3.0)]):
+        with pytest.raises(CoordinateOverflow, match=str(bad)):
+            _boundary(1, 0, poly)
+
+
+# ---- what an edited import cannot keep -------------------------------------
+
+def _typed_stream() -> bytes:
+    """A datatype-3 square and a datatype-4, pathtype-2 path."""
+    square = GdsElement("boundary", layer=1, datatype=3,
+                        xy=rect(0.0, 0.0, 5.0, 5.0))
+    feed = GdsElement("path", layer=2, datatype=4, pathtype=2, width=10.0,
+                      xy=[(0.0, 100.0), (300.0, 100.0)])
+    return write_library(GdsLibrary("typed", structures=[
+        GdsStructure("CELL", [square]), GdsStructure("TOP", [feed])]))
+
+
+@pytest.mark.parametrize("edit", [_extend_points_in_place, _append_path,
+                                  _set_footprint])
+def test_an_edited_import_refuses_to_drop_datatype_and_pathtype(edit):
+    data = _typed_stream()
+    back = layout_from_gds(data)
+    assert write_gds(back) == data          # unedited: verbatim
+    edit(back)
+    for _ in range(2):                      # and again: the refusal holds
+        with pytest.raises(UnwritableElement,
+                           match=r"boundary CELL_0 \(datatype 3\)"):
+            write_gds(back)
+
+
+def test_an_edited_import_names_a_path_whose_pathtype_it_would_drop():
+    feed = GdsElement("path", layer=2, pathtype=2, width=10.0,
+                      xy=[(0.0, 100.0), (300.0, 100.0)])
+    data = write_library(GdsLibrary("typed", structures=[
+        GdsStructure("TOP", [feed])]))
+    back = layout_from_gds(data)
+    back.paths[0].points[-1] = (400.0, 100.0)
+    with pytest.raises(UnwritableElement,
+                       match=r"path TOP_p0 \(datatype 0, pathtype 2\)"):
+        write_gds(back)

@@ -153,3 +153,31 @@ def test_sweep_pairs_returns_exactly_the_cross_group_boxes_within_reach():
                 and b[0] <= a[2] + reach and a[0] <= b[2] + reach
                 and b[1] <= a[3] + reach and a[1] <= b[3] + reach}
         assert {tuple(sorted(pq)) for pq in got} == want
+
+
+def test_bin_index_keeps_a_wide_box_as_one_entry_and_still_finds_it():
+    # boxes from a point to hundreds of bins wide, and queries as wide, on
+    # a lattice that lands them on bin edges (cell 10): every query finds
+    # exactly the boxes it meets, however each box was filed
+    rng = random.Random(12)
+    coord = lambda: 5.0 * rng.randint(-200, 200)
+    size = lambda: 5.0 * rng.choice((0, 1, 4, rng.randint(0, 100)))
+
+    def random_box():
+        x0, y0 = coord(), coord()
+        return (x0, y0, x0 + size(), y0 + size())
+
+    boxes = [(rng.choice((1, 2)), random_box()) for _ in range(150)]
+    index = BinIndex(10.0)
+    assert BinIndex.WIDE == 64
+    for n, (layer, box) in enumerate(boxes):
+        index.add(layer, box, n)
+    # both ways of filing are exercised
+    wide = sum(len(filed) for filed in index._wide.values())
+    assert 10 < wide < len(boxes) - 10
+    for _ in range(300):
+        x0, y0, x1, y1 = random_box()
+        layer = rng.choice((1, 2))
+        want = {n for n, (lay, b) in enumerate(boxes) if lay == layer
+                and b[0] <= x1 and x0 <= b[2] and b[1] <= y1 and y0 <= b[3]}
+        assert index.query(layer, (x0, y0, x1, y1)) == want

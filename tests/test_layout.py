@@ -315,3 +315,24 @@ def test_frequency_allocation_rejects_degenerate_palettes():
         allocate_frequencies(topo, [])
     with pytest.raises(InsufficientFrequencySet):
         allocate_frequencies(topo, [4.3e9, 4.3e9])
+
+
+def test_a_400_mm_square_costs_the_component_index_one_entry():
+    # filed bin by bin it would take 401 x 401 entries of 1000 um
+    layout = ChipLayout("big", DieBox(0.0, 0.0, 1000.0, 1000.0))
+    square = rect(-2.0e5, -2.0e5, 2.0e5, 2.0e5)
+    layout.add_component(PlacedComponent("plane", "pad", (0.0, 0.0),
+                                         {1: [square]}))
+    filed = sum(len(f) for f in layout._boxes._bins.values())
+    assert filed <= 1
+    assert layout.near(1, (5.0e3, 5.0e3, 5.0e3, 5.0e3)) == {0}
+    assert layout.near(1, (2.0e5, -2.0e5, 3.0e5, -2.0e5)) == {0}   # corner
+    assert layout.near(1, (2.1e5, 0.0, 3.0e5, 1.0)) == set()
+    assert layout.near(2, (0.0, 0.0, 1.0, 1.0)) == set()
+    # a small pad inside it overlaps it; one beside it does not
+    with pytest.raises(PlacementOverlap, match="inner overlaps plane"):
+        layout.add_component(PlacedComponent(
+            "inner", "pad", (0.0, 0.0), {1: [rect(0.0, 0.0, 50.0, 50.0)]}))
+    layout.add_component(PlacedComponent(
+        "beside", "pad", (0.0, 0.0), {1: [rect(2.0e5, 0.0, 2.1e5, 50.0)]}))
+    assert layout.overlaps(layout.components[0], after=0) == []

@@ -755,3 +755,15 @@ def test_the_shared_segment_scan_follows_path_edits_and_rules():
         assert after == _unmemoized_drc(lay, GENERIC)
         changed += after != before
     assert changed > 15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_drc_reports_a_non_finite_path_point_as_leaving_the_die(bad):
+    lay = _bare_layout(RoutedPath(
+        "a", "control", 2,
+        [(100.0, 100.0), (300.0, 100.0), (300.0, bad), (bad, bad)], 10.0))
+    faults = [v for v in drc(lay, GENERIC) if v.rule == "die-bounds"]
+    assert len(faults) == 1
+    assert faults[0].message == "net a leaves the die"
+    x, y = faults[0].where
+    assert x == 300.0 and not math.isfinite(y)
