@@ -63,35 +63,26 @@ class ParameterBundle:
 
 
 def _circuit_qubit_ids(circuit: EquivalentCircuit) -> set[str]:
-    ids = set(circuit.qubits)
-    for a, b in circuit.couplings:
-        ids.add(a)
-        ids.add(b)
-    return ids
+    return set(circuit.qubits).union(*circuit.couplings)
 
 
 def _layout_qubit_ids(layout) -> set[str]:
-    ids = {c.comp_id for c in layout.components if c.kind in QUBIT_KINDS}
-    for c in layout.components:
-        if c.kind == "resonator" and c.params.get("qubit_id"):
-            ids.add(c.params["qubit_id"])
-    return ids
+    comps = layout.components
+    return ({c.comp_id for c in comps if c.kind in QUBIT_KINDS}
+            | {c.params["qubit_id"] for c in comps
+               if c.kind == "resonator" and c.params.get("qubit_id")})
 
 
 def validate_references(topology, circuit, layout) -> None:
     """Cross-entity invariant: circuit and layout may only name topology
     qubits."""
     known = set(topology.qubits) if topology is not None else set()
-    if circuit is not None:
-        stray = _circuit_qubit_ids(circuit) - known
+    for name, ids, entity in (("circuit", _circuit_qubit_ids, circuit),
+                              ("layout", _layout_qubit_ids, layout)):
+        stray = set() if entity is None else ids(entity) - known
         if stray:
             raise CrossEntityViolation(
-                f"circuit references unknown qubits {sorted(stray)}")
-    if layout is not None:
-        stray = _layout_qubit_ids(layout) - known
-        if stray:
-            raise CrossEntityViolation(
-                f"layout references unknown qubits {sorted(stray)}")
+                f"{name} references unknown qubits {sorted(stray)}")
 
 
 def extract(doc: DesignDocument, selector: str) -> ParameterBundle:
@@ -341,6 +332,8 @@ def load(data: bytes, base_dir: str | Path = ".") -> DesignDocument:
         raise ParseError("design file is not UTF-8 text", offset=e.start) from e
     except json.JSONDecodeError as e:
         raise ParseError(f"bad design file: {e.msg}", offset=e.pos) from e
+    except RecursionError as e:      # nested past the decoder's depth limit
+        raise ParseError("design file nests too deeply") from e
     if not isinstance(payload, dict):
         raise ParseError("design file root must be an object", path="$")
     meta = payload.get("meta")

@@ -173,8 +173,9 @@ class CoordinateOverflow(SqchipError):
 
 class UnwritableElement(SqchipError):
     """An element GDSII cannot hold as the layout has it: a layer or
-    datatype past 16 bits, more points than one XY record holds, or an
-    edited import whose source held fields the layout model does not keep."""
+    datatype past 16 bits, more points or a longer name than one record
+    holds, or an edited import whose source held fields the layout model
+    does not keep."""
 
 
 class TruncatedRecord(SqchipError):

@@ -92,6 +92,9 @@ def excess64_decode(raw: bytes) -> float:
 def _record(rectype: int, payload: bytes = b"") -> bytes:
     if len(payload) % 2:
         raise OddLength(f"payload for record {rectype:#06x} has odd length")
+    if len(payload) > PAYLOAD_MAX:      # only a name record can grow so
+        raise UnwritableElement(f"a name of {len(payload)} bytes does not "
+                                f"fit a GDSII record of {PAYLOAD_MAX}")
     return struct.pack(">HH", 4 + len(payload), rectype) + payload
 
 
@@ -294,8 +297,10 @@ _ENDEL = struct.pack(">HH", 4, ENDEL)
 # a rectangle's whole BOUNDARY record: the fixed records, its closed ring
 # of five points and ENDEL
 _RECT = struct.Struct(">HHHHhHHhHH10iHH")
-# the most points one XY record holds: its length field is 16 bits
+# the most points one XY record holds, and the longest even payload of
+# any record: a record's 16-bit length counts its 4-byte header too
 _XY_POINTS = (0xFFFF - 4) // 8
+PAYLOAD_MAX = 0xFFFF - 5
 
 
 def _boundary(layer: int, datatype: int, points) -> bytes:

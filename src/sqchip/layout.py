@@ -27,7 +27,7 @@ from .errors import (
     SpecInfeasible,
     check_selector,
 )
-from .geometry import BinIndex, bbox_union, boxes_overlap
+from .geometry import BinIndex, bbox, bbox_union, boxes_overlap
 from .routing import Pin, RoutedPath
 from .topology import Topology
 
@@ -52,8 +52,15 @@ class DieBox:
                 and self.y0 - tol <= y <= self.y1 + tol)
 
 
-# side of the component index's bins, um: a qubit or pad falls in one to four
-_COMPONENT_BIN = 1000.0
+def components_overlap(a: PlacedComponent, b: PlacedComponent) -> bool:
+    """True if a and b share a layer and their boxes overlap: the test of
+    both placement and DRC's overlap rule."""
+    return bool(a.layers() & b.layers()) and boxes_overlap(
+        a.bounding_box(), b.bounding_box())
+
+
+# component index bin side and DRC overlap sweep's tall height, um
+COMPONENT_BIN = 1000.0
 
 
 class _Components(Sequence):
@@ -104,7 +111,7 @@ class ChipLayout:
     # component boxes per layer, items are positions in _components; a
     # component re-filed by set_footprint leaves its old entries behind,
     # so a query may return a candidate more, which the exact test drops
-    _boxes: BinIndex = field(default_factory=lambda: BinIndex(_COMPONENT_BIN),
+    _boxes: BinIndex = field(default_factory=lambda: BinIndex(COMPONENT_BIN),
                              init=False, repr=False)
 
     @property
@@ -134,17 +141,13 @@ class ChipLayout:
         self._components.append(comp)
         self._by_id.setdefault(comp.comp_id, comp)
 
-    def overlaps(self, comp: PlacedComponent, after: int = -1) -> list[int]:
-        """Positions, ascending and past `after`, of the components that
-        share a layer with comp and whose boxes overlap comp's box."""
+    def overlaps(self, comp: PlacedComponent) -> list[int]:
+        """Positions, ascending, of the components that comp overlaps
+        (components_overlap)."""
         box = comp.bounding_box()
-        layers = comp.layers()
-        near = set()
-        for layer in layers:
-            near |= self.near(layer, box)
+        near = set().union(*(self.near(layer, box) for layer in comp.layers()))
         return [i for i in sorted(near)
-                if i > after and self._components[i].layers() & layers
-                and boxes_overlap(box, self._components[i].bounding_box())]
+                if components_overlap(comp, self._components[i])]
 
     def near(self, layer: int, box) -> set[int]:
         """Positions of the components with geometry on `layer` whose box
@@ -154,10 +157,9 @@ class ChipLayout:
     def content_bbox(self) -> tuple[float, float, float, float]:
         boxes = [c.bounding_box() for c in self.components]
         for p in self.paths:
-            xs = [q[0] for q in p.points]
-            ys = [q[1] for q in p.points]
+            x0, y0, x1, y1 = bbox(p.points)
             h = p.width / 2.0
-            boxes.append((min(xs) - h, min(ys) - h, max(xs) + h, max(ys) + h))
+            boxes.append((x0 - h, y0 - h, x1 + h, y1 + h))
         if not boxes:
             return (self.die.x0, self.die.y0, self.die.x1, self.die.y1)
         return bbox_union(boxes)
@@ -286,10 +288,8 @@ def generate_readout_bus(layout: ChipLayout, row_qubits: list[str],
     xs = [p.position[0] for p in ports]
     if xs != sorted(xs):
         raise SpecInfeasible("row_qubits must be ordered left to right")
-    if len(xs) > 1:
-        pitch = min(b - a for a, b in zip(xs, xs[1:]))
-    else:
-        pitch = layout.grid_info.get("pitch", 2000.0)
+    pitch = min((b - a for a, b in zip(xs, xs[1:])),
+                default=layout.grid_info.get("pitch", 2000.0))
     usable = pitch - _CELL_CLEAR
     if usable <= 2.0 * coupling_length:
         raise PitchTooSmall(f"pitch {pitch} um leaves no room for meanders")

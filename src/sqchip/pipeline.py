@@ -48,9 +48,10 @@ from .errors import (
     SpecInfeasible,
     SqchipError,
     StageError,
+    UnwritableElement,
     check_selector,
 )
-from .gdsio import write_gds
+from .gdsio import PAYLOAD_MAX, write_gds
 from .layout import (
     QUBIT_STYLES,
     allocate_frequencies,
@@ -121,9 +122,12 @@ class PipelineConfig:
                 for f in self.qubit_frequencies)):
             raise FieldTypeError(f"qubit_frequencies must be a tuple of "
                                  f"numbers, got {self.qubit_frequencies!r}")
-        # the name becomes the GDS library name, which must be ASCII
+        # the name becomes the GDS library name, ASCII in one record
         if not self.name.isascii():
             raise NonAsciiName(f"design name {self.name!r} is not ASCII")
+        if len(self.name) > PAYLOAD_MAX:
+            raise UnwritableElement(f"design name is {len(self.name)} "
+                                    f"bytes, a GDS record holds {PAYLOAD_MAX}")
         if self.rows < 1 or self.cols < 1:
             raise NonPositiveInput(f"grid dims must be positive integers, "
                                    f"got {self.rows}x{self.cols}")

@@ -4,18 +4,17 @@ Rule sets are named processes. apply_rules is idempotent via a marker on the
 layout (re-filleting already-filleted geometry would not be), and drc returns
 an empty list exactly when the layout satisfies every checked rule.
 
+Batch pairwise checks take their candidates from geometry.sweep_pairs.
 The segment scan behind bridge crossings, DRC spacing and the widening
-check files each path as runs of consecutive segments at most one spacing
-reach a side (a fillet arc is one run), takes candidate run pairs from one
-sweep over x per layer (geometry.sweep_pairs) and decides each segment pair
-with its exact box test. Its result is sorted into all-pairs order (path
-i < j, then segment of i, then of j), so bridge numbering, DRC report order
-and GDS bytes match a scan over all pairs. Bridges, DRC and the widening
-check share one full-reach scan per path state, kept on the layout
-(ChipLayout.segment_pairs); bridges take from it the pairs that cross.
-The indium keep-out marks the lattice sites each grown box covers. Deck
-cover and component overlap ask the layout's own component index
-(ChipLayout.near), which files each component as it is added or moved.
+check sweeps each layer's paths as runs of consecutive segments at most one
+spacing reach a side (a fillet arc is one run) and decides each segment
+pair with its exact box test, in all-pairs order (path i < j, then segment
+of i, then of j), so bridge numbering, DRC report order and GDS bytes match
+a scan over all pairs. Bridges, DRC and the widening check share one
+full-reach scan per path state (ChipLayout.segment_pairs). DRC's overlap
+rule sweeps the boxes of the components it checks. Deck cover, an
+incremental query, asks the layout's component index (ChipLayout.near).
+The indium keep-out marks the lattice sites each grown box covers.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .geometry import (
     segment_distance,
     sweep_pairs,
 )
+from .layout import COMPONENT_BIN, components_overlap
 
 
 @dataclass(frozen=True)
@@ -270,21 +270,17 @@ def _runs(points, cell: float):
     return runs
 
 
-def _near_segment_pairs(paths, rules: ProcessRules, reach: float | None = None):
+def _near_segment_pairs(paths, rules: ProcessRules, reach: float):
     """Segment pairs of different nets on one layer whose boxes come within
-    `reach` (default: the largest spacing requirement), in all-pairs order.
-
-    Returns [(a, b, [(s1, s2), ...]), ...] for paths a = paths[i] and
-    b = paths[j], i < j, with the pairs sorted by segment index in a, then
-    in b.
+    `reach`, in all-pairs order: [(a, b, [(s1, s2), ...]), ...] for paths
+    a = paths[i] and b = paths[j], i < j, with the pairs sorted by segment
+    index in a, then in b.
 
     Each layer's runs (see _runs; a fillet arc is one run) go through one
     geometry.sweep_pairs with a margin a hair above `reach`. A run's box
     contains each of its segments' boxes, so no candidate is lost; each
     candidate run pair is then decided segment pair by segment pair.
     """
-    if reach is None:
-        reach = _spacing_reach(rules, paths)
     reach += _SLACK
     # runs at most one spacing reach a side keep a run's box tight around
     # what its segments can reach; that is also the sweep's tall threshold
@@ -524,14 +520,15 @@ def drc(layout, rules: ProcessRules) -> list[Violation]:
     # same-layer component overlap (bounding boxes); imported geometry is
     # exempt: stroked corners legitimately overlap and structure provenance
     # is gone after a round trip, so box tests there are meaningless
-    exempt = ("airbridge", "imported")
-    comps = layout.components
-    for i, ci in enumerate(comps):
-        if ci.kind in exempt:
-            continue
-        for j in layout.overlaps(ci, after=i):
-            if comps[j].kind not in exempt:
-                out.append(Violation(
-                    "overlap", f"{ci.comp_id} overlaps {comps[j].comp_id}",
-                    ci.origin, (ci.comp_id, comps[j].comp_id)))
+    checked = [c for c in layout.components
+               if c.kind not in ("airbridge", "imported")]
+    boxes = [c.bounding_box() for c in checked]
+    # each box its own group; candidates in (i, j) component order
+    for i, j in sorted(map(sorted, sweep_pairs(boxes, range(len(boxes)), 0.0,
+                                               COMPONENT_BIN))):
+        ci, cj = checked[i], checked[j]
+        if components_overlap(ci, cj):
+            out.append(Violation(
+                "overlap", f"{ci.comp_id} overlaps {cj.comp_id}",
+                ci.origin, (ci.comp_id, cj.comp_id)))
     return out

@@ -532,6 +532,12 @@ def _assert_refused_path(capsys, named: str):
     assert err.startswith("error: ") and named in err
 
 
+def test_a_deeply_nested_design_file_exits_2(tmp_path, capsys):
+    (tmp_path / "chip.sqd").write_bytes(b"[" * 100_000)
+    assert _run(tmp_path, "drc") == 2
+    assert "nests too deeply" in capsys.readouterr().err
+
+
 def test_a_directory_given_as_the_design_exits_2(tmp_path, capsys):
     (tmp_path / "chip.sqd").mkdir()
     assert _run(tmp_path, "topo", "--rows", "1", "--cols", "1") == 2

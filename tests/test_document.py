@@ -290,6 +290,12 @@ def test_load_reports_json_syntax_offset():
     assert err.value.offset == 9
 
 
+def test_load_refuses_a_design_nested_past_the_decoder_depth():
+    # json.loads raises RecursionError there, not JSONDecodeError
+    with pytest.raises(ParseError, match="nests too deeply"):
+        load(b"[" * 100_000)
+
+
 def test_load_insists_on_object_root_and_meta():
     with pytest.raises(ParseError) as err:
         load(b"[]")

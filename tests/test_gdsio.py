@@ -38,6 +38,7 @@ from sqchip.gdsio import (
     _boundary,
     _iter_records,
     _path,
+    _record,
     _sref,
     excess64_decode,
     export_svg,
@@ -183,6 +184,27 @@ def test_writer_refuses_a_non_ascii_name_typed():
     layout.name = "chip"
     layout.components[0].kind = "cell\u00e9"     # names the kind's cell
     with pytest.raises(NonAsciiName, match="'CELL\u00c9'"):
+        write_gds(layout)
+
+
+@pytest.mark.parametrize("rectype", [LIBNAME, STRNAME, SNAME])
+def test_a_name_record_holds_at_most_65530_bytes(rectype):
+    # 4 header bytes and an even payload under a 16-bit record length
+    assert len(_record(rectype, b"N" * 65530)) == 65534
+    with pytest.raises(UnwritableElement, match="65532 bytes"):
+        _record(rectype, b"N" * 65532)
+
+
+def test_writer_refuses_a_name_longer_than_one_record_typed():
+    layout = place_qubits(generate_grid(1, 1))
+    layout.name = "n" * 65530
+    assert read_gds(write_gds(layout)).name == layout.name
+    layout.name = "n" * 65531                  # padded to 65,532 bytes
+    with pytest.raises(UnwritableElement, match="65532 bytes"):
+        write_gds(layout)
+    layout.name = "chip"
+    layout.components[0].kind = "k" * 70000     # names the kind's cell
+    with pytest.raises(UnwritableElement, match="70000 bytes"):
         write_gds(layout)
 
 

@@ -16,16 +16,18 @@ from sqchip.errors import (
     SpecInfeasible,
     UnknownSelector,
 )
-from sqchip.geometry import boxes_overlap, rect
+from sqchip.geometry import BinIndex, boxes_overlap, rect
 from sqchip.layout import (
     ChipLayout,
     DieBox,
     allocate_frequencies,
+    components_overlap,
     generate_readout_bus,
     place_qubits,
     readout_ladder,
     resonator_length,
 )
+from sqchip.pipeline import run_pipeline
 from sqchip.process import drc, get_process
 from sqchip.topology import generate_grid
 
@@ -145,7 +147,8 @@ def _touch(a, b) -> bool:
 
 
 def _overlaps(report):
-    return [(v.message, v.subjects) for v in report if v.rule == "overlap"]
+    return [(v.message, v.where, v.subjects) for v in report
+            if v.rule == "overlap"]
 
 
 def _outcome(add):
@@ -183,7 +186,7 @@ def test_indexed_placement_check_matches_the_all_pairs_reference():
                 victim.set_footprint(layer, other.footprint[layer])
                 resized += 1
         assert list(layout.components) == held
-        # DRC's overlap rule asks the same index, after the resizes
+        # DRC's overlap rule agrees too, after the resizes
         rules = get_process("generic-10um")
         assert _overlaps(drc(layout, rules)) == \
             _overlaps(process_reference.drc(layout, rules))
@@ -192,6 +195,56 @@ def test_indexed_placement_check_matches_the_all_pairs_reference():
                 c for c in held if c.comp_id == comp.comp_id)
     # the sample really refuses, touches and resizes
     assert refused > 300 and touching > 50 and resized > 150
+
+
+def _wide_rect(rng: random.Random) -> list:
+    """A box over BinIndex.WIDE bins of the component index: a long strip
+    or a big square, corners on the 50 um grid."""
+    x, y = 50.0 * rng.randint(-20, 60), 50.0 * rng.randint(-20, 60)
+    w, h = rng.choice(((75.0e3, 100.0), (100.0, 75.0e3), (1.0e4, 1.0e4)))
+    return rect(x, y, x + w, y + h)
+
+
+def test_drc_overlap_rule_matches_the_all_pairs_reference_on_mixed_layouts():
+    # exempt and checked kinds, touching edges, multi-layer footprints,
+    # boxes over BinIndex.WIDE bins and set_footprint edits, all placed
+    # unchecked so that many boxes overlap
+    rng = random.Random(35)
+    rules = get_process("generic-10um")
+    kinds = ("test", "xmon", "airbridge", "imported")
+    reported = exempt = touching = wide = edited = 0
+    for _ in range(25):
+        layout = ChipLayout("t", DieBox(0.0, 0.0, 2500.0, 2500.0))
+        for n in range(rng.randint(2, 70)):
+            comp = _random_component(rng, f"c{n}")
+            comp.kind = rng.choice(kinds)
+            if rng.random() < 0.1:
+                comp.footprint[rng.randint(1, 3)] = [_wide_rect(rng)]
+            layout.add_component(comp, check_overlap=False)
+            if rng.random() < 0.2:
+                victim = rng.choice(layout.components)
+                layer = rng.randint(1, 3)
+                victim.set_footprint(layer, [_wide_rect(rng)]
+                                     if rng.random() < 0.2 else
+                                     _random_component(rng, "x").footprint
+                                     .popitem()[1])
+                edited += 1
+        got = _overlaps(drc(layout, rules))
+        assert got == _overlaps(process_reference.drc(layout, rules))
+        reported += len(got)
+        wide += sum(map(len, layout._boxes._wide.values()))
+        comps = list(layout.components)
+        for i, a in enumerate(comps):
+            box = a.bounding_box()
+            for b in comps[i + 1:]:
+                if not a.layers() & b.layers():
+                    continue
+                exempt += components_overlap(a, b) and {a.kind, b.kind} & {
+                    "airbridge", "imported"} != set()
+                touching += _touch(box, b.bounding_box())
+    # the sample really reports, exempts, touches, spans and edits
+    assert reported > 300 and exempt > 1000 and touching > 50
+    assert wide > 100 and edited > 100
 
 
 def test_layout_components_are_read_only():
@@ -216,7 +269,7 @@ def test_placement_box_tests_stay_within_the_component_count(monkeypatch):
         nonlocal calls
         calls += 1
         return boxes_overlap(a, b)
-    # placement and the DRC overlap rule both ask the layout's index
+    # placement and the DRC overlap rule both call components_overlap
     monkeypatch.setattr("sqchip.layout.boxes_overlap", counted)
     result = run_pipeline(rows=16, cols=16)
     assert result.drc_report == []
@@ -335,4 +388,29 @@ def test_a_400_mm_square_costs_the_component_index_one_entry():
             "inner", "pad", (0.0, 0.0), {1: [rect(0.0, 0.0, 50.0, 50.0)]}))
     layout.add_component(PlacedComponent(
         "beside", "pad", (0.0, 0.0), {1: [rect(2.0e5, 0.0, 2.1e5, 50.0)]}))
-    assert layout.overlaps(layout.components[0], after=0) == []
+    # DRC's overlap rule finds nothing to report, until the refused pad is
+    # placed unchecked
+    rules = get_process("generic-10um")
+    assert _overlaps(drc(layout, rules)) == []
+    layout.add_component(PlacedComponent(
+        "inner", "pad", (0.0, 0.0), {1: [rect(0.0, 0.0, 50.0, 50.0)]}), False)
+    assert _overlaps(drc(layout, rules)) == \
+        [("plane overlaps inner", (0.0, 0.0), ("plane", "inner"))]
+
+
+def test_drc_on_a_pattern_8x8_layout_queries_no_component_index(monkeypatch):
+    # the overlap rule takes its candidates from one sweep; pattern 8x8 has
+    # no same-layer crossing, so deck cover asks nothing either
+    layout = run_pipeline(rows=8, cols=8).document.layout
+    queries = []
+    real = BinIndex.query
+
+    def counted(self, layer, box):
+        queries.append(layer)
+        return real(self, layer, box)
+
+    monkeypatch.setattr(BinIndex, "query", counted)
+    assert drc(layout, get_process("generic-10um")) == []
+    assert queries == []
+    layout.overlaps(layout.components[0])       # the counter is live
+    assert queries

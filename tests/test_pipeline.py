@@ -39,6 +39,7 @@ from sqchip.errors import (
     SpecInfeasible,
     StageError,
     UnknownSelector,
+    UnwritableElement,
 )
 from sqchip.layout import ChipLayout
 from sqchip.pattern import total_pins
@@ -186,6 +187,16 @@ def test_config_refuses_a_non_ascii_name_up_front(monkeypatch):
     with pytest.raises(NonAsciiName, match="'chip\u00e9'"):
         run_pipeline(rows=1, cols=1, name="chip\u00e9")
     assert PipelineConfig(name="chip-e_1")
+
+
+def test_config_refuses_a_name_longer_than_one_gds_record_up_front(
+        monkeypatch):
+    # the library name is one record, at most 65,530 bytes
+    _no_stage_may_run(monkeypatch)
+    with pytest.raises(UnwritableElement, match="65531 bytes"):
+        run_pipeline(rows=1, cols=1, name="n" * 65531)
+    monkeypatch.undo()
+    assert run_pipeline(rows=1, cols=1, name="n" * 65530).gds_bytes
 
 
 @pytest.mark.parametrize("rows, cols, palette", [

@@ -35,6 +35,7 @@ from sqchip.process import (
     Violation,
     _check_widening,
     _near_segment_pairs,
+    _spacing_reach,
     apply_rules,
     drc,
     fillet_path,
@@ -536,7 +537,7 @@ def test_near_segment_pairs_equal_the_all_pairs_oracle_in_order():
     for _ in range(40):
         paths = _scan_clutter(rng)
         cell = _old_bin(paths)
-        for reach in (0.0, None, 1.5 * cell):
+        for reach in (0.0, _spacing_reach(GENERIC, paths), 1.5 * cell):
             got = _scan_ids(_near_segment_pairs(paths, GENERIC, reach), paths)
             want = _scan_ids(process_reference.near_segment_pairs(
                 paths, GENERIC, reach), paths)
@@ -603,18 +604,17 @@ def test_the_sweep_equals_the_all_pairs_oracle_where_a_sweep_can_slip():
                           "diagonal", "negative", "coincident"), 0)
     for _ in range(40):
         paths = _sweep_clutter(rng)
-        for reach in (0.0, None, 1.5 * default):
+        for reach in (0.0, default, 1.5 * default):
             got = _scan_ids(_near_segment_pairs(paths, GENERIC, reach), paths)
             want = _scan_ids(process_reference.near_segment_pairs(
                 paths, GENERIC, reach), paths)
             assert got == want, reach
-            r = default if reach is None else reach
             for i, j, pairs in want:
                 seen["coincident"] += paths[i].points == paths[j].points
                 for s1, s2 in pairs:
                     gx, gy = _gaps(s1, s2)
-                    seen["x gap = reach"] += gx == r
-                    seen["y gap = reach"] += gy == r
+                    seen["x gap = reach"] += gx == reach
+                    seen["y gap = reach"] += gy == reach
                     seen["negative"] += min(c for p in s1 + s2 for c in p) < 0
                     seen["diagonal"] += any(
                         min(abs(q[0] - p[0]), abs(q[1] - p[1])) > default
